@@ -27,7 +27,7 @@ from .domain import (
 )
 from .kalman import FilterParams, innovation_covariance, predicted_measurement
 
-#: Joint-event enumeration guard per scan.
+#: Guard on the JPDA state transitions per gating cluster.
 MAX_JOINT_EVENTS = 1_000_000
 
 
@@ -175,15 +175,19 @@ def jpda_from_gates(
     """Joint association probabilities for an explicit gating structure.
 
     ``likelihood[j, i]`` is the measurement likelihood N(nu_ij; 0, S_j).
-    Enumerates every joint event consistent with the one-to-one constraints
+    Sums over every joint event consistent with the one-to-one constraints
     over the gated pairs; an event assigning a set A of (track, measurement)
     pairs weighs prod_{A} p_d * likelihood x (1 - p_d) per missed track x
     clutter_density per unassigned measurement. Factors common to all events
     cancel in the normalization, so each assignment contributes
     p_d * likelihood / clutter_density relative to a clutter explanation.
+    The events are not visited: the exact JPDAF of Horridge & Maskell
+    (FUSION 2006) runs forward and backward per gating cluster over states
+    (track k, measurements used before k that a track >= k can still gate).
 
-    Raises :class:`ComplexityError` when more than ``max_events`` joint
-    events would be enumerated; split the scan into smaller clusters first.
+    Raises :class:`ComplexityError` when a cluster needs more than
+    ``max_events`` state transitions (states x (candidates + 1)); split the
+    scan into smaller clusters first.
     """
     n, m = likelihood.shape
     if len(gates) != n:
@@ -193,61 +197,56 @@ def jpda_from_gates(
     if not clutter_density > 0:
         raise ContractViolation(f"clutter_density must be > 0, got {clutter_density}")
 
-    rows = np.zeros((n, m + 1))
-    rows[:, m] = 1.0  # tracks with empty gates keep all mass on the miss
-    miss_w = 1.0 - p_d
+    rows = np.zeros((n, m + 1))  # every track is in a cluster, so every row is set
+    ratio = p_d * likelihood / clutter_density
 
     for tracks_c, meas_c in _clusters(gates):
-        # Relative weight of assigning measurement i to track j, versus
-        # explaining i as clutter.
-        ratio = {
-            j: [(i, p_d * likelihood[j, i] / clutter_density) for i in sorted(gates[j])]
+        # moves[k]: (column, used-set bit, weight against clutter); a miss sets no bit.
+        moves = [
+            [(m, 0, 1.0 - p_d)] + [(i, 1 << i, float(ratio[j, i])) for i in sorted(gates[j])]
             for j in tracks_c
-        }
-        t_count = len(tracks_c)
-        assign_mass = np.zeros((t_count, m))
-        miss_mass = np.zeros(t_count)
-        used: Set[int] = set()
-        chosen: List[int] = [-1] * t_count
-        counter = [0]
+        ]
+        future = [0]  # future[k]: measurements that a track >= k can gate
+        for moves_k in reversed(moves):
+            future.insert(0, future[0] | sum(b for _, b, _ in moves_k))
 
-        def enumerate_events(idx: int, weight: float) -> None:
-            if idx == t_count:
-                counter[0] += 1
-                if counter[0] > max_events:
-                    raise ComplexityError(
-                        f"more than {max_events} joint events in a cluster of "
-                        f"{t_count} tracks and {len(meas_c)} measurements; "
-                        "split the cluster before enumerating"
-                    )
-                for t_idx in range(t_count):
-                    c = chosen[t_idx]
-                    if c >= 0:
-                        assign_mass[t_idx, c] += weight
-                    else:
-                        miss_mass[t_idx] += weight
-                return
-            j = tracks_c[idx]
-            chosen[idx] = -1
-            enumerate_events(idx + 1, weight * miss_w)
-            for i, w in ratio[j]:
-                if i in used:
-                    continue
-                used.add(i)
-                chosen[idx] = i
-                enumerate_events(idx + 1, weight * w)
-                used.remove(i)
-            chosen[idx] = -1
+        # alpha[k][S]: summed weight of the assignments of tracks < k using S within future[k].
+        alpha = [{0: 1.0}]
+        transitions = 0
+        for k, moves_k in enumerate(moves):
+            transitions += len(alpha[k]) * len(moves_k)
+            if transitions > max_events:
+                raise ComplexityError(
+                    f"more than {max_events} state transitions in a cluster of {len(tracks_c)} "
+                    f"tracks and {len(meas_c)} measurements; split the cluster first"
+                )
+            nxt: Dict[int, float] = {}
+            for s, a in alpha[k].items():
+                for _, b, w in moves_k:
+                    if not s & b:
+                        key = (s | b) & future[k + 1]
+                        nxt[key] = nxt.get(key, 0.0) + a * w
+            alpha.append(nxt)
 
-        enumerate_events(0, 1.0)
-        total = miss_mass.sum() + assign_mass.sum()
-        if total <= 0 or not np.isfinite(total):
-            raise NumericalError("joint event weights degenerate (all zero or non-finite)")
-        # Row-wise totals are identical by construction; normalize per track.
-        for t_idx, j in enumerate(tracks_c):
-            row_total = miss_mass[t_idx] + assign_mass[t_idx].sum()
-            rows[j, :m] = assign_mass[t_idx] / row_total
-            rows[j, m] = miss_mass[t_idx] / row_total
+        # beta[S]: summed weight of every completion by the tracks after k
+        # from state S; track k's mass on a move pairs alpha[k] with it.
+        beta = {0: 1.0}
+        for k in range(len(moves) - 1, -1, -1):
+            mass = [0.0] * len(moves[k])
+            prev: Dict[int, float] = {}
+            for s, a in alpha[k].items():
+                total = 0.0
+                for c, (_, b, w) in enumerate(moves[k]):
+                    if not s & b:
+                        tail = w * beta[(s | b) & future[k + 1]]
+                        mass[c] += a * tail
+                        total += tail
+                prev[s] = total
+            beta = prev
+            row_total = sum(mass)
+            if not 0.0 < row_total < math.inf:
+                raise NumericalError("joint event weights degenerate (all zero or non-finite)")
+            rows[tracks_c[k], [c for c, _, _ in moves[k]]] = np.array(mass) / row_total
     return AssocProbabilities(rows)
 
 
@@ -264,9 +263,9 @@ def jpda(
     """Joint probabilistic data association over the gated measurements.
 
     A track whose gate holds more than ``max_candidates`` measurements keeps
-    only the nearest ones (by likelihood) for the joint enumeration; this
-    bounds the event count near (max_candidates + 1)^num_tracks even when a
-    diverged track's gate swallows dozens of clutter points.
+    only the nearest ones (by likelihood) as candidates, so a diverged
+    track whose gate swallows dozens of clutter points neither dominates the
+    cost of :func:`jpda_from_gates` nor spreads its mass over them.
     """
     likelihood = _gaussian_likelihoods(tracks, scan, params)
     gates = [gate(t, scan, params, gp) for t in tracks]

@@ -31,6 +31,7 @@ from .deepda import (
 )
 from .domain import (
     CLUTTER,
+    DEFAULT_REGION,
     ComplexityError,
     ConfigError,
     NumericalError,
@@ -52,6 +53,10 @@ from .scenario import (
 
 _USAGE_EXIT = 2
 _NUMERICAL_EXIT = 3
+
+#: p_d and clutter rate assumed for scans.csv input without --pd/--elambda.
+_CSV_DEFAULT_PD = 0.9
+_CSV_DEFAULT_ELAMBDA = 20.0
 
 
 def _load_json(path) -> dict:
@@ -107,7 +112,9 @@ def _parse_train_config(doc: dict):
     m_max = net_doc.pop("m_max", None)
 
     train_doc = dict(doc.get("train", {}))
-    unknown = set(train_doc) - {"lr", "rho", "eps", "batch", "epochs", "seed", "clip"}
+    unknown = set(train_doc) - {
+        "lr", "rho", "eps", "batch", "epochs", "seed", "clip", "init", "body_lr_scale"
+    }
     if unknown:
         raise ConfigError(f"train: unknown fields {sorted(unknown)}")
     return configs, net_doc, m_max, TrainConfig(**train_doc)
@@ -159,10 +166,18 @@ def _cmd_track(args) -> int:
                 f"{len(scans)} scans but {truth_states.shape[0]} truth epochs"
             )
         params = FilterParams(dt=args.dt)
-        # Classic engines need the scenario's p_d / clutter rate; take them
-        # from flags with the reference defaults.
+        # Classic engines need the scenario's p_d / clutter rate, which the
+        # CSV files do not record; take them from flags or the reference values.
         config = None
-        p_d, e_lambda = args.pd, args.elambda
+        p_d = _CSV_DEFAULT_PD if args.pd is None else args.pd
+        e_lambda = _CSV_DEFAULT_ELAMBDA if args.elambda is None else args.elambda
+        if args.pd is None or args.elambda is None:
+            print(
+                f"warning: {args.input} does not record the scenario; assuming p_d "
+                f"{p_d!r}, e_lambda {e_lambda!r} and {DEFAULT_REGION} (set --pd and "
+                "--elambda to the simulated values)",
+                file=sys.stderr,
+            )
     else:
         config = ScenarioConfig.from_dict(_load_json(args.input))
         if args.seed is not None:
@@ -300,8 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--dt", type=float, default=1.0, help="scan interval for csv input")
-    p.add_argument("--pd", type=float, default=0.9, help="detection probability for csv input")
-    p.add_argument("--elambda", type=float, default=20.0, help="clutter rate for csv input")
+    p.add_argument(
+        "--pd", type=float, default=None,
+        help=f"detection probability for csv input (default {_CSV_DEFAULT_PD})",
+    )
+    p.add_argument(
+        "--elambda", type=float, default=None,
+        help=f"clutter rate for csv input (default {_CSV_DEFAULT_ELAMBDA})",
+    )
     p.add_argument("--ospa-c", type=float, default=10.0)
     p.add_argument("--ospa-p", type=float, default=2.0)
     p.set_defaults(func=_cmd_track)

@@ -16,6 +16,7 @@ from cluttertrack.domain import (
     ComplexityError,
     ContractViolation,
     CostMatrix,
+    NumericalError,
     Scan,
 )
 from cluttertrack.kalman import FilterParams
@@ -293,3 +294,55 @@ def test_jpda_invalid_inputs():
         jpda_from_gates(likelihood, [{0}], p_d=0.9, clutter_density=0.0)
     with pytest.raises(ContractViolation):
         jpda_from_gates(likelihood, [{0}, {0}], p_d=0.9, clutter_density=0.1)
+
+
+def _random_gates(rng, kind, n, m):
+    """Gate sets of one structural kind for n tracks over m measurements."""
+    if kind == "chain":
+        # Only neighbouring tracks j and j + 1 share a measurement (j + 1).
+        return [{i for i in (j, j + 1) if i < m} for j in range(n)]
+    if kind == "all":
+        return [set(range(m)) for _ in range(n)]
+    if kind == "empty":
+        return [set() for _ in range(n)]
+    if kind == "disjoint":
+        # Tracks and measurements split into separate groups.
+        groups = rng.integers(0, 3, size=n)
+        meas_groups = rng.integers(0, 3, size=m)
+        return [{i for i in range(m) if meas_groups[i] == groups[j]} for j in range(n)]
+    return [{i for i in range(m) if rng.random() < 0.5} for _ in range(n)]
+
+
+def test_jpda_from_gates_matches_oracle_on_random_clusters():
+    rng = np.random.default_rng(1907)
+    kinds = ("chain", "all", "empty", "disjoint", "random")
+    for case in range(200):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(0, 9))
+        gates = _random_gates(rng, kinds[case % len(kinds)], n, m)
+        likelihood = rng.random((n, m)) * 2.0
+        p_d = float(rng.uniform(0.3, 0.99))
+        lam = float(rng.uniform(0.01, 1.0))
+        got = jpda_from_gates(likelihood, gates, p_d, lam)
+        expected = joint_association_oracle(likelihood, gates, p_d, lam)
+        assert np.max(np.abs(got.rows - expected)) < 1e-12, (case, gates)
+
+
+def test_jpda_from_gates_track_permutation_permutes_rows():
+    rng = np.random.default_rng(44)
+    for _ in range(50):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+        gates = _random_gates(rng, "random", n, m)
+        likelihood = rng.random((n, m))
+        base = jpda_from_gates(likelihood, gates, 0.8, 0.2).rows
+        perm = rng.permutation(n)
+        permuted = jpda_from_gates(likelihood[perm], [gates[j] for j in perm], 0.8, 0.2).rows
+        assert np.max(np.abs(permuted - base[perm])) < 1e-12
+
+
+def test_jpda_from_gates_certain_detection_needs_a_measurement_per_track():
+    # With p_d = 1 no track may miss, so three tracks cannot share two
+    # measurements: every joint event weighs zero.
+    likelihood = np.full((3, 2), 0.5)
+    with pytest.raises(NumericalError):
+        jpda_from_gates(likelihood, [{0, 1}] * 3, p_d=1.0, clutter_density=0.1)

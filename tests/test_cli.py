@@ -60,3 +60,42 @@ def test_track_malformed_truth_exits_with_config_code(tmp_path, capsys):
     argv = ["track", str(scans_path), "--truth", str(truth_path), "--method", "ha"]
     assert main(argv + ["--out", str(out)]) == 2
     assert "truth.csv, line 2" in capsys.readouterr().err
+
+
+def _train_config(tmp_path, train):
+    doc = {
+        "base": five_crossing_targets().to_dict(),
+        "variants": 2,
+        "net": {"hidden": 4},
+        "train": train,
+    }
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_train_accepts_init_and_body_lr_scale(tmp_path):
+    config = _train_config(
+        tmp_path, {"epochs": 1, "batch": 8, "init": "uniform", "body_lr_scale": 0.5}
+    )
+    assert main(["train", config, "--out", str(tmp_path / "model")]) == 0
+    assert (tmp_path / "model" / "model.json").exists()
+
+
+def test_train_rejects_unknown_field(tmp_path, capsys):
+    config = _train_config(tmp_path, {"epochs": 1, "warmup": 3})
+    assert main(["train", config, "--out", str(tmp_path / "model")]) == 2
+    assert "warmup" in capsys.readouterr().err
+
+
+def test_track_csv_warns_about_assumed_scenario(tmp_path, capsys):
+    code, out = _simulate_then_track(tmp_path, five_crossing_targets())
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert "p_d 0.9" in err and "e_lambda 20.0" in err
+
+    sim = tmp_path / "sim"
+    argv = ["track", str(sim / "scans.csv"), "--truth", str(sim / "truth.csv"), "--method", "ha"]
+    assert main(argv + ["--pd", "0.9", "--elambda", "20", "--out", str(out)]) == 0
+    assert "warning" not in capsys.readouterr().err
