@@ -14,7 +14,6 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from ._lap import solve_lap
 from .domain import (
     Assignment,
     AssocProbabilities,
@@ -24,6 +23,7 @@ from .domain import (
     NumericalError,
     Scan,
     Track,
+    assign_with_misses,
 )
 from .kalman import FilterParams, innovation_covariance, predicted_measurement
 
@@ -56,43 +56,23 @@ def hungarian(cost: CostMatrix, miss_cost: float) -> Assignment:
     """Globally optimal assignment with explicit miss handling.
 
     Leaving a track unassigned costs ``miss_cost``; leaving a measurement
-    unassigned costs nothing (clutter). Solved as the square problem of
-    augmented size (tracks + measurements): one dummy miss column per track
-    plus one zero-cost clutter row per measurement, the textbook O(n^3)
-    construction. Ties break toward the lowest measurement index. ``+inf``
-    entries are treated as forbidden pairs.
+    unassigned costs nothing (clutter), so one rectangular tracks x
+    (measurements + tracks) problem with a dummy miss column per track
+    suffices, without clutter rows (Crouse, "On implementing 2D rectangular
+    assignment algorithms", IEEE TAES 2016). Ties break toward the lowest
+    measurement index. ``+inf`` entries are treated as forbidden pairs.
     """
     if not miss_cost > 0:
         raise ContractViolation(f"miss_cost must be > 0, got {miss_cost}")
     v = cost.values
     n, m = v.shape
-    if n == 0:
-        return Assignment({}, frozenset(), frozenset(range(m)))
     finite = v[np.isfinite(v)]
     top = max(float(finite.max()) if finite.size else 0.0, miss_cost)
     big = (top + 1.0) * (n + 1)
-    aug = np.full((n + m, m + n), big)
-    aug[:n, :m] = np.where(np.isfinite(v), v, big)
-    for j in range(n):
-        aug[j, m + j] = miss_cost
-    for i in range(m):
-        aug[n + i, i] = 0.0
-    aug[n:, m:] = 0.0  # leftover clutter rows pair freely with leftover dummies
     # Infinitesimal column bias so exact ties resolve toward the lowest
     # measurement index; far below any meaningful cost difference.
     tie = (top + 1.0) * 1e-12 / (m + n + 1)
-    aug[:n, : m + n] += tie * np.arange(m + n)
-    cols = solve_lap(aug.tolist())
-    pairs: Dict[int, int] = {}
-    missed = set()
-    for j in range(n):
-        c = cols[j]
-        if c < m and aug[j, c] < big:
-            pairs[j] = c
-        else:
-            missed.add(j)
-    free = frozenset(range(m)) - frozenset(pairs.values())
-    return Assignment(pairs, frozenset(missed), free)
+    return assign_with_misses(np.where(np.isfinite(v), v, big), miss_cost, big, tie)
 
 
 def gate(track: Track, scan: Scan, params: FilterParams, gp: GateParams) -> Set[int]:

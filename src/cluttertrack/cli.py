@@ -165,17 +165,18 @@ def _cmd_track(args) -> int:
             raise ConfigError(
                 f"{len(scans)} scans but {truth_states.shape[0]} truth epochs"
             )
-        params = FilterParams(dt=args.dt)
-        # Classic engines need the scenario's p_d / clutter rate, which the
-        # CSV files do not record; take them from flags or the reference values.
+        # The filter needs the scan interval and the classic engines the
+        # scenario's p_d / clutter rate, which the CSV files do not record;
+        # take them from flags or the reference values.
         config = None
         p_d = _CSV_DEFAULT_PD if args.pd is None else args.pd
         e_lambda = _CSV_DEFAULT_ELAMBDA if args.elambda is None else args.elambda
-        if args.pd is None or args.elambda is None:
+        params = FilterParams() if args.dt is None else FilterParams(dt=args.dt)
+        if None in (args.pd, args.elambda, args.dt):
             print(
                 f"warning: {args.input} does not record the scenario; assuming p_d "
-                f"{p_d!r}, e_lambda {e_lambda!r} and {DEFAULT_REGION} (set --pd and "
-                "--elambda to the simulated values)",
+                f"{p_d!r}, e_lambda {e_lambda!r}, dt {params.dt!r} and {DEFAULT_REGION} "
+                "(set --pd, --elambda and --dt to the simulated values)",
                 file=sys.stderr,
             )
     else:
@@ -206,7 +207,7 @@ def _cmd_track(args) -> int:
         region_cfg = ScenarioConfig(
             num_targets=truth_states.shape[1],
             initial_states=tuple(tuple(s) for s in truth_states[0]),
-            dt=args.dt,
+            dt=params.dt,
             num_scans=truth_states.shape[0],
             p_d=p_d,
             e_lambda=e_lambda,
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None, help="truth.csv (required with scans.csv input)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--dt", type=float, default=1.0, help="scan interval for csv input")
+    p.add_argument("--dt", type=float, help=f"csv input scan interval (default {FilterParams.dt})")
     p.add_argument(
         "--pd", type=float, default=None,
         help=f"detection probability for csv input (default {_CSV_DEFAULT_PD})",

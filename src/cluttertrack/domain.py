@@ -257,7 +257,11 @@ class Scan:
 class Track:
     """One target's filtered state estimate.
 
-    State is (x, vx, y, vy); covariance is 4x4 symmetric PSD.
+    State is (x, vx, y, vy); covariance is 4x4 symmetric PSD. Checked in
+    this order: shapes, then symmetry to ``np.allclose(p, p.T, atol=1e-8)``
+    (NaN fails it), raise ``ContractViolation``; a non-finite state or
+    covariance raises ``NumericalError``; a smallest eigenvalue below -1e-9
+    raises ``ContractViolation``.
     """
 
     id: int
@@ -271,9 +275,15 @@ class Track:
             raise ContractViolation(f"state must have 4 entries, got shape {x.shape}")
         if p.shape != (4, 4):
             raise ContractViolation(f"covariance must be 4x4, got shape {p.shape}")
-        if not np.allclose(p, p.T, atol=1e-8):
+        finite = np.isfinite(p).all()
+        # allclose's rule without its non-finite handling, which only non-finite p needs.
+        if finite:
+            symmetric = (np.abs(p - p.T) <= 1e-8 + 1e-5 * np.abs(p.T)).all()
+        else:
+            symmetric = np.allclose(p, p.T, atol=1e-8)
+        if not symmetric:
             raise ContractViolation("covariance must be symmetric")
-        if not np.all(np.isfinite(p)) or not np.all(np.isfinite(x)):
+        if not (finite and np.isfinite(x).all()):
             raise NumericalError(f"track {self.id}: non-finite state or covariance")
         if np.linalg.eigvalsh(p).min() < -1e-9:
             raise ContractViolation(f"track {self.id}: covariance is not PSD")
@@ -384,6 +394,24 @@ class AssocProbabilities:
         return self.rows[:, -1]
 
 
+def assign_with_misses(cost: np.ndarray, miss, big: float, tie: float = 0.0) -> Assignment:
+    """Optimal one-to-one assignment of the (n, m) ``cost`` where track j may
+    miss instead at ``miss`` (one value or one per track): an n x (m + n)
+    problem whose column m + j is track j's miss and ``big`` for the others.
+    Free measurements cost nothing; pairs costing ``big`` or more are never
+    returned; ``tie`` times the column index is added to order exact ties.
+    """
+    n, m = cost.shape
+    aug = np.full((n, m + n), big)
+    aug[:, :m] = cost
+    aug[:, m:][np.diag_indices(n)] = miss
+    aug += tie * np.arange(m + n)
+    cols = solve_lap(aug.tolist())
+    pairs = {j: c for j, c in enumerate(cols) if c < m and aug[j, c] < big}
+    missed = frozenset(range(n)) - frozenset(pairs)
+    return Assignment(pairs, missed, frozenset(range(m)) - frozenset(pairs.values()))
+
+
 def hard_assignment_from_probs(probs: AssocProbabilities) -> Assignment:
     """Best one-to-one hardening of probability rows.
 
@@ -393,19 +421,6 @@ def hard_assignment_from_probs(probs: AssocProbabilities) -> Assignment:
     is always feasible.
     """
     rows = probs.rows
-    n, m = probs.num_tracks, probs.num_measurements
-    big = 4.0 * (n + m + 1)  # dominates any feasible total of (1 - beta) terms
-    aug = np.full((n, m + n), big)
-    aug[:, :m] = 1.0 - rows[:, :m]
-    for j in range(n):
-        aug[j, m + j] = 1.0 - rows[j, m]
-    cols = solve_lap(aug.tolist())
-    pairs = {}
-    missed = set()
-    for j, c in enumerate(cols):
-        if c < m:
-            pairs[j] = c
-        else:
-            missed.add(j)
-    free = frozenset(range(m)) - frozenset(pairs.values())
-    return Assignment(pairs, frozenset(missed), free)
+    m = probs.num_measurements
+    big = 4.0 * (probs.num_tracks + m + 1)  # dominates any feasible total of (1 - beta) terms
+    return assign_with_misses(1.0 - rows[:, :m], 1.0 - rows[:, m], big)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from cluttertrack._lap import solve_lap
+
 
 def all_partial_injections(n_tracks, n_measurements):
     """Yield every mapping of a subset of tracks to distinct measurements.
@@ -44,6 +46,40 @@ def brute_force_min_cost(cost, miss_cost):
         if total < best - 1e-15:
             best, best_assign = total, assign
     return best, best_assign
+
+
+def square_hungarian_oracle(cost, miss_cost):
+    """Global assignment by the square (n + m) x (m + n) construction.
+
+    The textbook padding of the track-to-measurement problem: one dummy miss
+    column per track (cost ``miss_cost`` for its own track, forbidden for
+    the others) and one clutter row per measurement, free on its own
+    measurement and on every dummy column. ``+inf`` entries are forbidden
+    pairs, and the same infinitesimal column bias breaks exact ties toward
+    low measurement indices. It shares only the dense LAP kernel with the
+    production code, which ``brute_force_min_cost`` checks on its own.
+    Returns (pairs, unassigned_tracks, unassigned_measurements).
+    """
+    v = np.asarray(cost, dtype=float)
+    n, m = v.shape
+    if n == 0:
+        return {}, frozenset(), frozenset(range(m))
+    finite = v[np.isfinite(v)]
+    top = max(float(finite.max()) if finite.size else 0.0, miss_cost)
+    big = (top + 1.0) * (n + 1)
+    aug = np.full((n + m, m + n), big)
+    aug[:n, :m] = np.where(np.isfinite(v), v, big)
+    for j in range(n):
+        aug[j, m + j] = miss_cost
+    for i in range(m):
+        aug[n + i, i] = 0.0
+    aug[n:, m:] = 0.0
+    tie = (top + 1.0) * 1e-12 / (m + n + 1)
+    aug[:n, : m + n] += tie * np.arange(m + n)
+    cols = solve_lap(aug.tolist())
+    pairs = {j: cols[j] for j in range(n) if cols[j] < m and aug[j, cols[j]] < big}
+    missed = frozenset(range(n)) - frozenset(pairs)
+    return pairs, missed, frozenset(range(m)) - frozenset(pairs.values())
 
 
 def brute_force_max_prob(rows):

@@ -22,7 +22,12 @@ from cluttertrack.domain import (
 from cluttertrack.kalman import FilterParams
 
 from conftest import make_track
-from oracles import brute_force_min_cost, joint_association_oracle, pda_single_track
+from oracles import (
+    brute_force_min_cost,
+    joint_association_oracle,
+    pda_single_track,
+    square_hungarian_oracle,
+)
 
 
 def total_cost(assignment, cost, miss_cost):
@@ -133,6 +138,44 @@ def test_hungarian_tie_breaks_toward_low_measurement_index():
     cost = np.array([[1.0, 1.0, 1.0]])
     a = hungarian(CostMatrix(cost), miss_cost=10.0)
     assert a.pairs == {0: 0}
+
+
+def _random_lap_case(rng, case):
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(0, 41)) if case % 3 else int(rng.integers(0, 6))
+    kind = case % 5
+    if kind == 0:  # continuous costs
+        cost = rng.random((n, m)) * 10.0
+    else:  # a few integer levels: exact ties within rows and across rows
+        cost = rng.integers(0, 4, size=(n, m)).astype(float)
+    if kind in (2, 3):  # gated-out entries
+        cost[rng.random((n, m)) < 0.4] = np.inf
+    if kind == 3 and n > 1:  # a track that gates nothing
+        cost[int(rng.integers(n))] = np.inf
+    if kind == 4:  # every pair gated out
+        cost[:] = np.inf
+    finite = cost[np.isfinite(cost)]
+    lo = float(finite.min()) if finite.size else 1.0
+    hi = float(finite.max()) if finite.size else 1.0
+    # A miss cost below, at the midpoint of, or above the entries; the
+    # integer-level cases also hit it exactly.
+    miss = (max(lo * 0.5, 0.05), 0.5 * (lo + hi) or 0.5, hi + 1.0, 1.0, 2.0)[rng.integers(5)]
+    return cost, miss
+
+
+def test_hungarian_matches_square_construction():
+    rng = np.random.default_rng(1907)
+    for case in range(300):
+        cost, miss = _random_lap_case(rng, case)
+        a = hungarian(CostMatrix(cost), miss)
+        pairs, missed, free = square_hungarian_oracle(cost, miss)
+        assert a.pairs == pairs, (case, cost, miss)
+        assert a.unassigned_tracks == missed
+        assert a.unassigned_measurements == free
+        n, m = cost.shape
+        if n <= 4 and m <= 5:
+            best, _ = brute_force_min_cost(cost, miss)
+            assert total_cost(a, cost, miss) == pytest.approx(best, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -93,9 +93,55 @@ def test_track_csv_warns_about_assumed_scenario(tmp_path, capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert err.count("warning:") == 1
-    assert "p_d 0.9" in err and "e_lambda 20.0" in err
+    assert "p_d 0.9" in err and "e_lambda 20.0" in err and "dt 1.0" in err
 
     sim = tmp_path / "sim"
     argv = ["track", str(sim / "scans.csv"), "--truth", str(sim / "truth.csv"), "--method", "ha"]
-    assert main(argv + ["--pd", "0.9", "--elambda", "20", "--out", str(out)]) == 0
+    argv += ["--out", str(out)]
+    # The scan interval alone is still assumed, and named.
+    assert main(argv + ["--pd", "0.9", "--elambda", "20"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1 and "dt 1.0" in err and "--dt" in err
+    assert main(argv + ["--pd", "0.9", "--elambda", "20", "--dt", "1"]) == 0
     assert "warning" not in capsys.readouterr().err
+    # A given --dt is the interval the filter runs with.
+    assert main(argv + ["--dt", "0.5"]) == 0
+    err = capsys.readouterr().err
+    assert "dt 0.5" in err
+
+
+def test_simulate_track_then_bench_with_raw_log(tmp_path):
+    code, _ = _simulate_then_track(tmp_path, five_crossing_targets())
+    assert code == 0
+    doc = {
+        "base": five_crossing_targets().to_dict(),
+        "n_runs": 2,
+        "methods": ["ha", "jpda"],
+        "seed": 3,
+    }
+    spec = tmp_path / "bench.json"
+    spec.write_text(json.dumps(doc))
+    out, raw = tmp_path / "bench", tmp_path / "raw.csv"
+    assert main(["bench", str(spec), "--out", str(out), "--raw-log", str(raw)]) == 0
+    assert (out / "report.csv").exists() and (out / "report.json").exists()
+    report = json.loads((out / "report.json").read_text())
+    assert report["meta"]["errors"] == []
+    lines = raw.read_text().splitlines()
+    assert lines[0] == "method,p_d,e_lambda,run,ospa,stti,time_s"
+    keys = sorted(tuple(line.split(",")[i] for i in (0, 3)) for line in lines[1:])
+    assert keys == [("ha", "0"), ("ha", "1"), ("jpda", "0"), ("jpda", "1")]
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert fields[1:3] == ["0.9", "20.0"]
+        assert np.isfinite(float(fields[4])) and float(fields[6]) > 0
+
+
+def test_track_numerical_failure_exits_3_and_names_the_scan(tmp_path, capsys):
+    # At p_d 1 a JPDA cluster with more tracks than gated measurements has
+    # no event of positive weight; seed 10 reaches one at scan 18.
+    config = tmp_path / "scenario.json"
+    config.write_text(five_crossing_targets(p_d=1.0, e_lambda=0.0, seed=10).to_json())
+    code = main(["track", str(config), "--method", "jpda", "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: scan 18:")

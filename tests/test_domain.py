@@ -11,6 +11,7 @@ from cluttertrack.domain import (
     AssocProbabilities,
     ConfigError,
     ContractViolation,
+    NumericalError,
     Region,
     Scan,
     ScenarioConfig,
@@ -116,6 +117,81 @@ def test_track_requires_symmetry():
     p[0, 1] = 0.5
     with pytest.raises(ContractViolation):
         Track(0, np.zeros(4), p)
+
+
+def _spd_with_offdiagonal(upper, lower):
+    p = 10.0 * np.eye(4)
+    p[0, 1], p[1, 0] = upper, lower
+    return p
+
+
+@pytest.mark.parametrize(
+    "p, ok",
+    [
+        (_spd_with_offdiagonal(2.0, 2.0 * (1.0 + 1e-6)), True),
+        (_spd_with_offdiagonal(2.0, 2.0 * (1.0 + 5e-6)), True),
+        (_spd_with_offdiagonal(2.0, 2.0 * (1.0 + 5e-5)), False),
+        (_spd_with_offdiagonal(2.0, 2.0 * (1.0 + 1e-3)), False),
+        (_spd_with_offdiagonal(0.0, 5e-9), True),
+        (_spd_with_offdiagonal(0.0, 2e-8), False),
+    ],
+)
+def test_track_symmetry_tolerance(p, ok):
+    # allclose's rule: |p - p.T| <= 1e-8 + 1e-5 |p.T| elementwise.
+    if ok:
+        Track(0, np.zeros(4), p)
+    else:
+        with pytest.raises(ContractViolation, match="symmetric"):
+            Track(0, np.zeros(4), p)
+
+
+def test_track_non_finite_inputs():
+    nan_cov = np.eye(4)
+    nan_cov[2, 2] = np.nan
+    with pytest.raises(ContractViolation, match="symmetric"):
+        Track(0, np.zeros(4), nan_cov)
+    one_sided_inf = np.eye(4)
+    one_sided_inf[0, 1] = np.inf
+    with pytest.raises(ContractViolation, match="symmetric"):
+        Track(0, np.zeros(4), one_sided_inf)
+    for i, j in ((1, 1), (0, 3)):
+        inf_cov = np.eye(4)
+        inf_cov[i, j] = inf_cov[j, i] = np.inf
+        with pytest.raises(NumericalError, match="track 7: non-finite"):
+            Track(7, np.zeros(4), inf_cov)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericalError, match="track 7: non-finite"):
+            Track(7, np.array([0.0, bad, 0.0, 0.0]), np.eye(4))
+
+
+@pytest.mark.parametrize("lowest, ok", [(-1e-10, True), (0.0, True), (-1e-8, False)])
+def test_track_psd_tolerance(lowest, ok):
+    p = np.diag([1.0, 2.0, 3.0, lowest])
+    if ok:
+        Track(0, np.zeros(4), p)
+    else:
+        with pytest.raises(ContractViolation, match="track 0: covariance is not PSD"):
+            Track(0, np.zeros(4), p)
+
+
+@pytest.mark.parametrize(
+    "state, cov, msg",
+    [
+        (np.zeros(3), np.eye(4), "state must have 4 entries"),
+        (np.zeros(5), np.eye(4), "state must have 4 entries"),
+        (np.zeros(4), np.eye(3), "covariance must be 4x4"),
+        (np.zeros(4), np.eye(4).reshape(2, 8), "covariance must be 4x4"),
+    ],
+)
+def test_track_shape_errors(state, cov, msg):
+    with pytest.raises(ContractViolation, match=msg):
+        Track(0, state, cov)
+
+
+def test_track_normalises_inputs():
+    t = Track(0, [1, 2, 3, 4], np.eye(4, dtype=int).tolist())
+    assert t.state.dtype == float and t.covariance.dtype == float
+    np.testing.assert_array_equal(t.state, [1.0, 2.0, 3.0, 4.0])
 
 
 # ---------------------------------------------------------------------------
