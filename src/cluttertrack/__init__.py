@@ -24,18 +24,18 @@ from .domain import (  # noqa: E402
     ScenarioConfig,
     ToolkitError,
     Track,
+    TrackSet,
     five_crossing_targets,
     hard_assignment_from_probs,
 )
-from .kalman import FilterParams, predict, predicted_measurement, update_hard, update_weighted
-from .assoc import GateParams, cost_matrix, gate, hungarian, jpda
+from .kalman import FilterParams, predict, update_weighted
+from .assoc import GateParams, hungarian, jpda
 from .scenario import GroundTruth, TrainingSet, generate_scans, generate_truth, make_training_set
 from .deepda import (
     LstmModel,
     NetConfig,
     NormStats,
     TrainConfig,
-    build_input,
     forward_scan,
     load_model,
     rmsprop_step,
@@ -71,14 +71,12 @@ __all__ = [
     "ScenarioConfig",
     "ToolkitError",
     "Track",
+    "TrackSet",
     "TrainConfig",
     "TrainingSet",
-    "build_input",
-    "cost_matrix",
     "emit_report",
     "five_crossing_targets",
     "forward_scan",
-    "gate",
     "generate_scans",
     "generate_truth",
     "hard_assignment_from_probs",
@@ -88,7 +86,6 @@ __all__ = [
     "make_training_set",
     "ospa",
     "predict",
-    "predicted_measurement",
     "rmsprop_step",
     "run_episode",
     "run_grid",
@@ -96,6 +93,5 @@ __all__ = [
     "stti",
     "timed",
     "train",
-    "update_hard",
     "update_weighted",
 ]

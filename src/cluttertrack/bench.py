@@ -24,19 +24,12 @@ from .domain import (
     AssocProbabilities,
     ConfigError,
     CostMatrix,
-    NumericalError,
     ScenarioConfig,
     ToolkitError,
-    Track,
+    TrackSet,
     hard_assignment_from_probs,
 )
-from .kalman import (
-    DEFAULT_INITIAL_COVARIANCE,
-    FilterParams,
-    predict,
-    update_hard,
-    update_weighted,
-)
+from .kalman import DEFAULT_INITIAL_COVARIANCE, FilterParams, innovations, predict, update_weighted
 from .metrics import OspaParams, ospa, stti, timed
 from .scenario import Seed, generate_scans, generate_truth
 
@@ -67,23 +60,10 @@ class HaEngine:
         self.params = params
         self.gp = gp
 
-    def associate(self, tracks: Sequence[Track], scan) -> Assignment:
-        # Batched equivalent of gate() per track: one Mahalanobis statistic
-        # matrix over all (track, measurement) pairs via the closed-form
-        # 2x2 inverse.
-        preds = np.array([t.state[[0, 2]] for t in tracks])
-        s = np.array(
-            [t.covariance[np.ix_([0, 2], [0, 2])] for t in tracks]
-        ) + self.params.r_matrix
-        det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-        if np.any(~np.isfinite(det)) or np.any(np.abs(det) < 1e-12):
-            raise NumericalError("singular innovation covariance in gating")
-        nu = preds[:, None, :] - scan.measurements[None, :, :]  # (T, M, 2)
-        d2 = (
-            s[:, 1, 1, None] * nu[:, :, 0] ** 2
-            - 2.0 * s[:, 0, 1, None] * nu[:, :, 0] * nu[:, :, 1]
-            + s[:, 0, 0, None] * nu[:, :, 1] ** 2
-        ) / det[:, None]
+    def associate(self, tracks: TrackSet, scan) -> Assignment:
+        # Euclidean cost, gated pairs excluded; a miss costs sqrt(gamma)
+        # times the mean innovation standard deviation over tracks and axes.
+        nu, s, _, d2 = innovations(tracks, scan.measurements, self.params)
         cost = np.sqrt(nu[:, :, 0] ** 2 + nu[:, :, 1] ** 2)
         cost[d2 > self.gp.gamma] = np.inf
         miss = float(
@@ -105,7 +85,7 @@ class JpdaEngine:
         self.p_d = p_d
         self.clutter_density = max(clutter_density, MIN_CLUTTER_DENSITY)
 
-    def associate(self, tracks: Sequence[Track], scan) -> AssocProbabilities:
+    def associate(self, tracks: TrackSet, scan) -> AssocProbabilities:
         return jpda(tracks, scan, self.params, self.gp, self.p_d, self.clutter_density)
 
 
@@ -118,7 +98,7 @@ class DeepdaEngine:
     def __init__(self, model: LstmModel):
         self.model = model
 
-    def associate(self, tracks: Sequence[Track], scan) -> AssocProbabilities:
+    def associate(self, tracks: TrackSet, scan) -> AssocProbabilities:
         return forward_scan(self.model, tracks, scan)[0]
 
 
@@ -170,14 +150,18 @@ def track_scans(
 ) -> TrackingRun:
     """Filter a scan list with one engine, scoring against true positions.
 
-    Tracks start from ``initial_states`` at the first scan; every later scan
-    is predicted, associated (timed), and updated. Hard engines update
-    assigned tracks and let missed ones coast on their prediction; weighted
-    engines update every track with its probability row. Identity switches
-    come from the hard assignment (probability rows are hardened first).
+    The tracks are one :class:`TrackSet` that starts from ``initial_states``
+    at the first scan; every later scan predicts the whole set, associates
+    (timed) and updates it. There is one update, :func:`update_weighted`:
+    weighted engines hand it their probability rows, and a hard engine's
+    assignment becomes one-hot rows, so an assigned track takes the standard
+    Kalman update and a missed one (miss probability 1) coasts on its
+    prediction. Identity switches come from the hard assignment
+    (probability rows are hardened first).
     """
     initial = np.asarray(initial_states, dtype=float)
-    tracks = [Track(j, initial[j], DEFAULT_INITIAL_COVARIANCE) for j in range(len(initial))]
+    n = len(initial)
+    tracks = TrackSet(initial, np.broadcast_to(DEFAULT_INITIAL_COVARIANCE, (n, 4, 4)))
 
     history: List[Assignment] = []
     scan_ospa: List[float] = []
@@ -185,32 +169,27 @@ def track_scans(
     states: List[np.ndarray] = []
     for idx in range(1, len(scans)):
         scan = scans[idx]
-        predicted = [predict(t, params) for t in tracks]
+        predicted = predict(tracks, params)
         try:
             out, seconds = timed(lambda: engine.associate(predicted, scan))
         except ToolkitError as e:
             raise type(e)(f"scan {scan.k}: {e}") from None
+        m = scan.num_measurements
         if engine.mode == "hard":
             assignment: Assignment = out
-            tracks = [
-                update_hard(t, scan.measurements[assignment.pairs[t.id]], params)
-                if t.id in assignment.pairs
-                else t
-                for t in predicted
-            ]
+            rows = np.zeros((n, m + 1))
+            rows[:, m] = 1.0
+            for j, i in assignment.pairs.items():
+                rows[j, i], rows[j, m] = 1.0, 0.0
         else:
             probs: AssocProbabilities = out
-            tracks = [
-                update_weighted(t, scan, probs.rows[i], params)
-                for i, t in enumerate(predicted)
-            ]
+            rows = probs.rows
             assignment = hard_assignment_from_probs(probs)
+        tracks = update_weighted(predicted, scan, rows, params)
         history.append(assignment)
         scan_times.append(seconds)
-        scan_ospa.append(
-            ospa(truth_positions[idx], [t.position for t in tracks], ospa_params)
-        )
-        states.append(np.array([t.state for t in tracks]))
+        scan_ospa.append(ospa(truth_positions[idx], tracks.positions, ospa_params))
+        states.append(tracks.x)
 
     labeled = all(s.origins is not None for s in scans[1:])
     switches = stti(history, scans[1:]) if labeled else None
@@ -396,8 +375,9 @@ def run_grid(spec: BenchSpec, jobs: int = 1, raw_log=None) -> BenchReport:
     parallel execution reproduces the serial accuracy columns (OSPA and STTI
     mean and std) exactly; ``time_mean_s`` is a wall time and varies with
     the load. Each worker process receives the DeepDA model once. A failing
-    episode marks its whole cell failed (NaN row) and is recorded in the
-    metadata.
+    episode marks its whole cell failed (NaN row); every failing episode is
+    recorded in ``meta["errors"]`` with its method, cell, run, seed tuple
+    and error text, which names the scan it failed on.
     """
     model = load_model(spec.model_path) if "deepda" in spec.methods else None
     cells = [
@@ -436,11 +416,19 @@ def run_grid(spec: BenchSpec, jobs: int = 1, raw_log=None) -> BenchReport:
     for idx, (method, pi, ei) in enumerate(cells):
         p_d, e_lambda = spec.pd_values[pi], spec.elambda_values[ei]
         cell = outcomes[idx * spec.n_runs : (idx + 1) * spec.n_runs]
-        failures = [o for o in cell if isinstance(o, Exception)]
+        failures = [(run, o) for run, o in enumerate(cell) if isinstance(o, Exception)]
         if failures:
-            meta["errors"].append(
-                {"method": method, "p_d": p_d, "e_lambda": e_lambda, "error": str(failures[0])}
-            )
+            meta["errors"] += [
+                {
+                    "method": method,
+                    "p_d": p_d,
+                    "e_lambda": e_lambda,
+                    "run": run,
+                    "seed": [spec.seed, pi, ei, run],
+                    "error": f"{type(e).__name__}: {e}",
+                }
+                for run, e in failures
+            ]
             rows.append(
                 BenchRow(method, p_d, e_lambda, *(float("nan"),) * 5)
             )

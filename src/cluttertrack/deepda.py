@@ -4,9 +4,10 @@ per-target association probability rows.
 For every target, the input is the sequence of (predicted measurement -
 measurement) offsets laid out in fixed slots, min-max normalized; unused
 slots carry the pad sentinel (normalized value 1, the far corner). The
-network runs once per target in id order within a scan, carrying hidden
-state across targets, and resets between scans. The output row holds one
-probability per measurement slot plus a trailing miss probability.
+network runs once per target in track-set row order within a scan,
+carrying hidden state across targets, and resets between scans. The output
+row holds one probability per measurement slot plus a trailing miss
+probability.
 
 Everything here is plain numpy in float64: forward, exact backpropagation
 through the target unrolling, and the RMSprop optimizer.
@@ -29,9 +30,8 @@ from .domain import (
     ModelFormatError,
     NumericalError,
     Scan,
-    Track,
+    TrackSet,
 )
-from .kalman import predicted_measurement
 from .scenario import ScanSequence, TrainingSet
 
 MODEL_FORMAT_VERSION = 1
@@ -78,12 +78,6 @@ class NormStats:
             raise ContractViolation("norm stats need max >= min elementwise")
         object.__setattr__(self, "min", mn)
         object.__setattr__(self, "max", mx)
-
-    def apply(self, raw: np.ndarray) -> np.ndarray:
-        """(x - min) / (max - min); degenerate features normalize to 0."""
-        span = self.max - self.min
-        safe = np.where(span > 0, span, 1.0)
-        return np.where(span > 0, (raw - self.min) / safe, 0.0)
 
 
 def identity_norm(features: int) -> NormStats:
@@ -302,8 +296,9 @@ def build_features(
     """Normalized offset features for a batch of targets against one scan.
 
     ``pred_meas`` is (T, 2); returns (T, d * m_max) with slot s holding the
-    normalized (prediction - measurement_s) offset and padded slots set to
-    the sentinel value 1.
+    (prediction - measurement_s) offset min-max normalized as (x - min) /
+    (max - min), 0 where max == min, and padded slots set to the sentinel
+    value 1. Raises :class:`CapacityError` for more than m_max measurements.
     """
     preds = np.asarray(pred_meas, dtype=float).reshape(-1, cfg.d)
     meas = np.asarray(measurements, dtype=float).reshape(-1, cfg.d)
@@ -319,15 +314,6 @@ def build_features(
         safe = np.where(span > 0, span, 1.0)
         out[:, :width] = np.where(span > 0, (raw - norm.min[:width]) / safe, 0.0)
     return out
-
-
-def build_input(
-    pred_meas: np.ndarray, scan: Scan, cfg: NetConfig, norm: NormStats
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Feature vector and slot-validity mask for one target and one scan."""
-    features = build_features(np.asarray(pred_meas).reshape(1, 2), scan.measurements, cfg, norm)
-    mask = np.arange(cfg.m_max) < scan.num_measurements
-    return features[0], mask
 
 
 def output_mask(cfg: NetConfig, num_measurements: int) -> np.ndarray:
@@ -462,26 +448,18 @@ def _backward_core(model: LstmModel, cache: _ForwardCache, dbeta: np.ndarray) ->
 
 
 def forward_scan(
-    model: LstmModel,
-    tracks: Sequence[Track],
-    scan: Scan,
-    cfg: Optional[NetConfig] = None,
+    model: LstmModel, tracks: TrackSet, scan: Scan
 ) -> Tuple[AssocProbabilities, Tuple[np.ndarray, np.ndarray]]:
     """Association probability rows for all tracks against one scan.
 
-    Tracks are processed in id order with hidden state carried between them
-    and reset afterwards. Returns rows trimmed to M+1 columns together with
-    the per-step (h, c) trace.
+    Tracks are processed in row order with hidden state carried between
+    them and reset afterwards. Returns rows trimmed to M+1 columns together
+    with the per-step (h, c) trace.
     """
-    if cfg is None:
-        cfg = model.cfg
-    elif cfg != model.cfg:
-        raise ContractViolation(f"config {cfg} does not match the model's {model.cfg}")
-    if not tracks:
+    if not len(tracks):
         raise ContractViolation("forward_scan needs at least one track")
-    ordered = sorted(tracks, key=lambda tr: tr.id)
-    preds = np.array([predicted_measurement(tr) for tr in ordered])
-    feats = build_features(preds, scan.measurements, cfg, model.norm)
+    cfg = model.cfg
+    feats = build_features(tracks.positions, scan.measurements, cfg, model.norm)
     mask = output_mask(cfg, scan.num_measurements)
     cache = _forward_core(model, feats[None, :, :], mask[None, :])
     m = scan.num_measurements
@@ -510,8 +488,9 @@ class EncodedScan:
     mask: np.ndarray  # (m_max + 1,) bool
 
 
-def encode_group(group: ScanSequence, dataset_m_max: int, cfg: NetConfig, norm: NormStats) -> EncodedScan:
-    del dataset_m_max
+def encode_group(group: ScanSequence, cfg: NetConfig, norm: NormStats) -> EncodedScan:
+    """Network inputs and one-hot truth rows over m_max slots plus a trailing
+    miss for one scan sequence."""
     feats = build_features(group.pred_meas, group.measurements, cfg, norm)
     t = len(group.labels)
     truth = np.zeros((t, cfg.m_max + 1))
@@ -525,7 +504,7 @@ def encode_dataset(dataset: TrainingSet, cfg: NetConfig, norm: NormStats) -> Lis
         raise CapacityError(
             f"dataset needs m_max >= {dataset.m_max}, network has {cfg.m_max}"
         )
-    return [encode_group(g, dataset.m_max, cfg, norm) for g in dataset.groups]
+    return [encode_group(g, cfg, norm) for g in dataset.groups]
 
 
 def fit_norm_stats(dataset: TrainingSet, cfg: NetConfig) -> NormStats:
@@ -573,11 +552,6 @@ def _batch_loss_and_grads(
         for name in grads:
             grads[name] += sub[name]
     return loss_sum / total, grads
-
-
-def backward(model: LstmModel, batch: Sequence[EncodedScan]) -> Dict[str, np.ndarray]:
-    """Exact gradients of the mean batch loss for every parameter."""
-    return _batch_loss_and_grads(model, batch)[1]
 
 
 def rmsprop_step(

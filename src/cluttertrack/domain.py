@@ -8,8 +8,8 @@ Numpy arrays held by these types are treated as read-only by convention.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -253,15 +253,76 @@ class Scan:
         return self.measurements.shape[0]
 
 
+def _check_tracks(x: np.ndarray, p: np.ndarray, lead: Tuple[int, ...], ids) -> None:
+    """The track checks, in order, for states of shape ``lead + (4,)`` and
+    covariances of shape ``lead + (4, 4)``; ``ids[row]`` names a row.
+
+    Shapes, then symmetry to ``np.allclose(p, p.T, atol=1e-8)`` (NaN fails
+    it), raise ``ContractViolation``; a non-finite state or covariance
+    raises ``NumericalError``; a smallest eigenvalue below -1e-9 raises
+    ``ContractViolation``.
+    """
+    if x.shape != lead + (4,):
+        raise ContractViolation(f"state must have 4 entries, shape (4,) per track; got shape {x.shape}")
+    if p.shape != lead + (4, 4):
+        raise ContractViolation(f"covariance must be 4x4 per track, got shape {p.shape}")
+    x = x.reshape(-1, 4)
+    p = p.reshape(-1, 4, 4)
+    pt = p.swapaxes(1, 2)
+    finite = np.isfinite(p).all()
+    # allclose's rule without its non-finite handling, which only non-finite p needs.
+    if finite:
+        symmetric = (np.abs(p - pt) <= 1e-8 + 1e-5 * np.abs(pt)).all()
+    else:
+        symmetric = np.allclose(p, pt, atol=1e-8)
+    if not symmetric:
+        raise ContractViolation("covariance must be symmetric")
+    bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=(1, 2)))
+    if bad.any():
+        raise NumericalError(f"track {ids[int(np.argmax(bad))]}: non-finite state or covariance")
+    if len(p):
+        low = np.linalg.eigvalsh(p).min(axis=1) < -1e-9
+        if low.any():
+            raise ContractViolation(f"track {ids[int(np.argmax(low))]}: covariance is not PSD")
+
+
+@dataclass(frozen=True)
+class TrackSet:
+    """Every target's filtered state estimate, one row per track.
+
+    ``x[j]`` is track j's state (x, vx, y, vy) and ``p[j]`` its 4x4
+    symmetric PSD covariance; a track's id is its row. Checked on
+    construction as :class:`Track` is, and never written in place.
+    """
+
+    x: np.ndarray
+    p: np.ndarray
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=float)
+        p = np.asarray(self.p, dtype=float)
+        _check_tracks(x, p, x.shape[:1], range(len(x)))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "p", p)
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __iter__(self) -> Iterator["Track"]:
+        return (Track(j, self.x[j], self.p[j]) for j in range(len(self.x)))
+
+    @property
+    def positions(self) -> np.ndarray:
+        """(N, 2) predicted measurements: every track's (x, y)."""
+        return self.x[:, [0, 2]]
+
+
 @dataclass(frozen=True)
 class Track:
-    """One target's filtered state estimate.
+    """One target's filtered state estimate: one row of a :class:`TrackSet`.
 
-    State is (x, vx, y, vy); covariance is 4x4 symmetric PSD. Checked in
-    this order: shapes, then symmetry to ``np.allclose(p, p.T, atol=1e-8)``
-    (NaN fails it), raise ``ContractViolation``; a non-finite state or
-    covariance raises ``NumericalError``; a smallest eigenvalue below -1e-9
-    raises ``ContractViolation``.
+    State is (x, vx, y, vy) of shape (4,); covariance is 4x4 symmetric
+    PSD. Checked by the same rules as a :class:`TrackSet`.
     """
 
     id: int
@@ -269,24 +330,9 @@ class Track:
     covariance: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.state, dtype=float).reshape(-1)
+        x = np.asarray(self.state, dtype=float)
         p = np.asarray(self.covariance, dtype=float)
-        if x.shape != (4,):
-            raise ContractViolation(f"state must have 4 entries, got shape {x.shape}")
-        if p.shape != (4, 4):
-            raise ContractViolation(f"covariance must be 4x4, got shape {p.shape}")
-        finite = np.isfinite(p).all()
-        # allclose's rule without its non-finite handling, which only non-finite p needs.
-        if finite:
-            symmetric = (np.abs(p - p.T) <= 1e-8 + 1e-5 * np.abs(p.T)).all()
-        else:
-            symmetric = np.allclose(p, p.T, atol=1e-8)
-        if not symmetric:
-            raise ContractViolation("covariance must be symmetric")
-        if not (finite and np.isfinite(x).all()):
-            raise NumericalError(f"track {self.id}: non-finite state or covariance")
-        if np.linalg.eigvalsh(p).min() < -1e-9:
-            raise ContractViolation(f"track {self.id}: covariance is not PSD")
+        _check_tracks(x, p, (), [self.id])
         object.__setattr__(self, "state", x)
         object.__setattr__(self, "covariance", p)
 

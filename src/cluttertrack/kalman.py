@@ -1,8 +1,13 @@
 """Constant-velocity Kalman filter used identically by every association engine.
 
 State order is (x, vx, y, vy). The observation model selects positions.
-Covariances are symmetrized after every step and updates use the Joseph
-form for PSD safety.
+Every operation acts on a whole :class:`~cluttertrack.domain.TrackSet` and
+returns a new one. :func:`innovations` is the one place where innovations,
+their covariances and Mahalanobis statistics are computed; gating, the
+association likelihoods and the update all take them from there. There is
+one update, :func:`update_weighted`: a hard assignment is the one-hot case
+of its probability rows. Covariances are symmetrized after every step and
+updates use the Joseph form for PSD safety.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .domain import ContractViolation, NumericalError, Scan, Track
+from .domain import AssocProbabilities, ContractViolation, NumericalError, Scan, TrackSet
 
 #: Observation matrix: measurements are positions.
 H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
@@ -68,80 +73,79 @@ def process_noise(dt: float, q: float) -> np.ndarray:
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return (p + p.T) / 2.0
+    return (p + p.swapaxes(-1, -2)) / 2.0
 
 
-def predict(track: Track, params: FilterParams) -> Track:
-    """One-step state and covariance propagation."""
+def predict(ts: TrackSet, params: FilterParams) -> TrackSet:
+    """One-step state and covariance propagation of every track."""
     f = transition_matrix(params.dt)
-    x = f @ track.state
-    p = f @ track.covariance @ f.T + process_noise(params.dt, params.q)
-    return Track(track.id, x, _symmetrize(p))
+    x = ts.x @ f.T
+    p = f @ ts.p @ f.T + process_noise(params.dt, params.q)
+    return TrackSet(x, _symmetrize(p))
 
 
-def predicted_measurement(track: Track) -> np.ndarray:
-    """The measurement this track would produce: its (x, y) position."""
-    return H @ track.state
+def innovations(
+    ts: TrackSet, z: np.ndarray, params: FilterParams
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Innovations of every (track, measurement) pair and their statistics.
+
+    Returns ``nu`` (N, M, 2) = z - Hx, the innovation covariances ``S``
+    (N, 2, 2) = HPH^T + R, their determinants ``det`` (N,) and the squared
+    Mahalanobis distances ``d2`` (N, M) = nu^T S^-1 nu, written with the
+    closed-form inverse of the 2x2 S. Raises :class:`NumericalError` naming
+    the first track whose ``det`` is non-finite or <= 1e-12.
+    """
+    s = ts.p[:, [0, 2]][:, :, [0, 2]] + params.r_matrix
+    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+    singular = ~(np.isfinite(det) & (det > 1e-12))
+    if singular.any():
+        j = int(np.argmax(singular))
+        raise NumericalError(f"track {j}: singular innovation covariance (det={det[j]!r})")
+    nu = np.asarray(z, dtype=float).reshape(-1, 2)[None, :, :] - ts.positions[:, None, :]
+    d2 = (
+        s[:, 1, 1, None] * nu[:, :, 0] ** 2
+        - 2.0 * s[:, 0, 1, None] * nu[:, :, 0] * nu[:, :, 1]
+        + s[:, 0, 0, None] * nu[:, :, 1] ** 2
+    ) / det[:, None]
+    return nu, s, det, d2
 
 
-def innovation_covariance(track: Track, params: FilterParams) -> np.ndarray:
-    return H @ track.covariance @ H.T + params.r_matrix
+def update_weighted(ts: TrackSet, scan: Scan, rows: np.ndarray, params: FilterParams) -> TrackSet:
+    """Probability-weighted update of every predicted track over a whole scan.
 
-
-def _solve_innovation(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-    if not np.isfinite(det) or abs(det) < 1e-12:
-        raise NumericalError(f"innovation covariance is singular (det={det!r})")
-    return np.linalg.solve(s, rhs)
-
-
-def update_hard(track: Track, z: np.ndarray, params: FilterParams) -> Track:
-    """Standard Kalman update of a predicted track with one measurement."""
-    z = np.asarray(z, dtype=float).reshape(2)
-    p = track.covariance
-    s = innovation_covariance(track, params)
-    # K = P H^T S^-1, via solving S^T K^T = H P^T
-    k = _solve_innovation(s.T, H @ p.T).T
-    nu = z - predicted_measurement(track)
-    x = track.state + k @ nu
-    ikh = np.eye(4) - k @ H
-    p_new = ikh @ p @ ikh.T + k @ params.r_matrix @ k.T
-    return Track(track.id, x, _symmetrize(p_new))
-
-
-def update_weighted(track: Track, scan: Scan, beta_row: np.ndarray, params: FilterParams) -> Track:
-    """Probability-weighted update of a predicted track over a whole scan.
-
-    ``beta_row`` holds one probability per measurement plus a trailing miss
-    probability. The state moves by the combined innovation and the
+    ``rows[j]`` holds track j's probability for each measurement plus a
+    trailing miss probability; a one-hot row is the standard Kalman update
+    with one measurement, and a track whose miss probability is 1 keeps its
+    prediction. The state moves by the combined innovation and the
     covariance mixes the no-detection and updated covariances plus the
     spread-of-innovations term.
     """
-    beta = np.asarray(beta_row, dtype=float).reshape(-1)
-    m = scan.num_measurements
-    if beta.shape[0] != m + 1:
+    beta = AssocProbabilities(rows).rows  # entries in [0, 1], rows sum to 1
+    n, m = len(ts), scan.num_measurements
+    if beta.shape != (n, m + 1):
         raise ContractViolation(
-            f"beta_row has {beta.shape[0]} entries for {m} measurements (need M+1)"
+            f"rows have shape {beta.shape} for {n} tracks and {m} measurements (need (N, M+1))"
         )
-    if np.any(beta < -1e-12) or np.any(beta > 1 + 1e-12):
-        raise ContractViolation("beta_row entries must lie in [0, 1]")
-    if abs(beta.sum() - 1.0) > 1e-9:
-        raise ContractViolation(f"beta_row sums to {beta.sum()!r}, expected 1 within 1e-9")
 
-    beta_miss = beta[-1]
-    if m == 0 or beta_miss >= 1.0:
-        return track
-
-    p = track.covariance
-    s = innovation_covariance(track, params)
-    k = _solve_innovation(s.T, H @ p.T).T
-    nus = scan.measurements - predicted_measurement(track)  # (M, 2)
-    w = beta[:m]
-    nu_bar = w @ nus
-    x = track.state + k @ nu_bar
+    # Only tracks with some measurement mass move; the others keep their prediction.
+    moved = np.flatnonzero(beta[:, m] < 1.0) if m else []
+    if not len(moved):
+        return ts
+    nus, s, _, _ = innovations(ts, scan.measurements, params)
+    nus, s, p = nus[moved], s[moved], ts.p[moved]
+    # K = P H^T S^-1, via solving S^T K^T = H P^T
+    kt = np.linalg.solve(s.swapaxes(1, 2), H @ p.swapaxes(1, 2))  # (n, 2, 4)
+    k = kt.swapaxes(1, 2)
+    w = beta[moved, None, :m]  # (n, 1, M)
+    beta_miss = beta[moved, m, None, None]
+    nu_bar = w @ nus  # (n, 1, 2)
+    x = ts.x[moved] + (k @ nu_bar.swapaxes(1, 2))[:, :, 0]
 
     ikh = np.eye(4) - k @ H
-    p_updated = ikh @ p @ ikh.T + k @ params.r_matrix @ k.T
-    spread_inner = (nus.T * w) @ nus - np.outer(nu_bar, nu_bar)
-    p_new = beta_miss * p + (1.0 - beta_miss) * p_updated + k @ spread_inner @ k.T
-    return Track(track.id, x, _symmetrize(p_new))
+    p_updated = ikh @ p @ ikh.swapaxes(1, 2) + k @ params.r_matrix @ kt
+    spread_inner = (nus.swapaxes(1, 2) * w) @ nus - nu_bar.swapaxes(1, 2) * nu_bar
+    p_new = beta_miss * p + (1.0 - beta_miss) * p_updated + k @ spread_inner @ kt
+    x_all, p_all = ts.x.copy(), ts.p.copy()
+    x_all[moved] = x
+    p_all[moved] = _symmetrize(p_new)
+    return TrackSet(x_all, p_all)

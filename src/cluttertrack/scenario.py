@@ -130,14 +130,6 @@ class TrainingSet:
     def __len__(self) -> int:
         return len(self.groups)
 
-    def truth_rows(self, group: ScanSequence) -> np.ndarray:
-        """One-hot rows over m_max measurement slots plus a trailing miss."""
-        t = len(group.labels)
-        rows = np.zeros((t, self.m_max + 1))
-        for idx, label in enumerate(group.labels):
-            rows[idx, label if label >= 0 else self.m_max] = 1.0
-        return rows
-
 
 def make_training_set(
     configs: Sequence[ScenarioConfig],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cluttertrack.domain import ScenarioConfig, Track, five_crossing_targets
+from cluttertrack.domain import ScenarioConfig, Track, TrackSet, five_crossing_targets
 
 
 @pytest.fixture
@@ -27,3 +27,11 @@ def make_track(track_id=0, state=(0.0, 0.0, 0.0, 0.0), cov=None):
     if cov is None:
         cov = np.eye(4)
     return Track(track_id, np.asarray(state, dtype=float), np.asarray(cov, dtype=float))
+
+
+def make_set(tracks):
+    """The TrackSet whose rows are ``tracks``, in order (row j is track j)."""
+    return TrackSet(
+        np.array([t.state for t in tracks]).reshape(-1, 4),
+        np.array([t.covariance for t in tracks]).reshape(-1, 4, 4),
+    )

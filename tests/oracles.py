@@ -11,6 +11,8 @@ import math
 import numpy as np
 
 from cluttertrack._lap import solve_lap
+from cluttertrack.domain import ContractViolation, NumericalError, Track
+from cluttertrack.kalman import H, process_noise, transition_matrix
 
 
 def all_partial_injections(n_tracks, n_measurements):
@@ -182,3 +184,112 @@ def numeric_gradients(loss_fn, model, step=1e-5):
             g[idx] = (up - down) / (2.0 * step)
         grads[name] = g.reshape(arr.shape)
     return grads
+
+
+# ---------------------------------------------------------------------------
+# Per-track Kalman filter: the one-Track predict and updates the batched
+# TrackSet operations in ``cluttertrack.kalman`` replaced, kept unchanged as
+# their reference.
+# ---------------------------------------------------------------------------
+
+
+def _symmetrize(p):
+    return (p + p.T) / 2.0
+
+
+def predict(track, params):
+    """One-step state and covariance propagation."""
+    f = transition_matrix(params.dt)
+    x = f @ track.state
+    p = f @ track.covariance @ f.T + process_noise(params.dt, params.q)
+    return Track(track.id, x, _symmetrize(p))
+
+
+def predicted_measurement(track):
+    """The measurement this track would produce: its (x, y) position."""
+    return H @ track.state
+
+
+def innovation_covariance(track, params):
+    return H @ track.covariance @ H.T + params.r_matrix
+
+
+def _solve_innovation(s, rhs):
+    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+    if not np.isfinite(det) or abs(det) < 1e-12:
+        raise NumericalError(f"innovation covariance is singular (det={det!r})")
+    return np.linalg.solve(s, rhs)
+
+
+def update_hard(track, z, params):
+    """Standard Kalman update of a predicted track with one measurement."""
+    z = np.asarray(z, dtype=float).reshape(2)
+    p = track.covariance
+    s = innovation_covariance(track, params)
+    # K = P H^T S^-1, via solving S^T K^T = H P^T
+    k = _solve_innovation(s.T, H @ p.T).T
+    nu = z - predicted_measurement(track)
+    x = track.state + k @ nu
+    ikh = np.eye(4) - k @ H
+    p_new = ikh @ p @ ikh.T + k @ params.r_matrix @ k.T
+    return Track(track.id, x, _symmetrize(p_new))
+
+
+def update_weighted(track, scan, beta_row, params):
+    """Probability-weighted update of a predicted track over a whole scan.
+
+    ``beta_row`` holds one probability per measurement plus a trailing miss
+    probability. The state moves by the combined innovation and the
+    covariance mixes the no-detection and updated covariances plus the
+    spread-of-innovations term.
+    """
+    beta = np.asarray(beta_row, dtype=float).reshape(-1)
+    m = scan.num_measurements
+    if beta.shape[0] != m + 1:
+        raise ContractViolation(
+            f"beta_row has {beta.shape[0]} entries for {m} measurements (need M+1)"
+        )
+    if np.any(beta < -1e-12) or np.any(beta > 1 + 1e-12):
+        raise ContractViolation("beta_row entries must lie in [0, 1]")
+    if abs(beta.sum() - 1.0) > 1e-9:
+        raise ContractViolation(f"beta_row sums to {beta.sum()!r}, expected 1 within 1e-9")
+
+    beta_miss = beta[-1]
+    if m == 0 or beta_miss >= 1.0:
+        return track
+
+    p = track.covariance
+    s = innovation_covariance(track, params)
+    k = _solve_innovation(s.T, H @ p.T).T
+    nus = scan.measurements - predicted_measurement(track)  # (M, 2)
+    w = beta[:m]
+    nu_bar = w @ nus
+    x = track.state + k @ nu_bar
+
+    ikh = np.eye(4) - k @ H
+    p_updated = ikh @ p @ ikh.T + k @ params.r_matrix @ k.T
+    spread_inner = (nus.T * w) @ nus - np.outer(nu_bar, nu_bar)
+    p_new = beta_miss * p + (1.0 - beta_miss) * p_updated + k @ spread_inner @ k.T
+    return Track(track.id, x, _symmetrize(p_new))
+
+
+def gaussian_likelihoods(tracks, scan, params):
+    """N(z_i - Hx_j; 0, S_j) for every track j and measurement i, solving
+    S_j per track instead of using a closed-form inverse."""
+    m = scan.num_measurements
+    out = np.zeros((len(tracks), m))
+    for j, t in enumerate(tracks):
+        s = innovation_covariance(t, params)
+        nus = scan.measurements - predicted_measurement(t)
+        d2 = np.einsum("mi,im->m", nus, np.linalg.solve(s, nus.T))
+        out[j] = np.exp(-0.5 * d2) / (2.0 * math.pi * math.sqrt(np.linalg.det(s)))
+    return out
+
+
+def gate(track, scan, params, gamma):
+    """Indices of measurements whose Mahalanobis statistic, by solving S, is
+    at most gamma."""
+    s = innovation_covariance(track, params)
+    nus = scan.measurements - predicted_measurement(track)
+    stats = np.einsum("mi,im->m", nus, np.linalg.solve(s, nus.T))
+    return set(np.flatnonzero(stats <= gamma).tolist())

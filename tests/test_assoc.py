@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
+from cluttertrack import assoc, bench
 from cluttertrack.assoc import (
     GateParams,
-    cost_matrix,
-    default_miss_cost,
     gate,
     hungarian,
     jpda,
@@ -19,9 +19,9 @@ from cluttertrack.domain import (
     NumericalError,
     Scan,
 )
-from cluttertrack.kalman import FilterParams
+from cluttertrack.kalman import FilterParams, innovations
 
-from conftest import make_track
+from conftest import make_set, make_track
 from oracles import (
     brute_force_min_cost,
     joint_association_oracle,
@@ -36,32 +36,57 @@ def total_cost(assignment, cost, miss_cost):
 
 
 # ---------------------------------------------------------------------------
-# cost_matrix
+# HA cost matrix and miss cost, as HaEngine hands them to hungarian
 # ---------------------------------------------------------------------------
 
 
-def test_cost_matrix_345_triangle():
+def ha_cost(monkeypatch, tracks, zs, params=FilterParams(), gp=GateParams(gamma=1e12)):
+    """The cost values and miss cost that HaEngine passes to hungarian."""
+    seen = []
+
+    def recording(cost, miss_cost):
+        seen.append((cost.values, miss_cost))
+        return hungarian(cost, miss_cost)
+
+    monkeypatch.setattr(bench, "hungarian", recording)
+    bench.HaEngine(params, gp).associate(make_set(tracks), Scan(k=0, measurements=zs))
+    (values, miss), = seen
+    return values, miss
+
+
+def test_cost_matrix_345_triangle(monkeypatch):
     t = make_track(state=(0.0, 0.0, 0.0, 0.0))
-    scan = Scan(k=0, measurements=np.array([[3.0, 4.0]]))
-    assert cost_matrix([t], scan).values[0, 0] == pytest.approx(5.0)
+    values, _ = ha_cost(monkeypatch, [t], np.array([[3.0, 4.0]]))
+    assert values[0, 0] == pytest.approx(5.0)
 
 
-def test_cost_matrix_zero_at_prediction():
+def test_cost_matrix_zero_at_prediction(monkeypatch):
     t = make_track(state=(2.0, 1.0, 3.0, 1.0))
-    scan = Scan(k=0, measurements=np.array([[2.0, 3.0]]))
-    assert cost_matrix([t], scan).values[0, 0] == 0.0
+    values, _ = ha_cost(monkeypatch, [t], np.array([[2.0, 3.0]]))
+    assert values[0, 0] == 0.0
 
 
-def test_cost_matrix_matches_elementwise_recomputation():
+def test_cost_matrix_matches_elementwise_recomputation(monkeypatch):
+    # Euclidean distances, +inf outside the gate (Mahalanobis statistic by
+    # solving S per track).
     rng = np.random.default_rng(11)
+    params, gp = FilterParams(), GateParams()
     tracks = [make_track(j, state=rng.normal(size=4)) for j in range(3)]
-    zs = rng.normal(scale=5.0, size=(4, 2))
-    got = cost_matrix(tracks, Scan(k=0, measurements=zs)).values
+    zs = rng.normal(scale=2.0, size=(6, 2))
+    got, _ = ha_cost(monkeypatch, tracks, zs, params, gp)
+    scan = Scan(k=0, measurements=zs)
+    outside = 0
     for j, t in enumerate(tracks):
-        for i in range(4):
+        gated = oracles.gate(t, scan, params, gp.gamma)
+        for i in range(6):
             dx = t.state[0] - zs[i, 0]
             dy = t.state[2] - zs[i, 1]
-            assert got[j, i] == pytest.approx((dx * dx + dy * dy) ** 0.5, rel=1e-12)
+            if i in gated:
+                assert got[j, i] == pytest.approx((dx * dx + dy * dy) ** 0.5, rel=1e-12)
+            else:
+                assert got[j, i] == np.inf
+                outside += 1
+    assert 0 < outside < 18
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +208,21 @@ def test_hungarian_matches_square_construction():
 # ---------------------------------------------------------------------------
 
 
+def gate_of(track, zs, params, gp):
+    """gate() on the track's row of the innovation kernel's d2."""
+    return gate(innovations(make_set([track]), zs, params)[3][0], gp)
+
+
 def test_gate_contains_prediction():
     t = make_track(state=(1.0, 0.0, 2.0, 0.0))
-    scan = Scan(k=0, measurements=np.array([[1.0, 2.0]]))
-    assert gate(t, scan, FilterParams(), GateParams()) == {0}
+    assert gate_of(t, np.array([[1.0, 2.0]]), FilterParams(), GateParams()) == {0}
 
 
 def test_gate_hand_statistic():
     # P = 0, R = 0.1 I: offset (1, 0) has statistic 1/0.1 = 10 > 9.21.
     t = make_track(cov=np.zeros((4, 4)))
-    scan = Scan(k=0, measurements=np.array([[1.0, 0.0], [0.5, 0.0]]))
-    got = gate(t, scan, FilterParams(r_diag=(0.1, 0.1)), GateParams(gamma=9.21))
+    zs = np.array([[1.0, 0.0], [0.5, 0.0]])
+    got = gate_of(t, zs, FilterParams(r_diag=(0.1, 0.1)), GateParams(gamma=9.21))
     # second point: 0.25/0.1 = 2.5 <= 9.21
     assert got == {1}
 
@@ -201,15 +230,19 @@ def test_gate_hand_statistic():
 def test_gate_huge_gamma_accepts_everything():
     t = make_track()
     zs = np.array([[100.0, -50.0], [3.0, 4.0], [0.0, 0.0]])
-    got = gate(t, Scan(k=0, measurements=zs), FilterParams(), GateParams(gamma=1e12))
-    assert got == {0, 1, 2}
+    assert gate_of(t, zs, FilterParams(), GateParams(gamma=1e12)) == {0, 1, 2}
 
 
-def test_default_miss_cost_scale():
+def test_default_miss_cost_scale(monkeypatch):
+    # sqrt(gamma) times the mean innovation standard deviation over tracks and axes.
     t = make_track(cov=np.zeros((4, 4)))
     params = FilterParams(r_diag=(0.1, 0.1))
-    got = default_miss_cost([t], params, GateParams(gamma=9.21))
+    _, got = ha_cost(monkeypatch, [t], np.zeros((1, 2)), params, GateParams(gamma=9.21))
     assert got == pytest.approx(np.sqrt(9.21) * np.sqrt(0.1), rel=1e-12)
+    two = [t, make_track(1, cov=np.diag([0.3, 0.0, 0.5, 0.0]))]
+    _, got = ha_cost(monkeypatch, two, np.zeros((1, 2)), params, GateParams(gamma=9.21))
+    sigmas = np.sqrt([0.1, 0.1, 0.4, 0.6])
+    assert got == pytest.approx(np.sqrt(9.21) * sigmas.mean(), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +253,7 @@ def test_default_miss_cost_scale():
 def test_jpda_no_gated_measurements_gives_miss_row():
     t = make_track(state=(0.0, 0.0, 0.0, 0.0), cov=0.01 * np.eye(4))
     scan = Scan(k=0, measurements=np.array([[50.0, 50.0]]))
-    probs = jpda([t], scan, FilterParams(), GateParams(), p_d=0.9, clutter_density=0.1)
+    probs = jpda(make_set([t]), scan, FilterParams(), GateParams(), p_d=0.9, clutter_density=0.1)
     assert np.allclose(probs.rows, [[0.0, 1.0]])
 
 
@@ -229,7 +262,7 @@ def test_jpda_single_track_single_measurement_formula():
     params = FilterParams(r_diag=(0.1, 0.1))
     z = np.array([[0.3, -0.2]])
     p_d, lam = 0.85, 0.07
-    probs = jpda([t], Scan(k=0, measurements=z), params, GateParams(), p_d, lam)
+    probs = jpda(make_set([t]), Scan(k=0, measurements=z), params, GateParams(), p_d, lam)
     s = 0.15 * np.eye(2)
     nu = z[0]
     likelihood = np.exp(-0.5 * nu @ np.linalg.solve(s, nu)) / (
@@ -248,12 +281,10 @@ def test_jpda_two_tracks_two_shared_measurements_oracle():
     zs = np.array([[0.3, 0.1], [0.7, -0.1]])
     scan = Scan(k=0, measurements=zs)
     p_d, lam = 0.9, 0.05
-    probs = jpda(tracks, scan, params, GateParams(), p_d, lam)
+    probs = jpda(make_set(tracks), scan, params, GateParams(), p_d, lam)
 
-    from cluttertrack.assoc import _gaussian_likelihoods
-
-    likelihood = _gaussian_likelihoods(tracks, scan, params)
-    gates = [gate(t, scan, params, GateParams()) for t in tracks]
+    likelihood = oracles.gaussian_likelihoods(tracks, scan, params)
+    gates = [oracles.gate(t, scan, params, GateParams().gamma) for t in tracks]
     assert gates[0] == {0, 1} and gates[1] == {0, 1}
     expected = joint_association_oracle(likelihood, gates, p_d, lam)
     assert np.max(np.abs(probs.rows - expected)) < 1e-9
@@ -268,12 +299,10 @@ def test_jpda_single_track_equals_pda():
         scan = Scan(k=0, measurements=zs)
         p_d = float(rng.uniform(0.5, 0.99))
         lam = float(rng.uniform(0.01, 0.5))
-        probs = jpda([t], scan, params, GateParams(), p_d, lam)
+        probs = jpda(make_set([t]), scan, params, GateParams(), p_d, lam)
 
-        from cluttertrack.assoc import _gaussian_likelihoods
-
-        likelihood = _gaussian_likelihoods([t], scan, params)
-        g = gate(t, scan, params, GateParams())
+        likelihood = oracles.gaussian_likelihoods([t], scan, params)
+        g = oracles.gate(t, scan, params, GateParams().gamma)
         expected = pda_single_track(likelihood[0], g, p_d, lam)
         assert np.max(np.abs(probs.rows[0] - expected)) < 1e-12
 
@@ -286,14 +315,25 @@ def test_jpda_separated_clusters_match_joint_enumeration():
     ]
     zs = np.array([[0.2, -0.3], [0.5, 0.4], [100.3, 99.8]])
     scan = Scan(k=0, measurements=zs)
-    probs = jpda(tracks, scan, params, GateParams(), 0.9, 0.02)
+    probs = jpda(make_set(tracks), scan, params, GateParams(), 0.9, 0.02)
 
-    from cluttertrack.assoc import _gaussian_likelihoods
-
-    likelihood = _gaussian_likelihoods(tracks, scan, params)
-    gates = [gate(t, scan, params, GateParams()) for t in tracks]
+    likelihood = oracles.gaussian_likelihoods(tracks, scan, params)
+    gates = [oracles.gate(t, scan, params, GateParams().gamma) for t in tracks]
     expected = joint_association_oracle(likelihood, gates, 0.9, 0.02)
     assert np.max(np.abs(probs.rows - expected)) < 1e-9
+
+
+def test_jpda_gates_every_track_through_the_module_gate(monkeypatch):
+    # Callers that rebind assoc.gate (tracing, counting candidates) see one
+    # call per track, empty scans included.
+    calls = []
+    original = assoc.gate
+    monkeypatch.setattr(assoc, "gate", lambda d2, gp: calls.append(d2.shape) or original(d2, gp))
+    tracks = make_set([make_track(j, state=(2.0 * j, 0, 0, 0)) for j in range(3)])
+    for m in (0, 4):
+        calls.clear()
+        jpda(tracks, Scan(k=0, measurements=np.ones((m, 2))), FilterParams(), GateParams(), 0.9, 0.1)
+        assert calls == [(m,)] * 3
 
 
 def test_jpda_rows_sum_to_one_random():
@@ -305,7 +345,7 @@ def test_jpda_rows_sum_to_one_random():
             for j in range(int(rng.integers(1, 4)))
         ]
         zs = rng.normal(scale=2.5, size=(int(rng.integers(0, 6)), 2))
-        probs = jpda(tracks, Scan(k=0, measurements=zs), params, GateParams(), 0.9, 0.1)
+        probs = jpda(make_set(tracks), Scan(k=0, measurements=zs), params, GateParams(), 0.9, 0.1)
         assert np.allclose(probs.rows.sum(axis=1), 1.0, atol=1e-9)
 
 

@@ -1,3 +1,5 @@
+import json
+import math
 import pickle
 
 import pytest
@@ -58,3 +60,23 @@ def test_deepda_payload_does_not_carry_the_model(model_path, monkeypatch):
         assert isinstance(model, LstmModel)
         assert not any(isinstance(part, LstmModel) for part in payload)
         assert len(pickle.dumps(payload)) < len(pickle.dumps(model))
+
+
+def test_every_failing_episode_is_recorded_with_its_context(tmp_path):
+    # One slot is too few for any λ 20 scan, so every episode fails on scan 1.
+    cfg = NetConfig(m_max=1, hidden=4)
+    path = tmp_path / "tiny.json"
+    save_model(init_model(cfg, identity_norm(cfg.features)), path)
+    report = run_grid(_spec(str(path), ("ha", "deepda")), jobs=1)
+    ha, deepda = report.rows
+    assert ha.method == "ha" and not math.isnan(ha.ospa_mean)
+    assert deepda.method == "deepda"
+    assert all(math.isnan(getattr(deepda, col)) for col in ACCURACY_COLUMNS)
+    errors = report.meta["errors"]
+    assert [(e["method"], e["p_d"], e["e_lambda"], e["run"], e["seed"]) for e in errors] == [
+        ("deepda", 0.9, 20.0, 0, [3, 0, 0, 0]),
+        ("deepda", 0.9, 20.0, 1, [3, 0, 0, 1]),
+    ]
+    for e in errors:
+        assert e["error"].startswith("CapacityError: scan 1: scan has ")
+    assert json.loads(json.dumps(report.meta))["errors"] == errors

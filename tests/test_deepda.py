@@ -11,8 +11,7 @@ from cluttertrack.deepda import (
     TrainConfig,
     _batch_loss_and_grads,
     _forward_core,
-    backward,
-    build_input,
+    build_features,
     encode_dataset,
     fit_norm_stats,
     forward_scan,
@@ -33,11 +32,10 @@ from cluttertrack.domain import (
     ModelFormatError,
     Scan,
     ScenarioConfig,
-    Track,
 )
-from cluttertrack.scenario import TrainingSet, make_training_set, seeded_variants
+from cluttertrack.scenario import make_training_set, seeded_variants
 
-from conftest import make_track
+from conftest import make_set, make_track
 from oracles import numeric_gradients
 
 
@@ -61,47 +59,44 @@ def random_batch(cfg, rng, groups=2, targets=2):
 
 
 # ---------------------------------------------------------------------------
-# build_input
+# input construction (build_features, output_mask)
 # ---------------------------------------------------------------------------
 
 
 def test_build_input_subtraction_order():
     cfg = small_cfg(m_max=2)
     norm = identity_norm(cfg.features)
-    scan = Scan(k=0, measurements=np.array([[5.0, 11.0], [6.0, 12.0]]))
-    features, mask = build_input(np.array([5.0, 11.0]), scan, cfg, norm)
-    assert np.allclose(features, [0.0, 0.0, -1.0, -1.0])
-    assert mask.tolist() == [True, True]
+    zs = np.array([[5.0, 11.0], [6.0, 12.0]])
+    features = build_features(np.array([[5.0, 11.0]]), zs, cfg, norm)
+    assert np.allclose(features, [[0.0, 0.0, -1.0, -1.0]])
+    assert output_mask(cfg, 2).tolist() == [True, True, True]
 
 
 def test_build_input_empty_scan_is_all_sentinel():
     cfg = small_cfg(m_max=4)
-    features, mask = build_input(
-        np.array([1.0, 2.0]), Scan(k=0, measurements=np.zeros((0, 2))), cfg,
-        identity_norm(cfg.features),
-    )
+    features = build_features(np.array([[1.0, 2.0]]), np.zeros((0, 2)), cfg, identity_norm(cfg.features))
     assert np.all(features == 1.0)
-    assert not mask.any()
+    assert output_mask(cfg, 0).tolist() == [False] * 4 + [True]  # only the miss
 
 
 def test_build_input_min_max_normalization():
     cfg = small_cfg(m_max=2)
     norm = NormStats(np.full(4, -2.0), np.full(4, 2.0))
-    scan = Scan(k=0, measurements=np.array([[5.0, 11.0], [6.0, 12.0]]))
-    features, _ = build_input(np.array([5.0, 11.0]), scan, cfg, norm)
-    assert np.allclose(features, [0.5, 0.5, 0.25, 0.25])
+    zs = np.array([[5.0, 11.0], [6.0, 12.0]])
+    features = build_features(np.array([[5.0, 11.0]]), zs, cfg, norm)
+    assert np.allclose(features, [[0.5, 0.5, 0.25, 0.25]])
 
 
 def test_build_input_capacity_error():
     cfg = small_cfg(m_max=1)
-    scan = Scan(k=0, measurements=np.zeros((2, 2)))
     with pytest.raises(CapacityError):
-        build_input(np.zeros(2), scan, cfg, identity_norm(cfg.features))
+        build_features(np.zeros((1, 2)), np.zeros((2, 2)), cfg, identity_norm(cfg.features))
 
 
 def test_norm_degenerate_feature_maps_to_zero():
+    cfg = small_cfg(m_max=1)
     norm = NormStats(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
-    out = norm.apply(np.array([5.0, 1.0]))
+    out = build_features(np.array([[5.0, 1.0]]), np.zeros((1, 2)), cfg, norm)[0]
     assert out[0] == 0.0
     assert out[1] == 0.5
 
@@ -119,7 +114,7 @@ def zero_model(cfg):
 def test_forward_zero_parameters_uniform_rows():
     cfg = small_cfg(m_max=3, hidden=4)
     model = zero_model(cfg)
-    tracks = [make_track(0), make_track(1)]
+    tracks = make_set([make_track(0), make_track(1)])
     scan = Scan(k=0, measurements=np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
     probs, (hs, cs) = forward_scan(model, tracks, scan)
     assert probs.rows.shape == (2, 4)
@@ -132,13 +127,11 @@ def test_forward_padding_columns_zero():
     cfg = small_cfg(m_max=4, hidden=3, seed=5)
     model = init_model(cfg, identity_norm(cfg.features))
     scan = Scan(k=0, measurements=np.array([[0.5, -0.5]]))
-    probs, _ = forward_scan(model, [make_track(0)], scan)
+    probs, _ = forward_scan(model, make_set([make_track(0)]), scan)
     # trimmed to M + 1 columns; row still sums to 1
     assert probs.rows.shape == (1, 2)
     assert probs.rows.sum() == pytest.approx(1.0, abs=1e-12)
     # untrimmed core output has exact zeros on padding slots
-    from cluttertrack.deepda import build_features
-
     x = build_features(np.zeros((1, 2)), scan.measurements, cfg, model.norm)
     full = _forward_core(model, x[None], output_mask(cfg, 1)[None])
     assert np.all(full.beta[0, 0, 1:4] == 0.0)
@@ -160,7 +153,7 @@ def test_forward_scalar_lstm_hand_evaluation():
     )
     scan = Scan(k=0, measurements=np.array([[2.0, 1.0]]))
     track = make_track(0, state=(1.0, 0.0, 3.0, 0.0))
-    probs, (hs, cs) = forward_scan(model, [track], scan)
+    probs, (hs, cs) = forward_scan(model, make_set([track]), scan)
 
     sigmoid = lambda v: 1.0 / (1.0 + np.exp(-v))
     s_feat = np.array([1.0 - 2.0, 3.0 - 1.0])  # prediction minus measurement
@@ -182,7 +175,7 @@ def test_forward_softmax_variant_rows_sum_one():
     cfg = small_cfg(m_max=3, hidden=4, output="softmax", seed=2)
     model = init_model(cfg, identity_norm(cfg.features))
     scan = Scan(k=0, measurements=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    probs, _ = forward_scan(model, [make_track(0), make_track(1)], scan)
+    probs, _ = forward_scan(model, make_set([make_track(0), make_track(1)]), scan)
     assert np.allclose(probs.rows.sum(axis=1), 1.0)
     assert probs.rows.shape == (2, 3)
 
@@ -214,26 +207,20 @@ def test_forward_slot_permutation_equivariance():
     )
     zs = np.array([[0.5, 0.2], [-0.7, 0.4], [0.1, -0.9]])
     perm = [2, 0, 1]
-    tracks = [make_track(0)]
+    tracks = make_set([make_track(0)])
     p1, _ = forward_scan(model, tracks, Scan(k=0, measurements=zs))
     p2, _ = forward_scan(model, tracks, Scan(k=0, measurements=zs[perm]))
     assert not np.allclose(p1.rows[0, :m_max], p1.rows[0, 0])  # non-degenerate
     assert np.allclose(p1.rows[0, perm + [3]], p2.rows[0], atol=1e-12)
 
 
-def test_forward_rejects_mismatched_config():
-    cfg = small_cfg()
-    model = init_model(cfg, identity_norm(cfg.features))
-    other = small_cfg(hidden=8)
-    with pytest.raises(ContractViolation):
-        forward_scan(model, [make_track(0)], Scan(k=0, measurements=np.zeros((1, 2))), other)
-
-
 def test_forward_requires_tracks():
     cfg = small_cfg()
     model = init_model(cfg, identity_norm(cfg.features))
+    empty = make_set([])
+    assert len(empty) == 0
     with pytest.raises(ContractViolation):
-        forward_scan(model, [], Scan(k=0, measurements=np.zeros((1, 2))))
+        forward_scan(model, empty, Scan(k=0, measurements=np.zeros((1, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +256,7 @@ def test_loss_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# backward
+# backward (the gradients of _batch_loss_and_grads)
 # ---------------------------------------------------------------------------
 
 
@@ -283,7 +270,7 @@ def test_backward_zero_at_exact_truth():
     for enc in batch:
         cache = _forward_core(model, enc.inputs[None], enc.mask[None])
         stationary.append(EncodedScan(enc.inputs, cache.beta[0], enc.mask))
-    grads = backward(model, stationary)
+    _, grads = _batch_loss_and_grads(model, stationary)
     for g in grads.values():
         assert np.max(np.abs(g)) < 1e-6
 
@@ -295,7 +282,7 @@ def test_backward_matches_finite_differences():
         model = init_model(cfg, identity_norm(cfg.features))
         batch = random_batch(cfg, rng)
         loss_fn = lambda: _batch_loss_and_grads(model, batch)[0]
-        analytic = backward(model, batch)
+        _, analytic = _batch_loss_and_grads(model, batch)
         numeric = numeric_gradients(loss_fn, model, step=1e-5)
         for name in analytic:
             a, n = analytic[name], numeric[name]
@@ -311,7 +298,7 @@ def test_backward_padded_output_weights_zero_grad():
     truth = np.zeros((2, cfg.m_max + 1))
     truth[:, 0] = 1.0
     mask = output_mask(cfg, 1)  # slots 1..3 padded
-    grads = backward(model, [EncodedScan(inputs, truth, mask)])
+    _, grads = _batch_loss_and_grads(model, [EncodedScan(inputs, truth, mask)])
     assert np.all(grads["w_out"][1:4, :] == 0.0)
     assert np.all(grads["b_out"][1:4] == 0.0)
 
@@ -432,7 +419,7 @@ def test_save_load_round_trip(tmp_path):
     for name, arr in model.params().items():
         assert np.array_equal(arr, getattr(restored, name))
     scan = Scan(k=0, measurements=np.array([[0.4, -0.4], [1.0, 1.0]]))
-    tracks = [make_track(0), make_track(1)]
+    tracks = make_set([make_track(0), make_track(1)])
     a, _ = forward_scan(model, tracks, scan)
     b, _ = forward_scan(restored, tracks, scan)
     assert np.array_equal(a.rows, b.rows)

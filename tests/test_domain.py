@@ -16,6 +16,7 @@ from cluttertrack.domain import (
     Scan,
     ScenarioConfig,
     Track,
+    TrackSet,
     five_crossing_targets,
     hard_assignment_from_probs,
 )
@@ -181,6 +182,7 @@ def test_track_psd_tolerance(lowest, ok):
         (np.zeros(5), np.eye(4), "state must have 4 entries"),
         (np.zeros(4), np.eye(3), "covariance must be 4x4"),
         (np.zeros(4), np.eye(4).reshape(2, 8), "covariance must be 4x4"),
+        (np.zeros((2, 2)), np.eye(4), "state must have 4 entries"),  # 4 entries, wrong shape
     ],
 )
 def test_track_shape_errors(state, cov, msg):
@@ -192,6 +194,93 @@ def test_track_normalises_inputs():
     t = Track(0, [1, 2, 3, 4], np.eye(4, dtype=int).tolist())
     assert t.state.dtype == float and t.covariance.dtype == float
     np.testing.assert_array_equal(t.state, [1.0, 2.0, 3.0, 4.0])
+
+
+# ---------------------------------------------------------------------------
+# TrackSet: the same checks, with the failing row named
+# ---------------------------------------------------------------------------
+
+
+def _set_with_row(state, cov, n=3, row=1):
+    """A set of n well-formed tracks whose row ``row`` is (state, cov)."""
+    x = np.zeros((n, 4))
+    p = np.stack([np.eye(4)] * n)
+    x[row], p[row] = state, cov
+    return x, p
+
+
+@pytest.mark.parametrize(
+    "x, p, msg",
+    [
+        (np.zeros((3, 3)), np.stack([np.eye(4)] * 3), "state must have 4 entries"),
+        (np.zeros(4), np.eye(4), "state must have 4 entries"),
+        (np.zeros((3, 2, 2)), np.stack([np.eye(4)] * 3), "state must have 4 entries"),
+        (np.zeros((3, 4)), np.stack([np.eye(4)] * 2), "covariance must be 4x4"),
+        (np.zeros((3, 4)), np.stack([np.eye(3)] * 3), "covariance must be 4x4"),
+        (np.zeros((3, 4)), np.eye(4), "covariance must be 4x4"),
+    ],
+)
+def test_track_set_shape_errors(x, p, msg):
+    with pytest.raises(ContractViolation, match=msg):
+        TrackSet(x, p)
+
+
+@pytest.mark.parametrize(
+    "p, ok",
+    [
+        (_spd_with_offdiagonal(2.0, 2.0 * (1.0 + 5e-6)), True),
+        (_spd_with_offdiagonal(2.0, 2.0 * (1.0 + 5e-5)), False),
+        (_spd_with_offdiagonal(0.0, 5e-9), True),
+        (_spd_with_offdiagonal(0.0, 2e-8), False),
+    ],
+)
+def test_track_set_symmetry_tolerance(p, ok):
+    x, ps = _set_with_row(np.zeros(4), p)
+    if ok:
+        TrackSet(x, ps)
+    else:
+        with pytest.raises(ContractViolation, match="symmetric"):
+            TrackSet(x, ps)
+
+
+def test_track_set_non_finite_inputs_name_the_row():
+    nan_cov = np.eye(4)
+    nan_cov[2, 2] = np.nan
+    with pytest.raises(ContractViolation, match="symmetric"):
+        TrackSet(*_set_with_row(np.zeros(4), nan_cov))
+    one_sided_inf = np.eye(4)
+    one_sided_inf[0, 1] = np.inf
+    with pytest.raises(ContractViolation, match="symmetric"):
+        TrackSet(*_set_with_row(np.zeros(4), one_sided_inf))
+    inf_cov = np.eye(4)
+    inf_cov[0, 3] = inf_cov[3, 0] = np.inf
+    with pytest.raises(NumericalError, match="track 1: non-finite"):
+        TrackSet(*_set_with_row(np.zeros(4), inf_cov))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericalError, match="track 2: non-finite"):
+            TrackSet(*_set_with_row(np.array([0.0, bad, 0.0, 0.0]), np.eye(4), row=2))
+
+
+@pytest.mark.parametrize("lowest, ok", [(-1e-10, True), (0.0, True), (-1e-8, False)])
+def test_track_set_psd_tolerance(lowest, ok):
+    x, p = _set_with_row(np.zeros(4), np.diag([1.0, 2.0, 3.0, lowest]), row=2)
+    if ok:
+        TrackSet(x, p)
+    else:
+        with pytest.raises(ContractViolation, match="track 2: covariance is not PSD"):
+            TrackSet(x, p)
+
+
+def test_track_set_rows_and_positions():
+    x = np.arange(12.0).reshape(3, 4)
+    ts = TrackSet(x.tolist(), np.stack([np.eye(4)] * 3))
+    assert len(ts) == 3 and ts.x.dtype == float
+    np.testing.assert_array_equal(ts.positions, x[:, [0, 2]])
+    for j, t in enumerate(ts):
+        assert t.id == j
+        np.testing.assert_array_equal(t.state, x[j])
+        np.testing.assert_array_equal(t.position, x[j, [0, 2]])
+    assert len(TrackSet(np.zeros((0, 4)), np.zeros((0, 4, 4)))) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,41 @@
 import numpy as np
 import pytest
 
-from cluttertrack.domain import ContractViolation, Scan, Track
+import oracles
+from cluttertrack.domain import ContractViolation, NumericalError, Scan, Track, TrackSet
 from cluttertrack.kalman import (
     FilterParams,
+    innovations,
     predict,
-    predicted_measurement,
     process_noise,
     transition_matrix,
-    update_hard,
     update_weighted,
 )
 
-from conftest import make_track
+from conftest import make_set, make_track
+
+
+def one(ts):
+    """The only row of a one-track set, as a Track."""
+    (track,) = ts
+    return track
+
+
+def update_one(track, z, params):
+    """The hard update of one track with one measurement: a one-hot row."""
+    scan = Scan(k=0, measurements=np.asarray(z, dtype=float).reshape(1, 2))
+    return one(update_weighted(make_set([track]), scan, np.array([[1.0, 0.0]]), params))
 
 
 def test_predict_constant_velocity():
     t = make_track(state=(5.0, 1.0, 11.0, 0.4))
-    out = predict(t, FilterParams(dt=1.0))
+    out = one(predict(make_set([t]), FilterParams(dt=1.0)))
     assert np.allclose(out.state, [6.0, 1.0, 11.4, 0.4])
 
 
 def test_predict_zero_process_noise_grows_trace():
     t = make_track(cov=np.eye(4))
-    out = predict(t, FilterParams(dt=1.0, q=0.0))
+    out = one(predict(make_set([t]), FilterParams(dt=1.0, q=0.0)))
     f = transition_matrix(1.0)
     assert np.allclose(out.covariance, f @ f.T)
     assert np.trace(out.covariance) >= np.trace(t.covariance)
@@ -32,7 +44,7 @@ def test_predict_zero_process_noise_grows_trace():
 def test_predict_zero_prior_covariance_gives_q():
     t = make_track(cov=np.zeros((4, 4)))
     q = 0.05
-    out = predict(t, FilterParams(dt=1.0, q=q))
+    out = one(predict(make_set([t]), FilterParams(dt=1.0, q=q)))
     # hand-evaluated discrete white-noise-acceleration block for dt=1
     block = q * np.array([[0.25, 0.5], [0.5, 1.0]])
     expected = np.zeros((4, 4))
@@ -50,33 +62,32 @@ def test_process_noise_dt_scaling():
 
 
 def test_predicted_measurement_selects_positions():
-    assert np.allclose(predicted_measurement(make_track(state=(6, 1, 11.4, 0.4))), [6, 11.4])
-    assert np.allclose(predicted_measurement(make_track(state=(0, 0, 0, 0))), [0, 0])
+    ts = make_set([make_track(0, state=(6, 1, 11.4, 0.4)), make_track(1, state=(0, 0, 0, 0))])
+    assert np.allclose(ts.positions, [[6, 11.4], [0, 0]])
 
 
 def test_predicted_measurement_commutes_with_predict():
     t = make_track(state=(3.0, -1.0, 2.0, 0.5))
-    out = predict(t, FilterParams(dt=1.0))
-    assert np.allclose(predicted_measurement(out), [2.0, 2.5])
+    out = predict(make_set([t]), FilterParams(dt=1.0))
+    assert np.allclose(out.positions, [[2.0, 2.5]])
 
 
 def test_update_hard_zero_innovation_keeps_state():
     t = make_track(state=(1.0, 2.0, 3.0, 4.0))
-    z = predicted_measurement(t)
-    out = update_hard(t, z, FilterParams())
+    out = update_one(t, t.position, FilterParams())
     assert np.allclose(out.state, t.state, atol=1e-12)
 
 
 def test_update_hard_diffuse_prior_tracks_measurement():
     t = make_track(cov=1e4 * np.eye(4))
-    out = update_hard(t, np.array([7.0, 12.0]), FilterParams())
+    out = update_one(t, np.array([7.0, 12.0]), FilterParams())
     assert np.allclose(out.state[[0, 2]], [7.0, 12.0], atol=1e-3)
 
 
 def test_update_hard_scalar_hand_case():
     # P = I, R = 0.1 I, x = 0, z = (1, 0): S = 1.1, K = 1/1.1 on position.
     t = make_track(cov=np.eye(4))
-    out = update_hard(t, np.array([1.0, 0.0]), FilterParams(r_diag=(0.1, 0.1)))
+    out = update_one(t, np.array([1.0, 0.0]), FilterParams(r_diag=(0.1, 0.1)))
     assert out.state[0] == pytest.approx(1.0 / 1.1, abs=1e-12)
     assert out.state[2] == pytest.approx(0.0, abs=1e-12)
     # posterior position variance: 1 - 1/1.1 = 0.1/1.1 via Joseph form
@@ -89,23 +100,23 @@ def test_update_hard_reduces_trace():
     for _ in range(50):
         a = rng.normal(size=(4, 4))
         t = make_track(state=rng.normal(size=4), cov=a @ a.T + 0.1 * np.eye(4))
-        out = update_hard(t, rng.normal(size=2), params)
+        out = update_one(t, rng.normal(size=2), params)
         assert np.trace(out.covariance) <= np.trace(t.covariance) + 1e-9
         assert np.linalg.eigvalsh(out.covariance).min() >= -1e-9
 
 
 def test_update_weighted_miss_only_returns_input():
-    t = make_track(state=(1.0, 0.5, 2.0, -0.5))
+    ts = make_set([make_track(state=(1.0, 0.5, 2.0, -0.5))])
     scan = Scan(k=0, measurements=np.array([[1.5, 2.5]]))
-    out = update_weighted(t, scan, np.array([0.0, 1.0]), FilterParams())
-    assert out is t
+    out = update_weighted(ts, scan, np.array([[0.0, 1.0]]), FilterParams())
+    assert out is ts
 
 
 def test_update_weighted_empty_scan():
-    t = make_track()
+    ts = make_set([make_track()])
     scan = Scan(k=0, measurements=np.zeros((0, 2)))
-    out = update_weighted(t, scan, np.array([1.0]), FilterParams())
-    assert out is t
+    out = update_weighted(ts, scan, np.array([[1.0]]), FilterParams())
+    assert out is ts
 
 
 def test_update_weighted_one_hot_equals_hard():
@@ -117,10 +128,10 @@ def test_update_weighted_one_hot_equals_hard():
         zs = rng.normal(scale=3.0, size=(3, 2))
         scan = Scan(k=0, measurements=zs)
         pick = int(rng.integers(0, 3))
-        beta = np.zeros(4)
-        beta[pick] = 1.0
-        weighted = update_weighted(t, scan, beta, params)
-        hard = update_hard(t, zs[pick], params)
+        beta = np.zeros((1, 4))
+        beta[0, pick] = 1.0
+        weighted = one(update_weighted(make_set([t]), scan, beta, params))
+        hard = oracles.update_hard(t, zs[pick], params)
         assert np.allclose(weighted.state, hard.state, atol=1e-10)
         assert np.allclose(weighted.covariance, hard.covariance, atol=1e-10)
 
@@ -132,8 +143,8 @@ def test_update_weighted_two_measurement_hand_case():
     params = FilterParams(r_diag=(0.1, 0.1))
     zs = np.array([[1.0, 0.0], [-1.0, 0.0]])
     scan = Scan(k=0, measurements=zs)
-    beta = np.array([0.5, 0.5, 0.0])
-    out = update_weighted(t, scan, beta, params)
+    beta = np.array([[0.5, 0.5, 0.0]])
+    out = one(update_weighted(make_set([t]), scan, beta, params))
     assert np.allclose(out.state, t.state, atol=1e-12)
 
     # hand evaluation: S = 1.1 I, K = P H^T S^-1 (position gain 1/1.1),
@@ -150,21 +161,141 @@ def test_update_weighted_two_measurement_hand_case():
 
 
 def test_update_weighted_validates_row():
-    t = make_track()
+    ts = make_set([make_track()])
     scan = Scan(k=0, measurements=np.array([[1.0, 1.0]]))
     with pytest.raises(ContractViolation):
-        update_weighted(t, scan, np.array([0.5, 0.2]), FilterParams())
+        update_weighted(ts, scan, np.array([[0.5, 0.2]]), FilterParams())
     with pytest.raises(ContractViolation):
-        update_weighted(t, scan, np.array([0.5, 0.2, 0.3]), FilterParams())
+        update_weighted(ts, scan, np.array([[0.5, 0.2, 0.3]]), FilterParams())
+    with pytest.raises(ContractViolation):
+        update_weighted(ts, scan, np.array([0.5, 0.5]), FilterParams())  # not (N, M+1)
 
 
 def test_noiseless_stream_converges():
     params = FilterParams()
-    t = Track(0, np.array([0.5, 0.8, -0.5, 1.2]), np.eye(4))
+    ts = TrackSet(np.array([[0.5, 0.8, -0.5, 1.2]]), np.eye(4)[None])
     true_pos = lambda k: np.array([0.0 + 1.0 * k, 0.0 + 1.0 * k])
     errors = {}
     for k in range(1, 21):
-        t = predict(t, params)
-        t = update_hard(t, true_pos(k), params)
-        errors[k] = np.linalg.norm(t.state[[0, 2]] - true_pos(k))
+        ts = predict(ts, params)
+        scan = Scan(k=k, measurements=true_pos(k)[None])
+        ts = update_weighted(ts, scan, np.array([[1.0, 0.0]]), params)
+        errors[k] = np.linalg.norm(ts.positions[0] - true_pos(k))
     assert errors[20] < errors[2]
+
+
+# ---------------------------------------------------------------------------
+# Batched set against the per-track reference
+# ---------------------------------------------------------------------------
+
+
+def _random_set(rng, n):
+    a = rng.normal(size=(n, 4, 4))
+    p = a @ a.transpose(0, 2, 1) + 0.05 * np.eye(4)
+    return TrackSet(rng.normal(scale=3.0, size=(n, 4)), (p + p.transpose(0, 2, 1)) / 2.0)
+
+
+def _random_rows(rng, kind, n, m):
+    if kind == "fractional":
+        rows = rng.random((n, m + 1))
+        rows[rng.random((n, m + 1)) < 0.3] = 0.0
+        rows[:, m] += 1e-3
+        return rows / rows.sum(axis=1, keepdims=True)
+    rows = np.zeros((n, m + 1))
+    if kind == "all_miss" or m == 0:
+        rows[:, m] = 1.0
+    else:  # one-hot: a measurement, or now and then the miss
+        rows[np.arange(n), rng.integers(0, m + 1, size=n)] = 1.0
+    return rows
+
+
+def test_batched_filter_matches_per_track_reference():
+    rng = np.random.default_rng(1907)
+    params = FilterParams()
+    kinds = ("fractional", "one_hot", "all_miss", "empty_scan")
+    hard_rows = 0
+    for case in range(200):
+        kind = kinds[case % len(kinds)]
+        n = int(rng.integers(1, 7))
+        m = 0 if kind == "empty_scan" else int(rng.integers(0, 31))
+        ts = _random_set(rng, n)
+        scan = Scan(k=0, measurements=rng.normal(scale=3.0, size=(m, 2)))
+        rows = _random_rows(rng, kind, n, m)
+
+        predicted = predict(ts, params)
+        updated = update_weighted(ts, scan, rows, params)
+        for j, t in enumerate(ts):
+            ref = oracles.predict(t, params)
+            assert np.max(np.abs(predicted.x[j] - ref.state)) <= 1e-12, (case, j)
+            assert np.max(np.abs(predicted.p[j] - ref.covariance)) <= 1e-12, (case, j)
+            ref = oracles.update_weighted(t, scan, rows[j], params)
+            assert np.max(np.abs(updated.x[j] - ref.state)) <= 1e-12, (case, j)
+            assert np.max(np.abs(updated.p[j] - ref.covariance)) <= 1e-12, (case, j)
+            if kind == "one_hot" and m and rows[j, m] == 0.0:
+                hard = oracles.update_hard(t, scan.measurements[np.argmax(rows[j])], params)
+                np.testing.assert_array_equal(updated.x[j], hard.state)
+                np.testing.assert_array_equal(updated.p[j], hard.covariance)
+                hard_rows += 1
+    assert hard_rows > 50
+
+
+def test_operations_leave_their_input_set_alone():
+    rng = np.random.default_rng(5)
+    ts = _random_set(rng, 4)
+    x, p = ts.x.copy(), ts.p.copy()
+    scan = Scan(k=0, measurements=rng.normal(size=(6, 2)))
+    predict(ts, FilterParams())
+    innovations(ts, scan.measurements, FilterParams())
+    update_weighted(ts, scan, _random_rows(rng, "fractional", 4, 6), FilterParams())
+    np.testing.assert_array_equal(ts.x, x)
+    np.testing.assert_array_equal(ts.p, p)
+
+
+# ---------------------------------------------------------------------------
+# innovations
+# ---------------------------------------------------------------------------
+
+
+def test_innovations_hand_case():
+    # P = 0, R = diag(0.1, 0.4): S = R, det 0.04, nu = z - (1, 2).
+    ts = make_set([make_track(state=(1.0, 0.0, 2.0, 0.0), cov=np.zeros((4, 4)))])
+    nu, s, det, d2 = innovations(ts, np.array([[2.0, 2.0], [1.0, 4.0]]), FilterParams(r_diag=(0.1, 0.4)))
+    np.testing.assert_allclose(nu, [[[1.0, 0.0], [0.0, 2.0]]])
+    np.testing.assert_allclose(s, [np.diag([0.1, 0.4])])
+    assert det[0] == pytest.approx(0.04, rel=1e-12)
+    assert d2[0] == pytest.approx([10.0, 10.0], rel=1e-12)
+
+
+def test_innovations_match_solving_each_covariance():
+    rng = np.random.default_rng(8)
+    params = FilterParams()
+    for _ in range(100):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(0, 31))
+        ts = _random_set(rng, n)
+        z = rng.normal(scale=3.0, size=(m, 2))
+        nu, s, det, d2 = innovations(ts, z, params)
+        assert nu.shape == (n, m, 2) and d2.shape == (n, m)
+        for j, t in enumerate(ts):
+            s_ref = oracles.innovation_covariance(t, params)
+            nus = z - oracles.predicted_measurement(t)
+            np.testing.assert_array_equal(nu[j], nus)
+            np.testing.assert_array_equal(s[j], s_ref)
+            assert det[j] == pytest.approx(np.linalg.det(s_ref), rel=1e-12)
+            ref = np.einsum("mi,im->m", nus, np.linalg.solve(s_ref, nus.T))
+            np.testing.assert_allclose(d2[j], ref, rtol=1e-12, atol=1e-12)
+
+
+def test_innovations_singular_covariance_names_the_track():
+    # R is validated > 0, so a tiny R with P = 0 makes S singular.
+    ts = make_set([make_track(0), make_track(1, cov=np.zeros((4, 4)))])
+    with pytest.raises(NumericalError, match="track 1: singular innovation covariance"):
+        innovations(ts, np.zeros((1, 2)), FilterParams(r_diag=(1e-7, 1e-7)))
+
+
+def test_track_set_iterates_its_rows_as_tracks():
+    ts = make_set([make_track(0, state=(1.0, 2.0, 3.0, 4.0)), make_track(1)])
+    rows = list(ts)
+    assert [t.id for t in rows] == [0, 1] and len(ts) == 2
+    assert isinstance(rows[0], Track)
+    np.testing.assert_array_equal(rows[0].state, ts.x[0])
+    np.testing.assert_array_equal(rows[1].covariance, ts.p[1])

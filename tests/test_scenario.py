@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cluttertrack.deepda import NetConfig, encode_group, identity_norm
 from cluttertrack.domain import CLUTTER, CapacityError, ConfigError, Scan, five_crossing_targets
 from cluttertrack.scenario import (
     SCANS_CSV_HEADER,
@@ -105,11 +106,17 @@ def test_scan_order_is_shuffled(reference_config):
     assert unsorted > 0
 
 
+def truth_rows(ds, group):
+    """The one-hot rows the network is trained on, over ds.m_max slots plus a miss."""
+    cfg = NetConfig(m_max=ds.m_max)
+    return encode_group(group, cfg, identity_norm(cfg.features)).truth
+
+
 def test_training_set_one_hot_layout(clean_config):
     ds = make_training_set([clean_config], m_max=6)
     assert ds.m_max == 6
     group = ds.groups[0]
-    rows = ds.truth_rows(group)
+    rows = truth_rows(ds, group)
     assert rows.shape == (5, 7)
     assert np.allclose(rows.sum(axis=1), 1.0)
     for t, label in enumerate(group.labels):
@@ -122,7 +129,7 @@ def test_training_set_miss_row():
     ds = make_training_set([cfg])
     miss_rows = 0
     for g in ds.groups:
-        rows = ds.truth_rows(g)
+        rows = truth_rows(ds, g)
         for t, label in enumerate(g.labels):
             if label < 0:
                 miss_rows += 1
