@@ -269,6 +269,7 @@ def _check_tracks(x: np.ndarray, p: np.ndarray, lead: Tuple[int, ...], ids) -> N
     x = x.reshape(-1, 4)
     p = p.reshape(-1, 4, 4)
     pt = p.swapaxes(1, 2)
+    # Each rule is one whole-array test; the failing row is found only after.
     finite = np.isfinite(p).all()
     # allclose's rule without its non-finite handling, which only non-finite p needs.
     if finite:
@@ -277,13 +278,13 @@ def _check_tracks(x: np.ndarray, p: np.ndarray, lead: Tuple[int, ...], ids) -> N
         symmetric = np.allclose(p, pt, atol=1e-8)
     if not symmetric:
         raise ContractViolation("covariance must be symmetric")
-    bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=(1, 2)))
-    if bad.any():
+    if not (finite and np.isfinite(x).all()):
+        bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=(1, 2)))
         raise NumericalError(f"track {ids[int(np.argmax(bad))]}: non-finite state or covariance")
     if len(p):
-        low = np.linalg.eigvalsh(p).min(axis=1) < -1e-9
-        if low.any():
-            raise ContractViolation(f"track {ids[int(np.argmax(low))]}: covariance is not PSD")
+        lowest = np.linalg.eigvalsh(p)[:, 0]  # eigenvalues come in ascending order
+        if lowest.min() < -1e-9:
+            raise ContractViolation(f"track {ids[int(np.argmax(lowest < -1e-9))]}: covariance is not PSD")
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,7 @@ class TrackSet:
     @property
     def positions(self) -> np.ndarray:
         """(N, 2) predicted measurements: every track's (x, y)."""
-        return self.x[:, [0, 2]]
+        return self.x[:, ::2]
 
 
 @dataclass(frozen=True)
@@ -338,7 +339,7 @@ class Track:
 
     @property
     def position(self) -> np.ndarray:
-        return self.state[[0, 2]]
+        return self.state[::2]
 
 
 @dataclass(frozen=True)
@@ -416,13 +417,15 @@ class AssocProbabilities:
         r = np.asarray(self.rows, dtype=float)
         if r.ndim != 2 or r.shape[1] < 1:
             raise ContractViolation(f"rows must be (N, M+1), got shape {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise NumericalError("association probabilities contain non-finite values")
-        if np.any(r < -1e-12) or np.any(r > 1 + 1e-12):
-            raise ContractViolation("association probabilities must lie in [0, 1]")
+        # One whole-array test (NaN fails it); which rule and row broke comes after.
         sums = r.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            worst = int(np.argmax(np.abs(sums - 1.0)))
+        off = np.abs(sums - 1.0)
+        if r.size and not (r.min() >= -1e-12 and r.max() <= 1 + 1e-12 and off.max() <= 1e-9):
+            if not np.all(np.isfinite(r)):
+                raise NumericalError("association probabilities contain non-finite values")
+            if np.any(r < -1e-12) or np.any(r > 1 + 1e-12):
+                raise ContractViolation("association probabilities must lie in [0, 1]")
+            worst = int(np.argmax(off))
             raise ContractViolation(
                 f"association row {worst} sums to {sums[worst]!r}, expected 1 within 1e-9"
             )
@@ -436,23 +439,27 @@ class AssocProbabilities:
     def num_measurements(self) -> int:
         return self.rows.shape[1] - 1
 
-    def miss_column(self) -> np.ndarray:
-        return self.rows[:, -1]
-
 
 def assign_with_misses(cost: np.ndarray, miss, big: float, tie: float = 0.0) -> Assignment:
     """Optimal one-to-one assignment of the (n, m) ``cost`` where track j may
-    miss instead at ``miss`` (one value or one per track): an n x (m + n)
-    problem whose column m + j is track j's miss and ``big`` for the others.
-    Free measurements cost nothing; pairs costing ``big`` or more are never
-    returned; ``tie`` times the column index is added to order exact ties.
+    miss instead at ``miss`` (one value or one per track, below ``big``): an
+    n x (m + n) problem whose column m + j is track j's miss and ``big`` for
+    the others. Free measurements cost nothing; pairs costing ``big`` or more
+    are never returned; ``tie`` times the column index is added to order
+    exact ties.
+
+    Only the columns some track can take below ``big`` go to the solver.
+    Dropping the others is exact: a track holding one does better on its own
+    miss column, which no other track takes below ``big``, so no optimum
+    uses it. The kept columns keep their order and their tie bias.
     """
     n, m = cost.shape
     aug = np.full((n, m + n), big)
     aug[:, :m] = cost
     aug[:, m:][np.diag_indices(n)] = miss
     aug += tie * np.arange(m + n)
-    cols = solve_lap(aug.tolist())
+    takeable = (aug.min(axis=0) < big).nonzero()[0]
+    cols = takeable[solve_lap(aug[:, takeable].tolist())].tolist()
     pairs = {j: c for j, c in enumerate(cols) if c < m and aug[j, c] < big}
     missed = frozenset(range(n)) - frozenset(pairs)
     return Assignment(pairs, missed, frozenset(range(m)) - frozenset(pairs.values()))
@@ -464,9 +471,11 @@ def hard_assignment_from_probs(probs: AssocProbabilities) -> Assignment:
     Maximizes the summed probability of the chosen option per track (a
     measurement or the miss column), i.e. minimizes sum(1 - beta) on the
     complemented matrix with the miss column replicated per track so a miss
-    is always feasible.
+    is always feasible. A pair of probability 0 is never chosen (the track's
+    own miss is as good), so a measurement outside every gate drops out.
     """
     rows = probs.rows
     m = probs.num_measurements
     big = 4.0 * (probs.num_tracks + m + 1)  # dominates any feasible total of (1 - beta) terms
-    return assign_with_misses(1.0 - rows[:, :m], 1.0 - rows[:, m], big)
+    beta = rows[:, :m]
+    return assign_with_misses(np.where(beta > 0.0, 1.0 - beta, big), 1.0 - rows[:, m], big)

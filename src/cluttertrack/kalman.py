@@ -1,18 +1,20 @@
 """Constant-velocity Kalman filter used identically by every association engine.
 
 State order is (x, vx, y, vy). The observation model selects positions.
-Every operation acts on a whole :class:`~cluttertrack.domain.TrackSet` and
-returns a new one. :func:`innovations` is the one place where innovations,
-their covariances and Mahalanobis statistics are computed; gating, the
-association likelihoods and the update all take them from there. There is
-one update, :func:`update_weighted`: a hard assignment is the one-hot case
-of its probability rows. Covariances are symmetrized after every step and
-updates use the Joseph form for PSD safety.
+Every operation acts on a whole :class:`~cluttertrack.domain.TrackSet` in
+one pass and returns a new one; F, Q and R are built once per
+:class:`FilterParams`. One kernel yields the innovations, their covariances
+and the singular-S check: :func:`innovations` adds the Mahalanobis
+statistics that gating and the likelihoods use, the update takes the rest.
+There is one update, :func:`update_weighted`: a hard assignment is the
+one-hot case of its probability rows. Covariances are symmetrized after
+every step and updates use the Joseph form for PSD safety.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -21,6 +23,7 @@ from .domain import AssocProbabilities, ContractViolation, NumericalError, Scan,
 
 #: Observation matrix: measurements are positions.
 H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+_I4 = np.eye(4)
 
 #: Default initial covariance for tracks started from known truth. Kept at
 #: the measurement-noise scale so first-scan gates are already converged;
@@ -54,6 +57,11 @@ class FilterParams:
     def r_matrix(self) -> np.ndarray:
         return np.diag(self.r_diag)
 
+    @cached_property
+    def _model(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(F, Q, R) of this tuning, built on first use; never written to."""
+        return transition_matrix(self.dt), process_noise(self.dt, self.q), self.r_matrix
+
 
 def transition_matrix(dt: float) -> np.ndarray:
     """Constant-velocity transition for one step of length dt."""
@@ -78,10 +86,21 @@ def _symmetrize(p: np.ndarray) -> np.ndarray:
 
 def predict(ts: TrackSet, params: FilterParams) -> TrackSet:
     """One-step state and covariance propagation of every track."""
-    f = transition_matrix(params.dt)
-    x = ts.x @ f.T
-    p = f @ ts.p @ f.T + process_noise(params.dt, params.q)
-    return TrackSet(x, _symmetrize(p))
+    f, q, _ = params._model
+    return TrackSet(ts.x @ f.T, _symmetrize(f @ ts.p @ f.T + q))
+
+
+def _innovation_moments(ts: TrackSet, z: np.ndarray, params: FilterParams) -> Tuple[np.ndarray, ...]:
+    """``nu`` (N, M, 2) = z - Hx, ``S`` (N, 2, 2) = HPH^T + R and ``det`` (N,)
+    of S for the (M, 2) measurements ``z``. Raises :class:`NumericalError`
+    naming the first track whose ``det`` is non-finite or <= 1e-12."""
+    s = ts.p[:, ::2, ::2] + params._model[2]
+    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+    regular = np.isfinite(det) & (det > 1e-12)
+    if not regular.all():
+        j = int(np.argmin(regular))
+        raise NumericalError(f"track {j}: singular innovation covariance (det={det[j]!r})")
+    return z[None, :, :] - ts.positions[:, None, :], s, det
 
 
 def innovations(
@@ -95,13 +114,7 @@ def innovations(
     closed-form inverse of the 2x2 S. Raises :class:`NumericalError` naming
     the first track whose ``det`` is non-finite or <= 1e-12.
     """
-    s = ts.p[:, [0, 2]][:, :, [0, 2]] + params.r_matrix
-    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-    singular = ~(np.isfinite(det) & (det > 1e-12))
-    if singular.any():
-        j = int(np.argmax(singular))
-        raise NumericalError(f"track {j}: singular innovation covariance (det={det[j]!r})")
-    nu = np.asarray(z, dtype=float).reshape(-1, 2)[None, :, :] - ts.positions[:, None, :]
+    nu, s, det = _innovation_moments(ts, np.asarray(z, dtype=float).reshape(-1, 2), params)
     d2 = (
         s[:, 1, 1, None] * nu[:, :, 0] ** 2
         - 2.0 * s[:, 0, 1, None] * nu[:, :, 0] * nu[:, :, 1]
@@ -115,10 +128,11 @@ def update_weighted(ts: TrackSet, scan: Scan, rows: np.ndarray, params: FilterPa
 
     ``rows[j]`` holds track j's probability for each measurement plus a
     trailing miss probability; a one-hot row is the standard Kalman update
-    with one measurement, and a track whose miss probability is 1 keeps its
-    prediction. The state moves by the combined innovation and the
+    with one measurement. The state moves by the combined innovation and the
     covariance mixes the no-detection and updated covariances plus the
-    spread-of-innovations term.
+    spread-of-innovations term. All tracks share one pass: a miss-only row
+    has weights 0, so its track keeps its (symmetric) prediction bit for bit;
+    if no row has measurement mass, the input set itself comes back.
     """
     beta = AssocProbabilities(rows).rows  # entries in [0, 1], rows sum to 1
     n, m = len(ts), scan.num_measurements
@@ -126,26 +140,21 @@ def update_weighted(ts: TrackSet, scan: Scan, rows: np.ndarray, params: FilterPa
         raise ContractViolation(
             f"rows have shape {beta.shape} for {n} tracks and {m} measurements (need (N, M+1))"
         )
-
-    # Only tracks with some measurement mass move; the others keep their prediction.
-    moved = np.flatnonzero(beta[:, m] < 1.0) if m else []
-    if not len(moved):
+    if not m or not (beta[:, m] < 1.0).any():
         return ts
-    nus, s, _, _ = innovations(ts, scan.measurements, params)
-    nus, s, p = nus[moved], s[moved], ts.p[moved]
-    # K = P H^T S^-1, via solving S^T K^T = H P^T
-    kt = np.linalg.solve(s.swapaxes(1, 2), H @ p.swapaxes(1, 2))  # (n, 2, 4)
-    k = kt.swapaxes(1, 2)
-    w = beta[moved, None, :m]  # (n, 1, M)
-    beta_miss = beta[moved, m, None, None]
-    nu_bar = w @ nus  # (n, 1, 2)
-    x = ts.x[moved] + (k @ nu_bar.swapaxes(1, 2))[:, :, 0]
 
-    ikh = np.eye(4) - k @ H
-    p_updated = ikh @ p @ ikh.swapaxes(1, 2) + k @ params.r_matrix @ kt
+    nus, s, _ = _innovation_moments(ts, scan.measurements, params)
+    p, r = ts.p, params._model[2]
+    # K = P H^T S^-1, via solving S^T K^T = H P^T
+    kt = np.linalg.solve(s.swapaxes(1, 2), p.swapaxes(1, 2)[:, ::2])  # (N, 2, 4)
+    k = kt.swapaxes(1, 2)
+    w = beta[:, None, :m]  # (N, 1, M)
+    beta_miss = beta[:, m, None, None]
+    nu_bar = w @ nus  # (N, 1, 2)
+    x = ts.x + (k @ nu_bar.swapaxes(1, 2))[:, :, 0]
+
+    ikh = _I4 - k @ H
+    p_updated = ikh @ p @ ikh.swapaxes(1, 2) + k @ r @ kt
     spread_inner = (nus.swapaxes(1, 2) * w) @ nus - nu_bar.swapaxes(1, 2) * nu_bar
     p_new = beta_miss * p + (1.0 - beta_miss) * p_updated + k @ spread_inner @ kt
-    x_all, p_all = ts.x.copy(), ts.p.copy()
-    x_all[moved] = x
-    p_all[moved] = _symmetrize(p_new)
-    return TrackSet(x_all, p_all)
+    return TrackSet(x, _symmetrize(p_new))

@@ -8,8 +8,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from .assoc import hungarian
-from .domain import CLUTTER, Assignment, ContractViolation, CostMatrix, Scan
+from ._lap import solve_lap
+from .domain import CLUTTER, Assignment, ContractViolation, Scan
 
 T = TypeVar("T")
 
@@ -37,7 +37,9 @@ def ospa(
 
     With m <= n points: [(1/n)(min over injections of sum d_c^p + (n-m)c^p)]^(1/p)
     where d_c = min(c, euclidean distance); arguments swap when m > n. The
-    inner minimization is solved exactly with the assignment solver.
+    inner minimization is the m x n assignment problem itself, solved exactly
+    without miss columns, as every point of the smaller set is matched. Tied
+    matchings give the same distance up to the order of the summed terms.
     """
     a = np.asarray(truth_positions, dtype=float).reshape(-1, 2)
     b = np.asarray(est_positions, dtype=float).reshape(-1, 2)
@@ -51,9 +53,7 @@ def ospa(
         return params.c
     dists = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     d = np.minimum(dists, params.c) ** params.p
-    # All entries are <= c^p < miss cost, so every row gets assigned.
-    assignment = hungarian(CostMatrix(d), miss_cost=c_p + 1.0)
-    match_cost = sum(d[j, i] for j, i in assignment.pairs.items())
+    match_cost = sum(d[j, i] for j, i in enumerate(solve_lap(d.tolist())))
     return float(((match_cost + (n - m) * c_p) / n) ** (1.0 / params.p))
 
 

@@ -177,6 +177,8 @@ def _random_lap_case(rng, case):
         cost[rng.random((n, m)) < 0.4] = np.inf
     if kind == 3 and n > 1:  # a track that gates nothing
         cost[int(rng.integers(n))] = np.inf
+    if kind in (1, 2, 3) and m:  # measurements that no track gates
+        cost[:, rng.random(m) < 0.4] = np.inf
     if kind == 4:  # every pair gated out
         cost[:] = np.inf
     finite = cost[np.isfinite(cost)]

@@ -271,6 +271,21 @@ def test_track_set_psd_tolerance(lowest, ok):
             TrackSet(x, p)
 
 
+def test_track_set_checks_name_the_first_failing_row():
+    # Row 1 is bad (and row 2 as well): the whole-array tests fail, and the
+    # diagnosis names row 1.
+    nan_state = np.array([0.0, np.nan, 0.0, 0.0])
+    not_psd = np.diag([1.0, 2.0, 3.0, -1e-3])
+    for state, cov, error, msg in (
+        (nan_state, np.eye(4), NumericalError, "track 1: non-finite"),
+        (np.zeros(4), not_psd, ContractViolation, "track 1: covariance is not PSD"),
+    ):
+        x, p = _set_with_row(state, cov, n=4, row=1)
+        x[2], p[2] = state, cov
+        with pytest.raises(error, match=msg):
+            TrackSet(x, p)
+
+
 def test_track_set_rows_and_positions():
     x = np.arange(12.0).reshape(3, 4)
     ts = TrackSet(x.tolist(), np.stack([np.eye(4)] * 3))
@@ -312,6 +327,24 @@ def test_assoc_probabilities_range_enforced():
         AssocProbabilities(np.array([[1.5, -0.5]]))
 
 
+def test_assoc_probabilities_check_order():
+    # Non-finite entries are reported before out-of-range ones and bad sums.
+    with pytest.raises(NumericalError, match="non-finite"):
+        AssocProbabilities(np.array([[1.5, -0.5, 0.0], [np.nan, 0.5, 0.5]]))
+    with pytest.raises(NumericalError, match="non-finite"):
+        AssocProbabilities(np.array([[np.inf, 0.0], [0.5, 0.5]]))
+    with pytest.raises(ContractViolation, match=r"\[0, 1\]"):
+        AssocProbabilities(np.array([[0.5, 0.5], [1.5, -0.5]]))
+    with pytest.raises(ContractViolation, match="association row 1 sums to"):
+        AssocProbabilities(np.array([[0.5, 0.5], [0.5, 0.4]]))
+
+
+def test_assoc_probabilities_accept_no_tracks():
+    for m in (0, 3):
+        probs = AssocProbabilities(np.zeros((0, m + 1)))
+        assert probs.num_tracks == 0 and probs.num_measurements == m
+
+
 # ---------------------------------------------------------------------------
 # hard_assignment_from_probs
 # ---------------------------------------------------------------------------
@@ -331,18 +364,30 @@ def test_hard_assignment_all_miss():
     assert a.unassigned_measurements == {0, 1}
 
 
+def test_hard_assignment_never_pairs_zero_probability():
+    # Track 1 ties between measurement 1 (probability 0) and its miss
+    # (probability 0): it misses.
+    probs = AssocProbabilities(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    a = hard_assignment_from_probs(probs)
+    assert len(a.pairs) == 1 and a.unassigned_measurements == {1}
+
+
 def test_hard_assignment_matches_brute_force():
     rng = np.random.default_rng(7)
-    for _ in range(300):
+    for case in range(300):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(0, 4))
         rows = rng.random((n, m + 1)) + 1e-3
+        if case % 2:  # measurements no track claims, as outside every JPDA gate
+            rows[:, np.flatnonzero(rng.random(m + 1) < 0.4)] = 0.0
+            rows[rows.sum(axis=1) == 0.0, m] = 1.0
         rows /= rows.sum(axis=1, keepdims=True)
         probs = AssocProbabilities(rows)
         a = hard_assignment_from_probs(probs)
         achieved = sum(rows[j, i] for j, i in a.pairs.items())
         achieved += sum(rows[j, m] for j in a.unassigned_tracks)
         assert achieved == pytest.approx(brute_force_max_prob(rows), abs=1e-12)
+        assert all(rows[j, i] > 0.0 for j, i in a.pairs.items())  # a miss is as good
 
 
 @settings(max_examples=200, deadline=None)

@@ -201,8 +201,12 @@ def _random_rows(rng, kind, n, m):
         rows[rng.random((n, m + 1)) < 0.3] = 0.0
         rows[:, m] += 1e-3
         return rows / rows.sum(axis=1, keepdims=True)
+    if kind == "mixed" and m:  # miss-only rows next to fractional or one-hot ones
+        rows = _random_rows(rng, ("fractional", "one_hot")[int(rng.integers(2))], n, m)
+        rows[rng.random(n) < 0.5] = np.eye(m + 1)[m]
+        return rows
     rows = np.zeros((n, m + 1))
-    if kind == "all_miss" or m == 0:
+    if kind in ("all_miss", "mixed") or m == 0:
         rows[:, m] = 1.0
     else:  # one-hot: a measurement, or now and then the miss
         rows[np.arange(n), rng.integers(0, m + 1, size=n)] = 1.0
@@ -212,8 +216,8 @@ def _random_rows(rng, kind, n, m):
 def test_batched_filter_matches_per_track_reference():
     rng = np.random.default_rng(1907)
     params = FilterParams()
-    kinds = ("fractional", "one_hot", "all_miss", "empty_scan")
-    hard_rows = 0
+    kinds = ("fractional", "one_hot", "all_miss", "empty_scan", "mixed")
+    hard_rows = kept_rows = 0
     for case in range(200):
         kind = kinds[case % len(kinds)]
         n = int(rng.integers(1, 7))
@@ -236,7 +240,12 @@ def test_batched_filter_matches_per_track_reference():
                 np.testing.assert_array_equal(updated.x[j], hard.state)
                 np.testing.assert_array_equal(updated.p[j], hard.covariance)
                 hard_rows += 1
-    assert hard_rows > 50
+            if rows[j, m] == 1.0 and rows[:, m].min() < 1.0:
+                # A miss-only row in a set that does move keeps its prediction.
+                np.testing.assert_array_equal(updated.x[j], ts.x[j])
+                np.testing.assert_array_equal(updated.p[j], ts.p[j])
+                kept_rows += kind == "mixed"
+    assert hard_rows > 50 and kept_rows > 20
 
 
 def test_operations_leave_their_input_set_alone():
@@ -288,8 +297,13 @@ def test_innovations_match_solving_each_covariance():
 def test_innovations_singular_covariance_names_the_track():
     # R is validated > 0, so a tiny R with P = 0 makes S singular.
     ts = make_set([make_track(0), make_track(1, cov=np.zeros((4, 4)))])
+    params = FilterParams(r_diag=(1e-7, 1e-7))
     with pytest.raises(NumericalError, match="track 1: singular innovation covariance"):
-        innovations(ts, np.zeros((1, 2)), FilterParams(r_diag=(1e-7, 1e-7)))
+        innovations(ts, np.zeros((1, 2)), params)
+    # The update takes S from the same kernel: DeepDA reaches it without innovations.
+    scan = Scan(k=0, measurements=np.zeros((1, 2)))
+    with pytest.raises(NumericalError, match="track 1: singular innovation covariance"):
+        update_weighted(ts, scan, np.array([[0.5, 0.5], [0.5, 0.5]]), params)
 
 
 def test_track_set_iterates_its_rows_as_tracks():

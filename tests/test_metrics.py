@@ -51,9 +51,14 @@ def test_ospa_mixed_case_brute_force_value():
 def test_ospa_matches_brute_force_random():
     rng = np.random.default_rng(19)
     p = OspaParams(c=5.0, p=2.0)
-    for _ in range(100):
-        xs = rng.uniform(-10, 10, size=(int(rng.integers(0, 5)), 2))
-        ys = rng.uniform(-10, 10, size=(int(rng.integers(0, 5)), 2))
+    for case in range(300):
+        xs = rng.uniform(-10, 10, size=(int(rng.integers(0, 7)), 2))
+        ys = rng.uniform(-10, 10, size=(int(rng.integers(0, 7)), 2))
+        if case % 3 == 1 and len(xs) and len(ys):  # coincident points, exact ties
+            xs[:] = xs[0]
+            ys[: len(ys) // 2 + 1] = xs[0]
+        if case % 3 == 2:  # every distance beyond c: ties clipped at c
+            ys += 100.0
         assert ospa(xs, ys, p) == pytest.approx(
             ospa_brute_force(xs, ys, 5.0, 2.0), abs=1e-9
         )
