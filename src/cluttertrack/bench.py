@@ -538,25 +538,3 @@ def emit_report(report: BenchReport, out_dir, formats: Sequence[str] = ("csv", "
         paths["json"] = path
     return paths
 
-
-def parse_report_csv(path) -> BenchReport:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(REPORT_COLUMNS):
-            raise ConfigError(f"unexpected report.csv header: {header}")
-        for row in reader:
-            rows.append(
-                BenchRow(
-                    row[0],
-                    float(row[1]),
-                    float(row[2]),
-                    float(row[3]),
-                    float(row[4]),
-                    float(row[5]),
-                    float(row[6]),
-                    float(row[7]),
-                )
-            )
-    return BenchReport(tuple(rows), {})

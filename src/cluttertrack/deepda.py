@@ -331,12 +331,16 @@ def output_mask(cfg: NetConfig, num_measurements: int) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function, elementwise, without overflow.
+
+    Bit for bit the two-branch form 1/(1 + exp(-x)) for x >= 0 and
+    exp(x)/(1 + exp(x)) for x < 0: exp(-|x|) is exp(-x) on the first branch
+    and exp(x) on the second, and the numerator 1 or e is picked before the
+    one division, so each element sees the same IEEE operations. -|x| <= 0,
+    so exp never overflows; NaN, +-0.0 and +-inf map as in the branches.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class _ForwardCache:
@@ -365,10 +369,12 @@ def _forward_core(model: LstmModel, x: np.ndarray, mask: np.ndarray) -> _Forward
     maskf = mask.astype(float)
     for step in range(t):
         z = xp[:, step] @ model.lstm_wx.T + h @ model.lstm_wh.T + model.lstm_b
-        gi = _sigmoid(z[:, :hdim])
-        gf = _sigmoid(z[:, hdim : 2 * hdim])
+        # One elementwise pass for i, f, o: same bits as per-gate calls; g unused.
+        sig = _sigmoid(z)
+        gi = sig[:, :hdim]
+        gf = sig[:, hdim : 2 * hdim]
         gg = np.tanh(z[:, 2 * hdim : 3 * hdim])
-        go = _sigmoid(z[:, 3 * hdim :])
+        go = sig[:, 3 * hdim :]
         c_new = gf * c + gi * gg
         tc = np.tanh(c_new)
         h_new = go * tc

@@ -293,3 +293,66 @@ def gate(track, scan, params, gamma):
     nus = scan.measurements - predicted_measurement(track)
     stats = np.einsum("mi,im->m", nus, np.linalg.solve(s, nus.T))
     return set(np.flatnonzero(stats <= gamma).tolist())
+
+
+# ---------------------------------------------------------------------------
+# LSTM step: the two-branch sigmoid and the per-gate forward loop that the
+# single activation pass in ``cluttertrack.deepda`` replaced, kept unchanged
+# as their bit-for-bit reference.
+# ---------------------------------------------------------------------------
+
+
+def reference_sigmoid(x):
+    """1/(1 + exp(-x)) where x >= 0 and exp(x)/(1 + exp(x)) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_forward(model, x, mask):
+    """The LSTM forward pass with one ``reference_sigmoid`` call per gate.
+
+    Takes inputs (B, T, features) and an output mask (B, m_max+1); returns
+    (xp, steps, beta) laid out as deepda's forward cache: ``steps[t]`` is
+    (h, c, gi, gf, gg, go, c_new, tc, h_new, u, s, row), with u and s None
+    for the softmax output.
+    """
+    cfg = model.cfg
+    b, t, f = x.shape
+    hdim = cfg.hidden
+    xp = x.reshape(b * t, f) @ model.w_in.T
+    xp += model.b_in
+    xp = xp.reshape(b, t, hdim)
+
+    h = np.zeros((b, hdim))
+    c = np.zeros((b, hdim))
+    steps = []
+    beta = np.zeros((b, t, cfg.m_max + 1))
+    maskf = mask.astype(float)
+    for step in range(t):
+        z = xp[:, step] @ model.lstm_wx.T + h @ model.lstm_wh.T + model.lstm_b
+        gi = reference_sigmoid(z[:, :hdim])
+        gf = reference_sigmoid(z[:, hdim : 2 * hdim])
+        gg = np.tanh(z[:, 2 * hdim : 3 * hdim])
+        go = reference_sigmoid(z[:, 3 * hdim :])
+        c_new = gf * c + gi * gg
+        tc = np.tanh(c_new)
+        h_new = go * tc
+        logits = h_new @ model.w_out.T + model.b_out
+        if cfg.output == "sigmoid":
+            u = reference_sigmoid(logits) * maskf
+            s = u.sum(axis=1, keepdims=True)
+            row = u / s
+        else:
+            shifted = np.where(mask, logits, -np.inf)
+            shifted = shifted - shifted.max(axis=1, keepdims=True)
+            e = np.exp(shifted) * maskf
+            row = e / e.sum(axis=1, keepdims=True)
+            u = s = None
+        steps.append((h, c, gi, gf, gg, go, c_new, tc, h_new, u, s, row))
+        beta[:, step] = row
+        h, c = h_new, c_new
+    return xp, steps, beta

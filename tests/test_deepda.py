@@ -9,8 +9,11 @@ from cluttertrack.deepda import (
     NetConfig,
     NormStats,
     TrainConfig,
+    _ForwardCache,
+    _backward_core,
     _batch_loss_and_grads,
     _forward_core,
+    _sigmoid,
     build_features,
     encode_dataset,
     fit_norm_stats,
@@ -36,7 +39,7 @@ from cluttertrack.domain import (
 from cluttertrack.scenario import make_training_set, seeded_variants
 
 from conftest import make_set, make_track
-from oracles import numeric_gradients
+from oracles import numeric_gradients, reference_forward, reference_sigmoid
 
 
 def small_cfg(**kw):
@@ -221,6 +224,64 @@ def test_forward_requires_tracks():
     assert len(empty) == 0
     with pytest.raises(ContractViolation):
         forward_scan(model, empty, Scan(k=0, measurements=np.zeros((1, 2))))
+
+
+def test_sigmoid_matches_two_branch_reference():
+    specials = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 36.0, -36.0,
+         709.8, -709.8, 745.2, -745.2, 1e3, -1e3]
+    )
+    rng = np.random.default_rng(11)
+    cases = [specials] + [
+        rng.normal(size=shape) * rng.choice([1.0, 30.0, 800.0], size=shape)
+        for shape in [(1, 256), (32, 256), (32, 43)]
+    ]
+    with np.errstate(over="raise"):
+        for x in cases:
+            np.testing.assert_array_equal(_sigmoid(x), reference_sigmoid(x))
+
+
+@pytest.mark.parametrize("output", ["sigmoid", "softmax"])
+@pytest.mark.parametrize("b", [1, 32])
+@pytest.mark.parametrize("t", [1, 5])
+def test_forward_core_matches_per_gate_reference(output, b, t):
+    cfg = small_cfg(m_max=6, hidden=8, seed=3, output=output)
+    model = init_model(cfg, identity_norm(cfg.features))
+    # wider weights: gate pre-activations of both signs, some saturated
+    model = model.with_params({n: 3.0 * p for n, p in model.params().items()})
+    rng = np.random.default_rng(10 * b + t)
+    batch = []
+    for seq in range(b):
+        # sequence 0 always has padded slots; m = 0 leaves only the miss
+        m = cfg.m_max // 2 if seq == 0 else int(rng.integers(0, cfg.m_max + 1))
+        truth = np.zeros((t, cfg.m_max + 1))
+        truth[np.arange(t), rng.choice(list(range(m)) + [cfg.m_max], size=t)] = 1.0
+        inputs = rng.normal(scale=2.0, size=(t, cfg.features))
+        batch.append(EncodedScan(inputs, truth, output_mask(cfg, m)))
+    x = np.stack([e.inputs for e in batch])
+    mask = np.stack([e.mask for e in batch])
+
+    cache = _forward_core(model, x, mask)
+    xp, steps, beta = reference_forward(model, x, mask)
+    np.testing.assert_array_equal(cache.xp, xp)
+    np.testing.assert_array_equal(cache.beta, beta)
+    assert len(cache.steps) == len(steps) == t
+    for got_step, ref_step in zip(cache.steps, steps):
+        for got, ref in zip(got_step, ref_step):
+            if ref is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, ref)
+
+    diff = beta - np.stack([e.truth for e in batch])
+    ref_grads = _backward_core(
+        model, _ForwardCache(x, xp, mask, steps, beta), (2.0 / b) * diff
+    )
+    batch_loss, grads = _batch_loss_and_grads(model, batch)
+    assert batch_loss == float(np.sum(diff * diff)) / b
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], ref_grads[name])
 
 
 # ---------------------------------------------------------------------------
