@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -208,19 +209,19 @@ def run_episode(
     method: str,
     model: Optional[LstmModel] = None,
     seed: Optional[Seed] = None,
-    filter_params: Optional[FilterParams] = None,
-    gate_params: Optional[GateParams] = None,
     ospa_params: Optional[OspaParams] = None,
-    engine=None,
 ) -> EpisodeResult:
-    """Simulate one episode and track it with the chosen association engine."""
+    """Simulate one episode and track it with the chosen association engine.
+
+    ``seed`` defaults to ``config.seed`` and ``ospa_params`` to c 10, p 2;
+    the filter runs at the scenario's ``dt`` and both classic engines use the
+    default gate. ``model`` is required for method "deepda".
+    """
     if seed is None:
         seed = config.seed
-    params = filter_params or FilterParams(dt=config.dt)
-    gp = gate_params or GateParams()
+    params = FilterParams(dt=config.dt)
     op = ospa_params or OspaParams(c=10.0, p=2.0)
-    if engine is None:
-        engine = make_engine(method, config, params, gp, model)
+    engine = make_engine(method, config, params, GateParams(), model)
 
     truth = generate_truth(config)
     scans = generate_scans(truth, seed)
@@ -231,18 +232,6 @@ def run_episode(
 # ---------------------------------------------------------------------------
 # Grid execution
 # ---------------------------------------------------------------------------
-
-_BENCH_FIELDS = (
-    "base",
-    "pd_values",
-    "elambda_values",
-    "n_runs",
-    "methods",
-    "model_path",
-    "ospa",
-    "seed",
-)
-
 
 @dataclass(frozen=True)
 class BenchSpec:
@@ -274,13 +263,13 @@ class BenchSpec:
 
     @staticmethod
     def from_dict(d: Mapping) -> "BenchSpec":
-        unknown = set(d) - set(_BENCH_FIELDS)
+        unknown = set(d) - {f.name for f in fields(BenchSpec)}
         if unknown:
             raise ConfigError(f"unknown bench fields: {sorted(unknown)}")
         if "base" not in d:
             raise ConfigError("missing bench field: base")
         ospa_d = d.get("ospa", {"c": 10.0, "p": 2.0})
-        extra = set(ospa_d) - {"c", "p"}
+        extra = set(ospa_d) - {f.name for f in fields(OspaParams)}
         if extra:
             raise ConfigError(f"ospa: unknown fields {sorted(extra)}")
         return BenchSpec(
@@ -348,7 +337,7 @@ def _report_meta(spec: BenchSpec) -> Dict:
         "toolkit_version": _toolkit_version,
         "seed": spec.seed,
         "n_runs": spec.n_runs,
-        "ospa": {"c": spec.ospa.c, "p": spec.ospa.p},
+        "ospa": asdict(spec.ospa),
         "operating_point": {
             "pd_values": list(spec.pd_values),
             "elambda_values": list(spec.elambda_values),
@@ -378,7 +367,15 @@ def run_grid(spec: BenchSpec, jobs: int = 1, raw_log=None) -> BenchReport:
     episode marks its whole cell failed (NaN row); every failing episode is
     recorded in ``meta["errors"]`` with its method, cell, run, seed tuple
     and error text, which names the scan it failed on.
+
+    ``raw_log`` is opened before the first episode, so a path that cannot be
+    written raises :class:`ConfigError` before any work is done.
     """
+    if raw_log is not None:
+        try:
+            open(raw_log, "w").close()
+        except OSError as e:
+            raise ConfigError(f"cannot write raw log {raw_log}: {e}") from None
     model = load_model(spec.model_path) if "deepda" in spec.methods else None
     cells = [
         (method, pi, ei)
@@ -461,80 +458,35 @@ def run_grid(spec: BenchSpec, jobs: int = 1, raw_log=None) -> BenchReport:
 # byte-identical and parse back exactly.
 # ---------------------------------------------------------------------------
 
-REPORT_COLUMNS = (
-    "method",
-    "p_d",
-    "e_lambda",
-    "ospa_mean",
-    "ospa_std",
-    "stti_mean",
-    "stti_std",
-    "time_mean_s",
-)
 
-RAW_LOG_COLUMNS = ("method", "p_d", "e_lambda", "run", "ospa", "stti", "time_s")
+def _write_csv(path, rows: Sequence, columns: Sequence[str]) -> None:
+    """A header of ``columns``, then those attributes of each row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for r in rows:
+            values = (getattr(r, col) for col in columns)
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in values])
 
 
 def write_raw_log(rows: Sequence[RawEpisodeRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RAW_LOG_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [r.method, repr(r.p_d), repr(r.e_lambda), r.run, repr(r.ospa), r.stti, repr(r.time_s)]
-            )
+    _write_csv(path, rows, [f.name for f in fields(RawEpisodeRow)])
 
 
-def emit_report(report: BenchReport, out_dir, formats: Sequence[str] = ("csv", "json")) -> Dict[str, str]:
-    """Write report.csv / report.json plus per-figure plot-data CSVs."""
-    import os
-
+def emit_report(report: BenchReport, out_dir) -> Dict[str, str]:
+    """Write report.csv, report.json and the plot-data CSVs
+    ospa_vs_elambda.csv and ospa_vs_pd.csv into ``out_dir`` (created if
+    missing); returns their paths keyed "csv", "json" and by file name."""
     os.makedirs(out_dir, exist_ok=True)
-    paths: Dict[str, str] = {}
-    if "csv" in formats:
-        path = os.path.join(out_dir, "report.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_COLUMNS)
-            for r in report.rows:
-                writer.writerow(
-                    [
-                        r.method,
-                        repr(r.p_d),
-                        repr(r.e_lambda),
-                        repr(r.ospa_mean),
-                        repr(r.ospa_std),
-                        repr(r.stti_mean),
-                        repr(r.stti_std),
-                        repr(r.time_mean_s),
-                    ]
-                )
-        paths["csv"] = path
+    paths = {"csv": os.path.join(out_dir, "report.csv")}
+    _write_csv(paths["csv"], report.rows, [f.name for f in fields(BenchRow)])
+    for name, key in (("ospa_vs_elambda.csv", "e_lambda"), ("ospa_vs_pd.csv", "p_d")):
+        paths[name] = os.path.join(out_dir, name)
+        ordered = sorted(report.rows, key=lambda r: (r.method, getattr(r, key)))
+        _write_csv(paths[name], ordered, ["method", "p_d", "e_lambda", "ospa_mean", "ospa_std"])
 
-        for name, key in (("ospa_vs_elambda.csv", "e_lambda"), ("ospa_vs_pd.csv", "p_d")):
-            path = os.path.join(out_dir, name)
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["method", "p_d", "e_lambda", "ospa_mean", "ospa_std"])
-                ordered = sorted(
-                    report.rows, key=lambda r: (r.method, getattr(r, key))
-                )
-                for r in ordered:
-                    writer.writerow(
-                        [r.method, repr(r.p_d), repr(r.e_lambda), repr(r.ospa_mean), repr(r.ospa_std)]
-                    )
-            paths[name] = path
-
-    if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        doc = {
-            "meta": report.meta,
-            "rows": [
-                {col: getattr(r, col) for col in REPORT_COLUMNS} for r in report.rows
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-        paths["json"] = path
+    paths["json"] = os.path.join(out_dir, "report.json")
+    doc = {"meta": report.meta, "rows": [asdict(r) for r in report.rows]}
+    with open(paths["json"], "w") as fh:
+        json.dump(doc, fh, indent=2)
     return paths
-

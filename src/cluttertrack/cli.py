@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ from .domain import (
     ComplexityError,
     ConfigError,
     NumericalError,
+    Region,
     ScenarioConfig,
     ToolkitError,
 )
@@ -106,15 +107,13 @@ def _parse_train_config(doc: dict):
         raise ConfigError("train config needs either 'scenarios' or 'base'")
 
     net_doc = dict(doc.get("net", {}))
-    unknown = set(net_doc) - {"d", "m_max", "hidden", "seed", "output"}
+    unknown = set(net_doc) - {f.name for f in fields(NetConfig)}
     if unknown:
         raise ConfigError(f"net: unknown fields {sorted(unknown)}")
     m_max = net_doc.pop("m_max", None)
 
     train_doc = dict(doc.get("train", {}))
-    unknown = set(train_doc) - {
-        "lr", "rho", "eps", "batch", "epochs", "seed", "clip", "init", "body_lr_scale"
-    }
+    unknown = set(train_doc) - {f.name for f in fields(TrainConfig)}
     if unknown:
         raise ConfigError(f"train: unknown fields {sorted(unknown)}")
     return configs, net_doc, m_max, TrainConfig(**train_doc)
@@ -165,18 +164,28 @@ def _cmd_track(args) -> int:
             raise ConfigError(
                 f"{len(scans)} scans but {truth_states.shape[0]} truth epochs"
             )
-        # The filter needs the scan interval and the classic engines the
-        # scenario's p_d / clutter rate, which the CSV files do not record;
-        # take them from flags or the reference values.
-        config = None
-        p_d = _CSV_DEFAULT_PD if args.pd is None else args.pd
-        e_lambda = _CSV_DEFAULT_ELAMBDA if args.elambda is None else args.elambda
+        # The filter needs the scan interval and JPDA the scenario's p_d and
+        # clutter density, which the CSV files do not record: take p_d, the
+        # clutter rate and dt from flags or the reference values, and the
+        # region from the default one grown to cover the data.
         params = FilterParams() if args.dt is None else FilterParams(dt=args.dt)
+        points = np.concatenate([truth_states[0][:, [0, 2]]] + [s.measurements for s in scans])
+        low = np.minimum(points.min(axis=0), [DEFAULT_REGION.xmin, DEFAULT_REGION.ymin])
+        high = np.maximum(points.max(axis=0), [DEFAULT_REGION.xmax, DEFAULT_REGION.ymax])
+        config = ScenarioConfig(
+            num_targets=truth_states.shape[1],
+            initial_states=tuple(tuple(s) for s in truth_states[0]),
+            dt=params.dt,
+            num_scans=truth_states.shape[0],
+            p_d=_CSV_DEFAULT_PD if args.pd is None else args.pd,
+            e_lambda=_CSV_DEFAULT_ELAMBDA if args.elambda is None else args.elambda,
+            region=Region(float(low[0]), float(high[0]), float(low[1]), float(high[1])),
+        )
         if None in (args.pd, args.elambda, args.dt):
             print(
                 f"warning: {args.input} does not record the scenario; assuming p_d "
-                f"{p_d!r}, e_lambda {e_lambda!r}, dt {params.dt!r} and {DEFAULT_REGION} "
-                "(set --pd, --elambda and --dt to the simulated values)",
+                f"{config.p_d!r}, e_lambda {config.e_lambda!r}, dt {params.dt!r} and "
+                f"{config.region} (set --pd, --elambda and --dt to the simulated values)",
                 file=sys.stderr,
             )
     else:
@@ -187,7 +196,6 @@ def _cmd_track(args) -> int:
         truth_states = truth.states
         scans = generate_scans(truth, config.seed)
         params = FilterParams(dt=config.dt)
-        p_d, e_lambda = config.p_d, config.e_lambda
 
     _announce(
         "track",
@@ -195,26 +203,16 @@ def _cmd_track(args) -> int:
             "input": args.input,
             "method": args.method,
             "model": args.model,
-            "ospa": {"c": op.c, "p": op.p},
-            "p_d": p_d,
-            "e_lambda": e_lambda,
+            "ospa": asdict(op),
+            "p_d": config.p_d,
+            "e_lambda": config.e_lambda,
+            "region": config.region.to_dict(),
             "filter": params.__dict__,
             "gate_gamma": GateParams().gamma,
         },
     )
 
-    if config is None:
-        region_cfg = ScenarioConfig(
-            num_targets=truth_states.shape[1],
-            initial_states=tuple(tuple(s) for s in truth_states[0]),
-            dt=params.dt,
-            num_scans=truth_states.shape[0],
-            p_d=p_d,
-            e_lambda=e_lambda,
-        )
-    else:
-        region_cfg = config
-    engine = make_engine(args.method, region_cfg, params, GateParams(), model)
+    engine = make_engine(args.method, config, params, GateParams(), model)
     run = track_scans(
         truth_states[0], scans, truth_states[:, :, [0, 2]], engine, params, op
     )
@@ -251,12 +249,13 @@ def _cmd_bench(args) -> int:
                 "methods": list(spec.methods),
                 "n_runs": spec.n_runs,
             },
-            "ospa": {"c": spec.ospa.c, "p": spec.ospa.p},
+            "ospa": asdict(spec.ospa),
             "seed": spec.seed,
             "jobs": args.jobs,
             "out": args.out,
         },
     )
+    os.makedirs(args.out, exist_ok=True)
     report = run_grid(spec, jobs=args.jobs, raw_log=args.raw_log)
     paths = emit_report(report, args.out)
     print(f"{'method':>8} {'p_d':>6} {'e_lambda':>9} {'ospa':>8} {'stti':>7} {'time_s':>9}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,25 +41,28 @@ _OUTPUTS = ("sigmoid", "softmax")
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture sizes: measurement dimension, slot count, hidden width."""
+    """Architecture: slot count, hidden width, initialization seed and the
+    output layer ("sigmoid" or "softmax").
 
-    d: int = 2
+    Measurements are 2-D (x, y), so each slot holds two input features.
+    """
+
     m_max: int = 32
     hidden: int = 64
     seed: int = 0
     output: str = "sigmoid"
 
     def __post_init__(self):
-        if self.d < 1 or self.m_max < 1 or self.hidden < 1:
+        if self.m_max < 1 or self.hidden < 1:
             raise ContractViolation(
-                f"d, m_max, hidden must be >= 1, got {self.d}/{self.m_max}/{self.hidden}"
+                f"m_max, hidden must be >= 1, got {self.m_max}/{self.hidden}"
             )
         if self.output not in _OUTPUTS:
             raise ContractViolation(f"output must be one of {_OUTPUTS}, got {self.output!r}")
 
     @property
     def features(self) -> int:
-        return self.d * self.m_max
+        return 2 * self.m_max
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,8 @@ _INITS = ("detector", "uniform")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and loop settings. ``batch`` counts scan sequences.
+    """RMSprop settings (``lr``, ``rho``, ``eps``) and loop settings.
+    ``batch`` counts scan sequences per step; ``seed`` drives the shuffle.
 
     ``init`` selects the parameter initialization: "uniform" is plain
     seeded uniform(-1/sqrt(hidden), 1/sqrt(hidden)); "detector" (default)
@@ -112,7 +116,6 @@ class TrainConfig:
     batch: int = 32
     epochs: int = 60
     seed: int = 0
-    clip: Optional[float] = None
     init: str = "detector"
     body_lr_scale: float = 1e-3
 
@@ -127,8 +130,6 @@ class TrainConfig:
             raise ContractViolation(
                 f"batch and epochs must be >= 1, got {self.batch}/{self.epochs}"
             )
-        if self.clip is not None and not self.clip > 0:
-            raise ContractViolation(f"clip must be > 0 when set, got {self.clip}")
         if self.init not in _INITS:
             raise ContractViolation(f"init must be one of {_INITS}, got {self.init!r}")
         if self.body_lr_scale < 0:
@@ -208,11 +209,12 @@ def init_model_detectors(
 ) -> LstmModel:
     """Detector-bank initialization scaled from the training data.
 
-    ``offset_scale[dim]`` is the standard deviation (in metres) of the
-    prediction-to-own-measurement offset. Each hidden unit becomes a sharp
-    ramp on one input feature, centred near the zero-offset point with a
-    jittered threshold, and each LSTM gate initially reads its own unit so
-    the ramp passes through the gate nonlinearity as a bounded detector.
+    ``offset_scale`` holds the standard deviation (in metres) of the
+    prediction-to-own-measurement offset in x and in y. Each hidden unit
+    becomes a sharp ramp on one input feature, centred near the zero-offset
+    point with a jittered threshold, and each LSTM gate initially reads its
+    own unit so the ramp passes through the gate nonlinearity as a bounded
+    detector.
     The remaining parameters keep the plain uniform initialization.
     """
     model = init_model(cfg, norm)
@@ -260,7 +262,7 @@ def init_model_detectors(
     # inject cross-target noise into the gates.
     w_out = model.w_out.copy()
     for u in range(h):
-        slot = (u % f_count) // cfg.d
+        slot = (u % f_count) // 2
         w_out[slot, u] += 0.25
     return replace(
         model,
@@ -274,14 +276,14 @@ def init_model_detectors(
 
 
 def offset_scale_from_dataset(dataset: TrainingSet) -> np.ndarray:
-    """Per-dimension std of the prediction offset of labeled own measurements."""
+    """Std in x and in y of the prediction offset of labeled own measurements."""
     diffs = []
     for g in dataset.groups:
         for t, label in enumerate(g.labels):
             if label >= 0:
                 diffs.append(g.pred_meas[t] - g.measurements[label])
     if not diffs:
-        return np.full(dataset.d, 1.0)
+        return np.full(2, 1.0)
     return np.asarray(np.std(np.array(diffs), axis=0))
 
 
@@ -295,21 +297,21 @@ def build_features(
 ) -> np.ndarray:
     """Normalized offset features for a batch of targets against one scan.
 
-    ``pred_meas`` is (T, 2); returns (T, d * m_max) with slot s holding the
+    ``pred_meas`` is (T, 2); returns (T, 2 * m_max) with slot s holding the
     (prediction - measurement_s) offset min-max normalized as (x - min) /
     (max - min), 0 where max == min, and padded slots set to the sentinel
     value 1. Raises :class:`CapacityError` for more than m_max measurements.
     """
-    preds = np.asarray(pred_meas, dtype=float).reshape(-1, cfg.d)
-    meas = np.asarray(measurements, dtype=float).reshape(-1, cfg.d)
+    preds = np.asarray(pred_meas, dtype=float).reshape(-1, 2)
+    meas = np.asarray(measurements, dtype=float).reshape(-1, 2)
     m = meas.shape[0]
     if m > cfg.m_max:
         raise CapacityError(f"scan has {m} measurements, capacity is m_max={cfg.m_max}")
     t = preds.shape[0]
     out = np.ones((t, cfg.features))
     if m:
-        raw = (preds[:, None, :] - meas[None, :, :]).reshape(t, m * cfg.d)
-        width = m * cfg.d
+        raw = (preds[:, None, :] - meas[None, :, :]).reshape(t, m * 2)
+        width = m * 2
         span = norm.max[:width] - norm.min[:width]
         safe = np.where(span > 0, span, 1.0)
         out[:, :width] = np.where(span > 0, (raw - norm.min[:width]) / safe, 0.0)
@@ -475,16 +477,6 @@ def forward_scan(
     return AssocProbabilities(rows), (hs, cs)
 
 
-def loss(beta: AssocProbabilities, truth: AssocProbabilities) -> float:
-    """Summed squared error between predicted and true probability rows."""
-    if beta.rows.shape != truth.rows.shape:
-        raise ContractViolation(
-            f"shape mismatch: {beta.rows.shape} vs {truth.rows.shape}"
-        )
-    diff = beta.rows - truth.rows
-    return float(np.sum(diff * diff))
-
-
 @dataclass(frozen=True)
 class EncodedScan:
     """One scan sequence encoded for the network: inputs, truth rows, mask."""
@@ -519,8 +511,8 @@ def fit_norm_stats(dataset: TrainingSet, cfg: NetConfig) -> NormStats:
         raise CapacityError(
             f"dataset needs m_max >= {dataset.m_max}, network has {cfg.m_max}"
         )
-    slot_min = np.full((cfg.m_max, cfg.d), np.inf)
-    slot_max = np.full((cfg.m_max, cfg.d), -np.inf)
+    slot_min = np.full((cfg.m_max, 2), np.inf)
+    slot_max = np.full((cfg.m_max, 2), -np.inf)
     for g in dataset.groups:
         m = g.measurements.shape[0]
         if m == 0:
@@ -537,7 +529,11 @@ def fit_norm_stats(dataset: TrainingSet, cfg: NetConfig) -> NormStats:
 def _batch_loss_and_grads(
     model: LstmModel, batch: Sequence[EncodedScan]
 ) -> Tuple[float, Dict[str, np.ndarray]]:
-    """Mean per-sequence loss over the batch and its exact gradients."""
+    """Mean per-sequence loss over the batch and its exact gradients.
+
+    A sequence's loss is the summed squared error between its output rows
+    and its one-hot truth rows, over all m_max + 1 columns.
+    """
     if not batch:
         raise ContractViolation("batch must be non-empty")
     total = len(batch)
@@ -591,22 +587,14 @@ def rmsprop_step(
     return model.with_params(new_params), new_state
 
 
-def _clip_grads(grads: Dict[str, np.ndarray], threshold: float) -> Dict[str, np.ndarray]:
-    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if norm <= threshold or norm == 0.0:
-        return grads
-    scale = threshold / norm
-    return {name: g * scale for name, g in grads.items()}
-
-
 def train(
     dataset: TrainingSet, net_cfg: NetConfig, train_cfg: TrainConfig
 ) -> Tuple[LstmModel, List[float]]:
     """Fit the network on a training set; returns the model and loss curve.
 
-    Normalization stats come from the training inputs; parameters start at
-    seeded uniform(-1/sqrt(hidden), 1/sqrt(hidden)); each epoch visits all
-    scan sequences in a seeded shuffled order in mini-batches. The loss
+    Normalization stats come from the training inputs; parameters start as
+    ``train_cfg.init`` selects (see :class:`TrainConfig`); each epoch visits
+    all scan sequences in a seeded shuffled order in mini-batches. The loss
     curve holds the mean per-sequence loss of each epoch. Deterministic
     given the config seeds.
     """
@@ -640,8 +628,6 @@ def train(
             batch_loss, grads = _batch_loss_and_grads(model, batch)
             if not np.isfinite(batch_loss):
                 raise NumericalError(f"training diverged at epoch {epoch}")
-            if train_cfg.clip is not None:
-                grads = _clip_grads(grads, train_cfg.clip)
             model, state = rmsprop_step(model, grads, state, train_cfg, lr_scales)
             epoch_loss += batch_loss * len(batch)
         curve.append(epoch_loss / n)
@@ -657,13 +643,7 @@ def train(
 def save_model(model: LstmModel, path) -> None:
     doc = {
         "version": MODEL_FORMAT_VERSION,
-        "net_config": {
-            "d": model.cfg.d,
-            "m_max": model.cfg.m_max,
-            "hidden": model.cfg.hidden,
-            "seed": model.cfg.seed,
-            "output": model.cfg.output,
-        },
+        "net_config": asdict(model.cfg),
         "norm_stats": {"min": model.norm.min.tolist(), "max": model.norm.max.tolist()},
         "parameters": {name: arr.reshape(-1).tolist() for name, arr in model.params().items()},
     }
@@ -695,7 +675,6 @@ def load_model(path) -> LstmModel:
     try:
         nc = doc["net_config"]
         cfg = NetConfig(
-            d=int(nc["d"]),
             m_max=int(nc["m_max"]),
             hidden=int(nc["hidden"]),
             seed=int(nc["seed"]),

@@ -8,7 +8,7 @@ Numpy arrays held by these types are treated as read-only by convention.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
@@ -71,11 +71,11 @@ class Region:
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
 
     def to_dict(self) -> Dict[str, float]:
-        return {"xmin": self.xmin, "xmax": self.xmax, "ymin": self.ymin, "ymax": self.ymax}
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: Mapping) -> "Region":
-        unknown = set(d) - {"xmin", "xmax", "ymin", "ymax"}
+        unknown = set(d) - {f.name for f in fields(Region)}
         if unknown:
             raise ConfigError(f"region: unknown fields {sorted(unknown)}")
         try:
@@ -86,19 +86,6 @@ class Region:
 
 #: Default surveillance region: covers the reference trajectories with margin.
 DEFAULT_REGION = Region(4.0, 30.0, 8.0, 22.0)
-
-_CONFIG_FIELDS = (
-    "num_targets",
-    "initial_states",
-    "dt",
-    "num_scans",
-    "sigma_x",
-    "sigma_y",
-    "p_d",
-    "e_lambda",
-    "region",
-    "seed",
-)
 
 
 @dataclass(frozen=True)
@@ -150,28 +137,18 @@ class ScenarioConfig:
                 )
 
     def to_dict(self) -> Dict:
-        return {
-            "num_targets": self.num_targets,
-            "initial_states": [list(s) for s in self.initial_states],
-            "dt": self.dt,
-            "num_scans": self.num_scans,
-            "sigma_x": self.sigma_x,
-            "sigma_y": self.sigma_y,
-            "p_d": self.p_d,
-            "e_lambda": self.e_lambda,
-            "region": self.region.to_dict(),
-            "seed": self.seed,
-        }
+        return {**asdict(self), "initial_states": [list(s) for s in self.initial_states]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     @staticmethod
     def from_dict(d: Mapping) -> "ScenarioConfig":
-        unknown = set(d) - set(_CONFIG_FIELDS)
+        names = {f.name for f in fields(ScenarioConfig)}
+        unknown = set(d) - names
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        missing = set(_CONFIG_FIELDS) - set(d)
+        missing = names - set(d)
         if missing:
             raise ConfigError(f"missing config fields: {sorted(missing)}")
         return ScenarioConfig(

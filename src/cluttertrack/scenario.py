@@ -125,7 +125,6 @@ class TrainingSet:
 
     groups: Tuple[ScanSequence, ...]
     m_max: int
-    d: int = 2
 
     def __len__(self) -> int:
         return len(self.groups)

@@ -5,7 +5,15 @@ import pickle
 import pytest
 
 from cluttertrack import bench
-from cluttertrack.bench import BenchSpec, run_grid
+from cluttertrack.bench import (
+    BenchReport,
+    BenchRow,
+    BenchSpec,
+    RawEpisodeRow,
+    emit_report,
+    run_grid,
+    write_raw_log,
+)
 from cluttertrack.deepda import LstmModel, NetConfig, identity_norm, init_model, save_model
 from cluttertrack.domain import five_crossing_targets
 
@@ -80,3 +88,98 @@ def test_every_failing_episode_is_recorded_with_its_context(tmp_path):
     for e in errors:
         assert e["error"].startswith("CapacityError: scan 1: scan has ")
     assert json.loads(json.dumps(report.meta))["errors"] == errors
+
+
+def _crlf(*lines):
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+def test_report_files_match_golden_text(tmp_path):
+    # A failed cell (NaN row), whole floats (26.0) and a float whose repr is
+    # long; the two plot files sort the same rows by different columns.
+    nan = float("nan")
+    report = BenchReport(
+        (
+            BenchRow("jpda", 0.9, 26.0, 0.75, 0.125, 1.5, 0.5, 0.0123),
+            BenchRow("deepda", 0.9, 26.0, nan, nan, nan, nan, nan),
+            BenchRow("jpda", 0.5, 40.0, 0.1 + 0.2, 0.0, 0.0, 0.0, 2e-05),
+        ),
+        {"seed": 3},
+    )
+    paths = emit_report(report, tmp_path / "out")
+    out = tmp_path / "out"
+    assert {key: str(path) for key, path in paths.items()} == {
+        "csv": str(out / "report.csv"),
+        "ospa_vs_elambda.csv": str(out / "ospa_vs_elambda.csv"),
+        "ospa_vs_pd.csv": str(out / "ospa_vs_pd.csv"),
+        "json": str(out / "report.json"),
+    }
+    assert (out / "report.csv").read_bytes() == _crlf(
+        "method,p_d,e_lambda,ospa_mean,ospa_std,stti_mean,stti_std,time_mean_s",
+        "jpda,0.9,26.0,0.75,0.125,1.5,0.5,0.0123",
+        "deepda,0.9,26.0,nan,nan,nan,nan,nan",
+        "jpda,0.5,40.0,0.30000000000000004,0.0,0.0,0.0,2e-05",
+    )
+    assert (out / "ospa_vs_elambda.csv").read_bytes() == _crlf(
+        "method,p_d,e_lambda,ospa_mean,ospa_std",
+        "deepda,0.9,26.0,nan,nan",
+        "jpda,0.9,26.0,0.75,0.125",
+        "jpda,0.5,40.0,0.30000000000000004,0.0",
+    )
+    assert (out / "ospa_vs_pd.csv").read_bytes() == _crlf(
+        "method,p_d,e_lambda,ospa_mean,ospa_std",
+        "deepda,0.9,26.0,nan,nan",
+        "jpda,0.5,40.0,0.30000000000000004,0.0",
+        "jpda,0.9,26.0,0.75,0.125",
+    )
+    assert (out / "report.json").read_text() == """{
+  "meta": {
+    "seed": 3
+  },
+  "rows": [
+    {
+      "method": "jpda",
+      "p_d": 0.9,
+      "e_lambda": 26.0,
+      "ospa_mean": 0.75,
+      "ospa_std": 0.125,
+      "stti_mean": 1.5,
+      "stti_std": 0.5,
+      "time_mean_s": 0.0123
+    },
+    {
+      "method": "deepda",
+      "p_d": 0.9,
+      "e_lambda": 26.0,
+      "ospa_mean": NaN,
+      "ospa_std": NaN,
+      "stti_mean": NaN,
+      "stti_std": NaN,
+      "time_mean_s": NaN
+    },
+    {
+      "method": "jpda",
+      "p_d": 0.5,
+      "e_lambda": 40.0,
+      "ospa_mean": 0.30000000000000004,
+      "ospa_std": 0.0,
+      "stti_mean": 0.0,
+      "stti_std": 0.0,
+      "time_mean_s": 2e-05
+    }
+  ]
+}"""
+
+    raw = tmp_path / "raw.csv"
+    write_raw_log(
+        [
+            RawEpisodeRow("jpda", 0.9, 26.0, 0, 1.0, 2, 0.0123),
+            RawEpisodeRow("jpda", 0.5, 40.0, 1, 0.1 + 0.2, 0, 2e-05),
+        ],
+        raw,
+    )
+    assert raw.read_bytes() == _crlf(
+        "method,p_d,e_lambda,run,ospa,stti,time_s",
+        "jpda,0.9,26.0,0,1.0,2,0.0123",
+        "jpda,0.5,40.0,1,0.30000000000000004,0,2e-05",
+    )

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from cluttertrack.cli import main
-from cluttertrack.domain import five_crossing_targets
+from cluttertrack.domain import Region, ScenarioConfig, five_crossing_targets
 from cluttertrack.scenario import generate_scans, generate_truth
 
 
-def _simulate_then_track(tmp_path, config):
+def _simulate_then_track(tmp_path, config, method="ha"):
     config_path = tmp_path / "scenario.json"
     config_path.write_text(config.to_json())
     sim = tmp_path / "sim"
@@ -21,7 +21,7 @@ def _simulate_then_track(tmp_path, config):
             "--truth",
             str(sim / "truth.csv"),
             "--method",
-            "ha",
+            method,
             "--out",
             str(out),
         ]
@@ -86,6 +86,13 @@ def test_train_rejects_unknown_field(tmp_path, capsys):
     config = _train_config(tmp_path, {"epochs": 1, "warmup": 3})
     assert main(["train", config, "--out", str(tmp_path / "model")]) == 2
     assert "warmup" in capsys.readouterr().err
+    # Neither the measurement dimension nor gradient clipping is a setting.
+    doc = json.loads(open(config).read())
+    for section, field, value in (("net", "d", 2), ("train", "clip", 1.0)):
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps({**doc, section: {field: value}}))
+        assert main(["train", str(path), "--out", str(tmp_path / "model")]) == 2
+        assert f"{section}: unknown fields ['{field}']" in capsys.readouterr().err
 
 
 def test_track_csv_warns_about_assumed_scenario(tmp_path, capsys):
@@ -108,6 +115,41 @@ def test_track_csv_warns_about_assumed_scenario(tmp_path, capsys):
     assert main(argv + ["--dt", "0.5"]) == 0
     err = capsys.readouterr().err
     assert "dt 0.5" in err
+
+
+def test_track_csv_outside_the_default_region(tmp_path, capsys):
+    # Targets far outside the default region; the assumed region grows to
+    # cover the initial positions and every measurement.
+    config = ScenarioConfig(
+        num_targets=2,
+        initial_states=((50.0, 1.0, 50.0, 0.0), (50.0, 1.0, 55.0, 0.0)),
+        e_lambda=5.0,
+        region=Region(0.0, 100.0, 0.0, 100.0),
+        seed=2,
+    )
+    for method in ("ha", "jpda"):
+        code, out = _simulate_then_track(tmp_path, config, method)
+        assert code == 0
+        assert (out / "tracks.csv").exists()
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1 and "Region(xmin=" in err
+        assert "Region(xmin=4.0, xmax=30.0, ymin=8.0, ymax=22.0)" not in err
+
+
+def test_bench_raw_log_in_a_new_or_missing_directory(tmp_path, capsys):
+    doc = {"base": five_crossing_targets().to_dict(), "n_runs": 1, "methods": ["ha"]}
+    spec = tmp_path / "bench.json"
+    spec.write_text(json.dumps(doc))
+    # --out is created before the grid runs, so the raw log may go inside it.
+    out = tmp_path / "new"
+    assert main(["bench", str(spec), "--out", str(out), "--raw-log", str(out / "raw.csv")]) == 0
+    assert (out / "raw.csv").read_text().startswith("method,p_d,e_lambda,run,ospa,stti,time_s")
+    capsys.readouterr()
+    # A directory nothing creates fails before the first episode.
+    out, raw = tmp_path / "other", tmp_path / "missing" / "raw.csv"
+    assert main(["bench", str(spec), "--out", str(out), "--raw-log", str(raw)]) == 2
+    assert f"error: cannot write raw log {raw}" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
 
 
 def test_simulate_track_then_bench_with_raw_log(tmp_path):

@@ -21,7 +21,6 @@ from cluttertrack.deepda import (
     identity_norm,
     init_model,
     load_model,
-    loss,
     output_mask,
     param_shapes,
     rmsprop_step,
@@ -43,7 +42,7 @@ from oracles import numeric_gradients, reference_forward, reference_sigmoid
 
 
 def small_cfg(**kw):
-    defaults = dict(d=2, m_max=3, hidden=4, seed=0)
+    defaults = dict(m_max=3, hidden=4, seed=0)
     defaults.update(kw)
     return NetConfig(**defaults)
 
@@ -217,6 +216,15 @@ def test_forward_slot_permutation_equivariance():
     assert np.allclose(p1.rows[0, perm + [3]], p2.rows[0], atol=1e-12)
 
 
+def test_configs_have_no_dimension_or_clip_field():
+    # Measurements are 2-D by contract and nothing clips gradients.
+    with pytest.raises(TypeError):
+        NetConfig(d=2)
+    with pytest.raises(TypeError):
+        TrainConfig(clip=1.0)
+    assert small_cfg(m_max=5).features == 10
+
+
 def test_forward_requires_tracks():
     cfg = small_cfg()
     model = init_model(cfg, identity_norm(cfg.features))
@@ -285,35 +293,44 @@ def test_forward_core_matches_per_gate_reference(output, b, t):
 
 
 # ---------------------------------------------------------------------------
-# loss
+# loss (the value _batch_loss_and_grads returns and the loss curve reports)
 # ---------------------------------------------------------------------------
 
 
 def test_loss_examples():
-    a = AssocProbabilities(np.array([[1.0, 0.0]]))
-    b = AssocProbabilities(np.array([[0.0, 1.0]]))
-    assert loss(a, a) == 0.0
-    assert loss(a, b) == pytest.approx(2.0)
+    # Zero parameters give every valid column the same probability, so a
+    # row over m measurements and the miss loses m / (m + 1) to a one-hot
+    # truth; padded columns add nothing.
+    cfg = small_cfg(m_max=3)
+    model = zero_model(cfg)
+    one_hot = np.zeros((2, cfg.m_max + 1))
+    one_hot[0, 0] = one_hot[1, cfg.m_max] = 1.0
+    inputs = np.zeros((2, cfg.features))
+    one_meas = EncodedScan(inputs[:1], one_hot[:1], output_mask(cfg, 1))
+    three_meas = EncodedScan(inputs, one_hot, output_mask(cfg, 3))
+    assert _batch_loss_and_grads(model, [one_meas])[0] == 0.5
+    assert _batch_loss_and_grads(model, [three_meas])[0] == 1.5
+    assert _batch_loss_and_grads(model, [one_meas, three_meas])[0] == 1.0
+    own_rows = np.tile(np.where(output_mask(cfg, 3), 0.25, 0.0), (2, 1))
+    assert _batch_loss_and_grads(model, [EncodedScan(inputs, own_rows, output_mask(cfg, 3))])[0] == 0.0
 
 
 def test_loss_matches_elementwise_recomputation():
+    cfg = small_cfg(m_max=4, seed=3)
+    model = init_model(cfg, identity_norm(cfg.features))
     rng = np.random.default_rng(3)
-    rows = rng.random((4, 5))
-    rows /= rows.sum(axis=1, keepdims=True)
-    truth = np.zeros_like(rows)
-    truth[np.arange(4), rng.integers(0, 5, size=4)] = 1.0
-    got = loss(AssocProbabilities(rows), AssocProbabilities(truth))
-    expected = sum(
-        (rows[i, j] - truth[i, j]) ** 2 for i in range(4) for j in range(5)
-    )
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_loss_shape_mismatch():
-    a = AssocProbabilities(np.array([[1.0, 0.0]]))
-    b = AssocProbabilities(np.array([[1.0, 0.0, 0.0]]))
-    with pytest.raises(ContractViolation):
-        loss(a, b)
+    # Sequences of different lengths take separate forward passes.
+    batch = random_batch(cfg, rng, groups=3, targets=2) + random_batch(cfg, rng, groups=2, targets=3)
+    got, _ = _batch_loss_and_grads(model, batch)
+    expected = 0.0
+    for enc in batch:
+        rows = _forward_core(model, enc.inputs[None], enc.mask[None]).beta[0]
+        expected += sum(
+            (rows[t, j] - enc.truth[t, j]) ** 2
+            for t in range(rows.shape[0])
+            for j in range(cfg.m_max + 1)
+        )
+    assert got == pytest.approx(expected / len(batch), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +443,7 @@ def one_group_dataset(seed=0):
 def test_train_memorizes_single_group():
     ds = one_group_dataset()
     assert len(ds) == 1
-    net = NetConfig(d=2, m_max=ds.m_max, hidden=16, seed=0)
+    net = NetConfig(m_max=ds.m_max, hidden=16, seed=0)
     model, curve = train(ds, net, TrainConfig(lr=0.03, epochs=200, batch=1, seed=0))
     assert curve[-1] < 0.01 * curve[0]
 
@@ -441,7 +458,7 @@ def test_train_deterministic():
         seed=1,
     )
     ds = make_training_set(seeded_variants(cfg, 4))
-    net = NetConfig(d=2, m_max=ds.m_max, hidden=8, seed=3)
+    net = NetConfig(m_max=ds.m_max, hidden=8, seed=3)
     tc = TrainConfig(lr=0.01, epochs=8, batch=4, seed=5)
     m1, c1 = train(ds, net, tc)
     m2, c2 = train(ds, net, tc)
@@ -452,14 +469,14 @@ def test_train_deterministic():
 
 def test_train_curve_length_is_epochs():
     ds = one_group_dataset()
-    net = NetConfig(d=2, m_max=ds.m_max, hidden=4, seed=0)
+    net = NetConfig(m_max=ds.m_max, hidden=4, seed=0)
     _, curve = train(ds, net, TrainConfig(epochs=7, batch=1, seed=0))
     assert len(curve) == 7
 
 
 def test_train_capacity_check():
     ds = one_group_dataset()
-    net = NetConfig(d=2, m_max=1, hidden=4, seed=0)
+    net = NetConfig(m_max=1, hidden=4, seed=0)
     if ds.m_max > 1:
         with pytest.raises(CapacityError):
             train(ds, net, TrainConfig(epochs=1))
@@ -507,6 +524,32 @@ def test_load_rejects_inconsistent_m_max(tmp_path):
     doc["net_config"]["m_max"] = 9
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_load_accepts_files_that_record_d_2(tmp_path):
+    # Files written before NetConfig lost its ``d`` field hold "d": 2.
+    cfg = small_cfg(seed=7)
+    model = init_model(cfg, NormStats(np.full(cfg.features, -2.0), np.full(cfg.features, 2.0)))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert "d" not in doc["net_config"]
+    doc["net_config"] = {"d": 2, **doc["net_config"]}
+    path.write_text(json.dumps(doc))
+    restored = load_model(path)
+    assert restored.cfg == cfg
+    scan = Scan(k=0, measurements=np.array([[0.4, -0.4], [1.0, 1.0], [-1.5, 0.5]]))
+    tracks = make_set([make_track(0), make_track(1, state=(1.0, 0.0, 1.0, 0.0))])
+    assert np.array_equal(forward_scan(restored, tracks, scan)[0].rows, forward_scan(model, tracks, scan)[0].rows)
+
+    # A file shaped for 1-D measurements has half the input width.
+    f1 = cfg.m_max
+    doc["net_config"]["d"] = 1
+    doc["parameters"]["w_in"] = [0.0] * (cfg.hidden * f1)
+    doc["norm_stats"] = {"min": [0.0] * f1, "max": [1.0] * f1}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="w_in"):
         load_model(path)
 
 
