@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -27,7 +28,9 @@ from .domain import (
 )
 from .kalman import FilterParams, innovations
 
-#: Guard on the JPDA state transitions per gating cluster.
+#: Guard on the JPDA state updates per gating cluster: open members x subsets
+#: kept, summed over the steps of the walk :func:`jpda_from_gates` takes
+#: (5 tracks sharing 25 measurements take 4,000).
 MAX_JOINT_EVENTS = 1_000_000
 
 
@@ -74,14 +77,17 @@ def gate(d2: np.ndarray, gp: GateParams) -> Set[int]:
     return set(np.flatnonzero(d2 <= gp.gamma).tolist())
 
 
-def _clusters(gates: Sequence[Set[int]]) -> List[Tuple[List[int], List[int]]]:
-    """Connected components of the track-measurement gating graph."""
+def _clusters(
+    gates: Sequence[Set[int]],
+) -> List[Tuple[List[int], List[int], Dict[int, List[int]]]]:
+    """Connected components of the track-measurement gating graph, each with
+    the tracks (ascending) that gate each of its measurements."""
     meas_to_tracks: Dict[int, List[int]] = {}
     for j, g in enumerate(gates):
         for i in g:
             meas_to_tracks.setdefault(i, []).append(j)
     seen_tracks: Set[int] = set()
-    out: List[Tuple[List[int], List[int]]] = []
+    out: List[Tuple[List[int], List[int], Dict[int, List[int]]]] = []
     for j0 in range(len(gates)):
         if j0 in seen_tracks:
             continue
@@ -98,8 +104,216 @@ def _clusters(gates: Sequence[Set[int]]) -> List[Tuple[List[int], List[int]]]:
                         tracks_c.add(j2)
                         frontier.append(j2)
         seen_tracks |= tracks_c
-        out.append((sorted(tracks_c), sorted(meas_c)))
+        out.append((sorted(tracks_c), sorted(meas_c), {i: meas_to_tracks[i] for i in meas_c}))
     return out
+
+
+@lru_cache(maxsize=1024)
+def _subsets(bits: int, most: int) -> int:
+    """How many subsets of ``bits`` state bits have at most ``most`` set."""
+    return sum(math.comb(bits, k) for k in range(most + 1))
+
+
+def _states(bits: int, most: int) -> np.ndarray:
+    """The subsets of ``bits`` state bits with at most ``most`` set, as
+    ascending bitmasks (Python integers past 62 bits)."""
+    states = np.zeros(1, dtype=np.int64 if bits < 63 else object)
+    sizes = np.zeros(1, dtype=np.int64)
+    for b in range(bits):
+        grow = sizes < most
+        states = np.concatenate([states, states[grow] | (1 << b)])
+        sizes = np.concatenate([sizes, sizes[grow] + 1])
+    return states
+
+
+def _locate(states: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Where each of ``wanted`` sits in ascending ``states``, or len(states),
+    the trailing zero of a state vector, where it is absent."""
+    at = np.minimum(np.searchsorted(states, wanted), len(states) - 1)
+    return np.where(states[at] == wanted, at, len(states))
+
+
+#: Open columns up to which a walk's index arrays are cached.
+_CACHED_OPEN = 6
+
+
+def _reused_when_small(build):
+    """``build`` with its index arrays kept for reuse up to ``_CACHED_OPEN``
+    open columns, at most 64 states and 7 kB an entry, so the cache stays
+    under 8 MB; larger ones are built per call. The arrays are read-only,
+    since every caller shares them."""
+    cached = lru_cache(maxsize=1024)(build)
+
+    @wraps(build)
+    def indices(open_count: int, *key):
+        return (cached if open_count <= _CACHED_OPEN else build)(open_count, *key)
+
+    return indices
+
+
+@_reused_when_small
+def _take_indices(
+    open_count: int,
+    opened_before: int,
+    positions: Tuple[int, ...],
+    most_before: int,
+    most_after: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Gather indices for a walked row that links the open columns on state
+    bits ``positions``, where bits ``opened_before`` and up open on it.
+
+    A state vector over b bits with at most k set holds the sums of those
+    subsets (:func:`_states`) and a trailing zero. Row r of ``forward``, over
+    the states after the step, reads the states before it: column 0 is the
+    same state (the row pairs with nothing), column k > 0 the state it pairs
+    with the column on bit ``positions[k - 1]`` from; a state that cannot
+    occur before the step, or a move that cannot be made, reads the trailing
+    zero. ``backward`` is the transpose: row r, over the states before the
+    step, reads the states after it.
+    """
+    before = _states(opened_before, most_before)
+    after = _states(open_count, most_after)
+    bits = np.array([1 << p for p in positions], dtype=after.dtype)
+    a, b = after[:, None], before[:, None]
+    forward = _locate(before, np.hstack([a, np.where(a & bits, a ^ bits, -1)]))
+    backward = _locate(after, np.hstack([b, np.where(b & bits, -1, b | bits)]))
+    forward = np.vstack([forward, np.full(len(bits) + 1, len(before))])
+    backward = np.vstack([backward, np.full(len(bits) + 1, len(after))])
+    forward.setflags(write=False)
+    backward.setflags(write=False)
+    return forward, backward
+
+
+@_reused_when_small
+def _close_indices(
+    open_count: int, position: int, most_before: int, most_after: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Gather indices that drop state bit ``position`` from the states of
+    ``open_count`` bits, at most ``most_before`` set before and
+    ``most_after`` after, each vector carrying a trailing zero.
+
+    ``keep[r]`` holds the two states that state r after the drop stands for
+    (the bit clear, then set); ``reopen[r]`` addresses state r before it, with
+    the bit removed, in the pair [vector for the bit set, vector for it
+    clear], trailing zeros included.
+    """
+    inside = _states(open_count, most_before)
+    outside = _states(open_count - 1, most_after)
+    low = (1 << position) - 1
+    clear = ((outside & ~low) << 1) | (outside & low)
+    keep = _locate(inside, np.column_stack([clear, clear | (1 << position)]))
+    keep = np.vstack([keep, [len(inside), len(inside)]])
+    removed = _locate(outside, ((inside >> 1) & ~low) | (inside & low))
+    reopen = np.where(inside & (1 << position), removed, len(outside) + 1 + removed)
+    reopen = np.append(reopen, len(outside))
+    keep.setflags(write=False)
+    reopen.setflags(write=False)
+    return keep, reopen
+
+
+def _schedule(
+    links: Sequence[Sequence[int]],
+) -> Tuple[List[List[int]], List[List[int]], List[int], int]:
+    """Plan a walk over rows 0, 1, ... where row t may pair with the columns
+    ``links[t]``.
+
+    Returns (opening, closing, most, updates): the columns whose first /
+    last link is row t; the most open columns paired after row t, which past
+    ``_CACHED_OPEN`` open columns is the rows walked, so that only those
+    subsets are kept (up to it, all 2^open are, so that one set of index
+    arrays serves every row); and the state updates of the walk, open
+    columns x states kept summed over the rows. Allocates no state.
+    """
+    opening: List[List[int]] = [[] for _ in links]
+    closing: List[List[int]] = [[] for _ in links]
+    for c, t in {c: t for t in reversed(range(len(links))) for c in links[t]}.items():
+        opening[t].append(c)
+    for c, t in {c: t for t, cols in enumerate(links) for c in cols}.items():
+        closing[t].append(c)
+    most: List[int] = []
+    updates, open_count = 0, 0
+    for t in range(len(links)):
+        open_count += len(opening[t])
+        most.append(open_count if open_count <= _CACHED_OPEN else min(open_count, t + 1))
+        updates += open_count * _subsets(open_count, most[t])
+        open_count -= len(closing[t])
+    return opening, closing, most, updates
+
+
+def _walk(
+    links: Sequence[Sequence[int]],
+    weights: Sequence[Sequence[float]],
+    skip: Sequence[float],
+    factor: Dict[int, float],
+    plan: Tuple[List[List[int]], List[List[int]], List[int], int],
+) -> Tuple[List[Dict[int, float]], List[float], Dict[int, float]]:
+    """Exact forward-backward pass over the one-to-one pairings of rows with
+    columns, on the walk ``plan`` (:func:`_schedule`) of ``links``.
+
+    Row t pairs with its k-th column ``links[t][k]`` at weight
+    ``weights[t][k]``, or with none at ``skip[t]``; a column no row pairs
+    with weighs ``factor[c]``; a pairing weighs the product. Returns (pairs,
+    row_free, column_free): ``pairs[t][c]`` sums the weights of the pairings
+    that pair row t with column c, and ``row_free[t]`` / ``column_free[c]``
+    those that leave row t / column c unpaired, without its own ``skip`` /
+    ``factor``.
+
+    The state after row t is the subset of the open columns already paired,
+    at most ``most[t]`` of them; the sums over those subsets are one vector,
+    and each row updates it with one gather and one matrix-vector product.
+    A column opens at its first row and closes after its last one, folding
+    its factor in as it closes.
+    """
+    opening, closing, most, _ = plan
+    # Forward: alpha[r] sums the weights of the pairings of the rows so far
+    # in which state r is the set of open columns paired; opened[p] is the
+    # column on state bit p, and at most `paired` bits are set. Every state
+    # vector ends in a zero, which the gathers read where a move is impossible.
+    alpha = np.array([1.0, 0.0])
+    opened: List[int] = []
+    paired = 0
+    steps = []
+    for t, cols in enumerate(links):
+        before = len(opened)
+        opened += opening[t]
+        # Sorted by state bit, so one set of index arrays serves every order.
+        ranked = sorted(zip(map(opened.index, cols), cols, weights[t]))
+        positions, takers, row_weights = zip(*ranked)
+        forward, backward = _take_indices(len(opened), before, positions, paired, most[t])
+        paired = most[t]
+        w = np.array([skip[t], *row_weights])
+        steps.append(("row", t, takers, alpha, backward, w))
+        alpha = alpha[forward] @ w
+        for c in closing[t]:
+            kept = min(paired, len(opened) - 1)
+            keep, reopen = _close_indices(len(opened), opened.index(c), paired, kept)
+            paired = kept
+            split = alpha[keep]
+            steps.append(("close", c, split[:, 0], reopen))
+            alpha = split @ np.array([factor[c], 1.0])
+            opened.remove(c)
+
+    # Backward: beta[r] sums the weights of every completion from state r.
+    # A pair's mass joins the forward sums before its row to the backward
+    # ones after it; a column's unpaired mass joins the sums on either side
+    # of its close.
+    pairs: List[Dict[int, float]] = [{} for _ in links]
+    row_free = [0.0] * len(links)
+    column_free: Dict[int, float] = {}
+    beta = np.array([1.0, 0.0])
+    for step in reversed(steps):
+        if step[0] == "row":
+            _, t, takers, alpha_before, backward, w = step
+            gathered = beta[backward]
+            sums = alpha_before @ gathered
+            row_free[t] = float(sums[0])
+            pairs[t] = dict(zip(takers, (sums * w)[1:].tolist()))
+            beta = gathered @ w
+        else:
+            _, c, alpha_clear, reopen = step
+            column_free[c] = float(alpha_clear @ beta)
+            beta = np.concatenate([beta, beta * factor[c]])[reopen]
+    return pairs, row_free, column_free
 
 
 def jpda_from_gates(
@@ -118,12 +332,23 @@ def jpda_from_gates(
     clutter_density per unassigned measurement. Factors common to all events
     cancel in the normalization, so each assignment contributes
     p_d * likelihood / clutter_density relative to a clutter explanation.
-    The events are not visited: the exact JPDAF of Horridge & Maskell
-    (FUSION 2006) runs forward and backward per gating cluster over states
-    (track k, measurements used before k that a track >= k can still gate).
+
+    The events are not visited. Per gating cluster, an exact forward-backward
+    pass (:func:`_walk`, after Horridge & Maskell, FUSION 2006) runs over the
+    measurements that two or more tracks gate. A measurement only one track
+    gates folds into that track's end factor: 1 - p_d plus its weights on
+    such measurements. The pass walks the shared measurements in index order,
+    over the subsets of the open tracks already assigned. A cluster of more
+    than 6 tracks may instead walk its tracks in index order, over the
+    subsets of the open shared measurements already taken, when that takes
+    fewer state updates. Past 6 open members, a subset holds no more of them
+    than the steps walked. Members open at their first step and close after
+    their last, so a chain of tracks keeps a state of two, and many tracks
+    on one measurement, walked track by track, a state of one.
 
     Raises :class:`ComplexityError` when a cluster needs more than
-    ``max_events`` state transitions (states x (candidates + 1)); split the
+    ``max_events`` state updates (open members x subsets kept, summed over
+    the steps of the walk taken), before any state is allocated; split the
     scan into smaller clusters first.
     """
     n, m = likelihood.shape
@@ -134,56 +359,66 @@ def jpda_from_gates(
     if not clutter_density > 0:
         raise ContractViolation(f"clutter_density must be > 0, got {clutter_density}")
 
-    rows = np.zeros((n, m + 1))  # every track is in a cluster, so every row is set
-    ratio = p_d * likelihood / clutter_density
+    ratio = (p_d * likelihood / clutter_density).tolist()
+    # The nonzero cells of the result; every track is in a cluster, so every row gets some.
+    cell_tracks: List[int] = []
+    cell_columns: List[int] = []
+    cell_values: List[float] = []
 
-    for tracks_c, meas_c in _clusters(gates):
-        # moves[k]: (column, used-set bit, weight against clutter); a miss sets no bit.
-        moves = [
-            [(m, 0, 1.0 - p_d)] + [(i, 1 << i, float(ratio[j, i])) for i in sorted(gates[j])]
-            for j in tracks_c
-        ]
-        future = [0]  # future[k]: measurements that a track >= k can gate
-        for moves_k in reversed(moves):
-            future.insert(0, future[0] | sum(b for _, b, _ in moves_k))
-
-        # alpha[k][S]: summed weight of the assignments of tracks < k using S within future[k].
-        alpha = [{0: 1.0}]
-        transitions = 0
-        for k, moves_k in enumerate(moves):
-            transitions += len(alpha[k]) * len(moves_k)
-            if transitions > max_events:
+    for tracks_c, meas_c, owners in _clusters(gates):
+        # A track's end factor: it misses, or takes a measurement no other track gates.
+        private = {j: [i for i in gates[j] if len(owners[i]) == 1] for j in tracks_c}
+        end = {j: sum([ratio[j][i] for i in private[j]], 1.0 - p_d) for j in tracks_c}
+        mass: Dict[int, Dict[int, float]] = {j: {} for j in tracks_c}  # mass[j][column]
+        # unassigned[j]: the weight of the events leaving j's shared
+        # measurements to others, without j's end factor; a track alone in
+        # its cluster shares none. Each track of a larger cluster shares one.
+        unassigned = dict.fromkeys(tracks_c, 1.0)
+        shared = [i for i in meas_c if len(owners[i]) > 1]
+        if shared:
+            # Up to _CACHED_OPEN tracks, walking the measurements keeps at
+            # most 64 states, on cached indices. A larger cluster may hold
+            # many tracks on few measurements, so it takes the walk with
+            # fewer state updates.
+            by_meas = [owners[i] for i in shared]
+            walks = [(by_meas, _schedule(by_meas))]
+            if len(tracks_c) > _CACHED_OPEN:
+                by_track = [[i for i in sorted(gates[j]) if len(owners[i]) > 1] for j in tracks_c]
+                walks.append((by_track, _schedule(by_track)))
+            links, plan = min(walks, key=lambda walk: walk[1][3])
+            if plan[3] > max_events:
                 raise ComplexityError(
                     f"more than {max_events} state transitions in a cluster of {len(tracks_c)} "
                     f"tracks and {len(meas_c)} measurements; split the cluster first"
                 )
-            nxt: Dict[int, float] = {}
-            for s, a in alpha[k].items():
-                for _, b, w in moves_k:
-                    if not s & b:
-                        key = (s | b) & future[k + 1]
-                        nxt[key] = nxt.get(key, 0.0) + a * w
-            alpha.append(nxt)
-
-        # beta[S]: summed weight of every completion by the tracks after k
-        # from state S; track k's mass on a move pairs alpha[k] with it.
-        beta = {0: 1.0}
-        for k in range(len(moves) - 1, -1, -1):
-            mass = [0.0] * len(moves[k])
-            prev: Dict[int, float] = {}
-            for s, a in alpha[k].items():
-                total = 0.0
-                for c, (_, b, w) in enumerate(moves[k]):
-                    if not s & b:
-                        tail = w * beta[(s | b) & future[k + 1]]
-                        mass[c] += a * tail
-                        total += tail
-                prev[s] = total
-            beta = prev
-            row_total = sum(mass)
+            if links is by_meas:
+                weights = [[ratio[j][i] for j in cols] for i, cols in zip(shared, links)]
+                pairs, _, unassigned = _walk(links, weights, [1.0] * len(shared), end, plan)
+                for i, row in zip(shared, pairs):
+                    for j, v in row.items():
+                        mass[j][i] = v
+            else:
+                weights = [[ratio[j][i] for i in cols] for j, cols in zip(tracks_c, links)]
+                skip = [end[j] for j in tracks_c]
+                clutter = dict.fromkeys(shared, 1.0)
+                pairs, free, _ = _walk(links, weights, skip, clutter, plan)
+                for j, row, f in zip(tracks_c, pairs, free):
+                    mass[j] = row
+                    unassigned[j] = f
+        for j in tracks_c:
+            row = mass[j]
+            for i in private[j]:
+                row[i] = ratio[j][i] * unassigned[j]
+            row[m] = (1.0 - p_d) * unassigned[j]
+            row_total = sum(row.values())
             if not 0.0 < row_total < math.inf:
                 raise NumericalError("joint event weights degenerate (all zero or non-finite)")
-            rows[tracks_c[k], [c for c, _, _ in moves[k]]] = np.array(mass) / row_total
+            for i, v in row.items():
+                cell_tracks.append(j)
+                cell_columns.append(i)
+                cell_values.append(v / row_total)
+    rows = np.zeros((n, m + 1))
+    rows[cell_tracks, cell_columns] = cell_values
     return AssocProbabilities(rows)
 
 
@@ -206,7 +441,7 @@ def jpda(
     cost of :func:`jpda_from_gates` nor spreads its mass over them. The cut
     changes answers wherever it applies: on the reference scenario at lambda
     40 (40 seeds) mean OSPA was 0.792 with it and 0.824 without it, and
-    association took 5.7 times as long without it.
+    association took 1.10 to 1.13 times as long without it.
     """
     _, _, det, d2 = innovations(tracks, scan.measurements, params)
     likelihood = np.exp(-0.5 * d2) / (2.0 * math.pi * np.sqrt(det))[:, None]

@@ -70,6 +70,14 @@ def _load_json(path) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {e}") from None
 
 
+def _make_out_dir(path) -> None:
+    """Create the output directory before any work, so a bad --out costs none."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {path}: {e}") from None
+
+
 def _announce(name: str, settings: dict) -> None:
     print(f"[{name}] resolved settings:")
     print(json.dumps(settings, indent=2, default=str))
@@ -79,7 +87,7 @@ def _cmd_simulate(args) -> int:
     config = ScenarioConfig.from_dict(_load_json(args.config))
     seed = args.seed if args.seed is not None else config.seed
     _announce("simulate", {**config.to_dict(), "effective_seed": seed, "out": args.out})
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     truth = generate_truth(config)
     scans = generate_scans(truth, seed)
     truth_path = os.path.join(args.out, "truth.csv")
@@ -121,6 +129,7 @@ def _parse_train_config(doc: dict):
 
 def _cmd_train(args) -> int:
     configs, net_doc, m_max, train_cfg = _parse_train_config(_load_json(args.config))
+    _make_out_dir(args.out)
     dataset = make_training_set(configs, m_max=m_max)
     net_cfg = NetConfig(m_max=dataset.m_max if m_max is None else m_max, **net_doc)
     _announce(
@@ -134,7 +143,6 @@ def _cmd_train(args) -> int:
         },
     )
     model, curve = train(dataset, net_cfg, train_cfg)
-    os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.json")
     curve_path = os.path.join(args.out, "loss_curve.csv")
     save_model(model, model_path)
@@ -213,11 +221,11 @@ def _cmd_track(args) -> int:
     )
 
     engine = make_engine(args.method, config, params, GateParams(), model)
+    _make_out_dir(args.out)
     run = track_scans(
         truth_states[0], scans, truth_states[:, :, [0, 2]], engine, params, op
     )
 
-    os.makedirs(args.out, exist_ok=True)
     tracks_path = os.path.join(args.out, "tracks.csv")
     metrics_path = os.path.join(args.out, "metrics.json")
     with open(tracks_path, "w", newline="") as fh:
@@ -255,7 +263,7 @@ def _cmd_bench(args) -> int:
             "out": args.out,
         },
     )
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     report = run_grid(spec, jobs=args.jobs, raw_log=args.raw_log)
     paths = emit_report(report, args.out)
     print(f"{'method':>8} {'p_d':>6} {'e_lambda':>9} {'ospa':>8} {'stti':>7} {'time_s':>9}")

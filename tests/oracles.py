@@ -11,7 +11,14 @@ import math
 import numpy as np
 
 from cluttertrack._lap import solve_lap
-from cluttertrack.domain import ContractViolation, NumericalError, Track
+from cluttertrack.assoc import _clusters
+from cluttertrack.domain import (
+    AssocProbabilities,
+    ComplexityError,
+    ContractViolation,
+    NumericalError,
+    Track,
+)
 from cluttertrack.kalman import H, process_noise, transition_matrix
 
 
@@ -137,6 +144,79 @@ def pda_single_track(likelihood_row, gate, p_d, clutter_density):
     for i in gate:
         weights[i] = p_d * row[i] / clutter_density
     return weights / weights.sum()
+
+
+def jpda_measurement_subset_dp(likelihood, gates, p_d, clutter_density, max_events=1_000_000):
+    """Exact JPDA rows by a forward-backward pass over measurement subsets.
+
+    The reference for :func:`cluttertrack.assoc.jpda_from_gates`, which
+    walks measurements with track-subset states instead. Per gating cluster
+    this walks the tracks in order over states (track k, measurements used
+    before k that a track >= k can still gate), after Horridge & Maskell
+    (FUSION 2006), keeping the states in dicts. Raises ``ComplexityError``
+    past ``max_events`` state transitions (states x (candidates + 1)) and
+    ``NumericalError`` when every joint event of a cluster weighs zero.
+    """
+    n, m = likelihood.shape
+    if len(gates) != n:
+        raise ContractViolation(f"{len(gates)} gate sets for {n} tracks")
+    if not (0.0 < p_d <= 1.0):
+        raise ContractViolation(f"p_d must be in (0, 1], got {p_d}")
+    if not clutter_density > 0:
+        raise ContractViolation(f"clutter_density must be > 0, got {clutter_density}")
+
+    rows = np.zeros((n, m + 1))  # every track is in a cluster, so every row is set
+    ratio = p_d * likelihood / clutter_density
+
+    for tracks_c, meas_c, _ in _clusters(gates):
+        # moves[k]: (column, used-set bit, weight against clutter); a miss sets no bit.
+        moves = [
+            [(m, 0, 1.0 - p_d)] + [(i, 1 << i, float(ratio[j, i])) for i in sorted(gates[j])]
+            for j in tracks_c
+        ]
+        future = [0]  # future[k]: measurements that a track >= k can gate
+        for moves_k in reversed(moves):
+            future.insert(0, future[0] | sum(b for _, b, _ in moves_k))
+
+        # alpha[k][S]: summed weight of the assignments of tracks < k using S within future[k].
+        alpha = [{0: 1.0}]
+        transitions = 0
+        for k, moves_k in enumerate(moves):
+            transitions += len(alpha[k]) * len(moves_k)
+            if transitions > max_events:
+                raise ComplexityError(
+                    f"more than {max_events} state transitions in a cluster of {len(tracks_c)} "
+                    f"tracks and {len(meas_c)} measurements; split the cluster first"
+                )
+            nxt: Dict[int, float] = {}
+            for s, a in alpha[k].items():
+                for _, b, w in moves_k:
+                    if not s & b:
+                        key = (s | b) & future[k + 1]
+                        nxt[key] = nxt.get(key, 0.0) + a * w
+            alpha.append(nxt)
+
+        # beta[S]: summed weight of every completion by the tracks after k
+        # from state S; track k's mass on a move pairs alpha[k] with it.
+        beta = {0: 1.0}
+        for k in range(len(moves) - 1, -1, -1):
+            mass = [0.0] * len(moves[k])
+            prev: Dict[int, float] = {}
+            for s, a in alpha[k].items():
+                total = 0.0
+                for c, (_, b, w) in enumerate(moves[k]):
+                    if not s & b:
+                        tail = w * beta[(s | b) & future[k + 1]]
+                        mass[c] += a * tail
+                        total += tail
+                prev[s] = total
+            beta = prev
+            row_total = sum(mass)
+            if not 0.0 < row_total < math.inf:
+                raise NumericalError("joint event weights degenerate (all zero or non-finite)")
+            rows[tracks_c[k], [c for c, _, _ in moves[k]]] = np.array(mass) / row_total
+    return AssocProbabilities(rows)
+
 
 
 def ospa_brute_force(xs, ys, c, p):

@@ -1,4 +1,6 @@
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from conftest import make_set, make_track
 from oracles import (
     brute_force_min_cost,
     joint_association_oracle,
+    jpda_measurement_subset_dp,
     pda_single_track,
     square_hungarian_oracle,
 )
@@ -352,10 +355,36 @@ def test_jpda_rows_sum_to_one_random():
 
 
 def test_jpda_event_guard_raises():
+    # Five tracks sharing 25 measurements take 25 updates of 5 x 2^5 states:
+    # 4,000 state updates, within a bound of 4,000 and over one of 3,999.
     likelihood = np.full((5, 25), 0.1)
     gates = [set(range(25))] * 5
+    rows = jpda_from_gates(likelihood, gates, 0.9, 0.1, max_events=4_000).rows
+    assert np.allclose(rows, rows[0], rtol=0.0, atol=1e-15)
+    assert np.allclose(rows.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     with pytest.raises(ComplexityError, match="split"):
-        jpda_from_gates(likelihood, gates, 0.9, 0.1, max_events=100_000)
+        jpda_from_gates(likelihood, gates, 0.9, 0.1, max_events=3_999)
+
+    # Sixteen tracks on one measurement, walked track by track, keep that
+    # measurement open: 16 x 1 x 2 updates, where walking it would take 16 x 17.
+    wide = [{0}] * 16
+    jpda_from_gates(np.full((16, 1), 0.1), wide, 0.9, 0.1, max_events=32)
+    with pytest.raises(ComplexityError, match="split"):
+        jpda_from_gates(np.full((16, 1), 0.1), wide, 0.9, 0.1, max_events=31)
+
+    # Twenty would need 2^20 states: refused at the default bound, at once
+    # and before any state array exists.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ComplexityError, match="split"):
+            jpda_from_gates(np.full((20, 25), 0.1), [set(range(25))] * 20, 0.9, 0.1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20  # a 2^20 state vector alone takes 8 MiB
 
 
 def test_jpda_from_gates_all_two_by_two_patterns():
@@ -411,6 +440,109 @@ def test_jpda_from_gates_matches_oracle_on_random_clusters():
         got = jpda_from_gates(likelihood, gates, p_d, lam)
         expected = joint_association_oracle(likelihood, gates, p_d, lam)
         assert np.max(np.abs(got.rows - expected)) < 1e-12, (case, gates)
+
+
+def _reference_or_error(likelihood, gates, p_d, lam, solver):
+    try:
+        return solver(likelihood, gates, p_d, lam).rows
+    except NumericalError:
+        return None
+
+
+def test_jpda_from_gates_matches_measurement_subset_reference():
+    # The earlier dynamic program over measurement subsets is the reference;
+    # sizes stay where it runs in milliseconds (its states grow with the
+    # number of measurements a cluster's tracks share).
+    rng = np.random.default_rng(99150)
+    kinds = ("chain", "all", "disjoint", "random")
+    failures = 0
+    for case in range(320):
+        kind = kinds[case % len(kinds)]
+        m = int(rng.integers(0, 21))
+        n = int(rng.integers(1, 9 if kind in ("chain", "disjoint") or m <= 8 else 5))
+        gates = _random_gates(rng, kind, n, m)
+        if kind == "random" and m > 8:  # sparser gates keep the reference fast
+            gates = [{i for i in g if rng.random() < 0.5} for g in gates]
+        likelihood = rng.random((n, m)) * 2.0
+        p_d = (0.6, 0.9, 1.0)[case % 3]
+        lam = float(rng.uniform(0.01, 1.0))
+        got = _reference_or_error(likelihood, gates, p_d, lam, jpda_from_gates)
+        expected = _reference_or_error(likelihood, gates, p_d, lam, jpda_measurement_subset_dp)
+        assert (got is None) == (expected is None), (case, gates, p_d)
+        if got is None:
+            failures += 1
+        else:
+            assert np.max(np.abs(got - expected)) < 1e-12, (case, gates, p_d)
+    assert 0 < failures < 80  # p_d = 1 leaves some clusters with no feasible event
+
+
+def test_jpda_from_gates_long_chain_matches_reference():
+    # Track j gates measurements j and j + 1: the tracks open and close along
+    # the chain, so the state never holds more than two of the 24.
+    rng = np.random.default_rng(24)
+    n = 24
+    gates = [{j, j + 1} for j in range(n)]
+    likelihood = rng.random((n, n + 1)) * 2.0
+    for p_d in (0.6, 0.9, 1.0):
+        got = jpda_from_gates(likelihood, gates, p_d, 0.3).rows
+        expected = jpda_measurement_subset_dp(likelihood, gates, p_d, 0.3).rows
+        assert np.max(np.abs(got - expected)) < 1e-12
+    # Walking the tracks, each keeps measurements j and j + 1 open, so 2 x 2^2
+    # updates; the first and last keep one open (1 x 2): 180 in all. Walking
+    # the 23 shared measurements would take 23 x 2 x 2^2 = 184.
+    jpda_from_gates(likelihood, gates, 0.9, 0.3, max_events=180)
+    with pytest.raises(ComplexityError):
+        jpda_from_gates(likelihood, gates, 0.9, 0.3, max_events=179)
+
+
+@pytest.mark.parametrize("n, m", [(16, 1), (15, 3), (12, 6), (30, 4)])
+def test_jpda_from_gates_many_tracks_sharing_few_measurements_match_reference(n, m):
+    # Every track gates every measurement, so walking the measurements would
+    # hold all n tracks open (16 x 2^16 updates for 16 on one, were every
+    # subset kept); walking the tracks holds the m measurements.
+    rng = np.random.default_rng(n * 100 + m)
+    likelihood = rng.random((n, m)) * 2.0
+    gates = [set(range(m))] * n
+    for p_d in (0.6, 0.9):
+        got = jpda_from_gates(likelihood, gates, p_d, 0.3).rows
+        expected = jpda_measurement_subset_dp(likelihood, gates, p_d, 0.3).rows
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_jpda_from_gates_state_wider_than_a_machine_word_matches_reference():
+    # Seventy tracks gate measurement 0, and two of them share 65 more:
+    # walking the measurements opens all seventy at the first, so the state
+    # needs more bits than an int64 holds.
+    rng = np.random.default_rng(70)
+    gates = [{0} for _ in range(70)]
+    gates[0] = gates[1] = set(range(66))
+    likelihood = rng.random((70, 66)) * 2.0
+    got = jpda_from_gates(likelihood, gates, 0.9, 0.3).rows
+    expected = jpda_measurement_subset_dp(likelihood, gates, 0.9, 0.3).rows
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_jpda_from_gates_random_wide_clusters_match_reference():
+    # Clusters of 7 to 16 tracks on up to 8 measurements, in shuffled index
+    # order, where walking the tracks is often the cheaper walk.
+    rng = np.random.default_rng(1609)
+    kinds = ("chain", "all", "disjoint", "random")
+    failures = 0
+    for case in range(80):
+        kind = kinds[case % len(kinds)]
+        n, m = int(rng.integers(7, 17)), int(rng.integers(1, 9))
+        order = rng.permutation(m)
+        gates = [{int(order[i]) for i in g} for g in _random_gates(rng, kind, n, m)]
+        likelihood = rng.random((n, m)) * 2.0
+        p_d = (0.6, 0.9, 1.0)[case % 3]
+        got = _reference_or_error(likelihood, gates, p_d, 0.3, jpda_from_gates)
+        expected = _reference_or_error(likelihood, gates, p_d, 0.3, jpda_measurement_subset_dp)
+        assert (got is None) == (expected is None), (case, gates, p_d)
+        if got is None:
+            failures += 1
+        else:
+            assert np.max(np.abs(got - expected)) < 1e-12, (case, gates, p_d)
+    assert 0 < failures < 27  # p_d = 1 with more tracks than measurements
 
 
 def test_jpda_from_gates_track_permutation_permutes_rows():

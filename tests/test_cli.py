@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cluttertrack import cli
 from cluttertrack.cli import main
 from cluttertrack.domain import Region, ScenarioConfig, five_crossing_targets
 from cluttertrack.scenario import generate_scans, generate_truth
@@ -187,3 +188,35 @@ def test_track_numerical_failure_exits_3_and_names_the_scan(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: scan 18:")
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "track", "bench"])
+def test_out_naming_a_file_exits_with_config_code_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(five_crossing_targets().to_json())
+    bench_spec = tmp_path / "bench.json"
+    doc = {"base": five_crossing_targets().to_dict(), "n_runs": 1, "methods": ["ha"]}
+    bench_spec.write_text(json.dumps(doc))
+    # Each subcommand's input, and the functions that do its work.
+    argv, work = {
+        "simulate": (["simulate", str(scenario)], ["generate_truth", "generate_scans"]),
+        "train": (
+            ["train", _train_config(tmp_path, {"epochs": 1, "batch": 8})],
+            ["make_training_set", "train"],
+        ),
+        "track": (["track", str(scenario), "--method", "ha"], ["track_scans"]),
+        "bench": (["bench", str(bench_spec)], ["run_grid"]),
+    }[command]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was created")
+
+    for name in work:
+        monkeypatch.setattr(cli, name, no_work)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(argv + ["--out", str(afile)]) == 2
+    assert f"error: cannot create output directory {afile}" in capsys.readouterr().err
+    assert afile.read_text() == ""
