@@ -388,7 +388,7 @@ def jpda_from_gates(
             links, plan = min(walks, key=lambda walk: walk[1][3])
             if plan[3] > max_events:
                 raise ComplexityError(
-                    f"more than {max_events} state transitions in a cluster of {len(tracks_c)} "
+                    f"more than {max_events} state updates in a cluster of {len(tracks_c)} "
                     f"tracks and {len(meas_c)} measurements; split the cluster first"
                 )
             if links is by_meas:

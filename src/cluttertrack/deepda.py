@@ -11,6 +11,14 @@ probability.
 
 Everything here is plain numpy in float64: forward, exact backpropagation
 through the target unrolling, and the RMSprop optimizer.
+
+The forward pass steps through the targets for the recurrent product alone.
+The input projection, its product with the LSTM input weights, the output
+layer and the row normalisation each run once over every step of every
+sequence. For a batch of several sequences each row has the bits of a
+per-step product. A single sequence (tracking, batch 1) differs from
+per-step products by about 1e-16, because numpy sums a one-row product in
+another order.
 """
 
 from __future__ import annotations
@@ -346,58 +354,68 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class _ForwardCache:
-    __slots__ = ("x", "xp", "mask", "steps", "beta")
+    __slots__ = ("x", "xp", "mask", "steps", "hs", "cs", "u", "s", "beta")
 
-    def __init__(self, x, xp, mask, steps, beta):
+    def __init__(self, x, xp, mask, steps, hs, cs, u, s, beta):
         self.x = x
         self.xp = xp
         self.mask = mask
-        self.steps = steps
+        self.steps = steps  # per step (gi, gf, gg, go, tanh(c))
+        self.hs = hs  # (B, T, hidden) states after each step
+        self.cs = cs  # (B, T, hidden) cells after each step
+        self.u = u  # (B, T, m_max+1) masked sigmoids; None for softmax
+        self.s = s  # (B, T, 1) their row sums; None for softmax
         self.beta = beta
 
 
 def _forward_core(model: LstmModel, x: np.ndarray, mask: np.ndarray) -> _ForwardCache:
+    # Only h @ lstm_wh.T depends on the previous step. The input projection,
+    # its product with lstm_wx, the output layer and the normalisation run
+    # once over all B*T rows; the loop keeps the recurrence alone.
     cfg = model.cfg
     b, t, f = x.shape
     hdim = cfg.hidden
     xp = x.reshape(b * t, f) @ model.w_in.T
     xp += model.b_in
+    zx = (xp @ model.lstm_wx.T).reshape(b, t, 4 * hdim)
     xp = xp.reshape(b, t, hdim)
 
     h = np.zeros((b, hdim))
     c = np.zeros((b, hdim))
+    hs = np.empty((b, t, hdim))
+    cs = np.empty((b, t, hdim))
     steps = []
-    beta = np.zeros((b, t, cfg.m_max + 1))
-    maskf = mask.astype(float)
     for step in range(t):
-        z = xp[:, step] @ model.lstm_wx.T + h @ model.lstm_wh.T + model.lstm_b
+        z = zx[:, step] + h @ model.lstm_wh.T + model.lstm_b
         # One elementwise pass for i, f, o: same bits as per-gate calls; g unused.
         sig = _sigmoid(z)
         gi = sig[:, :hdim]
         gf = sig[:, hdim : 2 * hdim]
         gg = np.tanh(z[:, 2 * hdim : 3 * hdim])
         go = sig[:, 3 * hdim :]
-        c_new = gf * c + gi * gg
-        tc = np.tanh(c_new)
-        h_new = go * tc
-        logits = h_new @ model.w_out.T + model.b_out
-        if cfg.output == "sigmoid":
-            u = _sigmoid(logits) * maskf
-            s = u.sum(axis=1, keepdims=True)
-            row = u / s
-            steps.append((h, c, gi, gf, gg, go, c_new, tc, h_new, u, s, row))
-        else:
-            shifted = np.where(mask, logits, -np.inf)
-            shifted = shifted - shifted.max(axis=1, keepdims=True)
-            e = np.exp(shifted) * maskf
-            row = e / e.sum(axis=1, keepdims=True)
-            steps.append((h, c, gi, gf, gg, go, c_new, tc, h_new, None, None, row))
-        beta[:, step] = row
-        h, c = h_new, c_new
+        c = gf * c + gi * gg
+        tc = np.tanh(c)
+        h = go * tc
+        hs[:, step] = h
+        cs[:, step] = c
+        steps.append((gi, gf, gg, go, tc))
+
+    logits = (hs.reshape(b * t, hdim) @ model.w_out.T + model.b_out).reshape(b, t, -1)
+    maskf = mask.astype(float)[:, None, :]
+    if cfg.output == "sigmoid":
+        u = _sigmoid(logits) * maskf
+        s = u.sum(axis=2, keepdims=True)
+        beta = u / s
+    else:
+        shifted = np.where(mask[:, None, :], logits, -np.inf)
+        shifted = shifted - shifted.max(axis=2, keepdims=True)
+        e = np.exp(shifted) * maskf
+        beta = e / e.sum(axis=2, keepdims=True)
+        u = s = None
     if not np.all(np.isfinite(beta)):
         bad = int(np.argwhere(~np.isfinite(beta))[0][0])
         raise NumericalError(f"non-finite activations in forward pass (sequence {bad})")
-    return _ForwardCache(x, xp, mask, steps, beta)
+    return _ForwardCache(x, xp, mask, steps, hs, cs, u, s, beta)
 
 
 def _backward_core(model: LstmModel, cache: _ForwardCache, dbeta: np.ndarray) -> Dict[str, np.ndarray]:
@@ -408,13 +426,19 @@ def _backward_core(model: LstmModel, cache: _ForwardCache, dbeta: np.ndarray) ->
     dxp = np.zeros((b, t, hdim))
     dh_next = np.zeros((b, hdim))
     dc_next = np.zeros((b, hdim))
+    zero = np.zeros((b, hdim))
 
     for step in range(t - 1, -1, -1):
-        h_prev, c_prev, gi, gf, gg, go, c_new, tc, h_new, u, s, row = cache.steps[step]
+        gi, gf, gg, go, tc = cache.steps[step]
+        h_prev = cache.hs[:, step - 1] if step else zero
+        c_prev = cache.cs[:, step - 1] if step else zero
+        h_new = cache.hs[:, step]
+        row = cache.beta[:, step]
         db = dbeta[:, step]
         if cfg.output == "sigmoid":
+            u = cache.u[:, step]
             inner = (db * row).sum(axis=1, keepdims=True)
-            du = (db - inner) / s
+            du = (db - inner) / cache.s[:, step]
             dlogits = du * u * (1.0 - u)
         else:
             inner = (db * row).sum(axis=1, keepdims=True)
@@ -462,7 +486,12 @@ def forward_scan(
 
     Tracks are processed in row order with hidden state carried between
     them and reset afterwards. Returns rows trimmed to M+1 columns together
-    with the per-step (h, c) trace.
+    with the per-step (h, c) trace, each (tracks, hidden).
+
+    The input and output products run once over all tracks, not once per
+    track, so the rows differ from per-step products by rounding only
+    (about 1e-16): numpy takes a matrix-vector product for one row and a
+    matrix product for several, and the two sum in different orders.
     """
     if not len(tracks):
         raise ContractViolation("forward_scan needs at least one track")
@@ -472,9 +501,7 @@ def forward_scan(
     cache = _forward_core(model, feats[None, :, :], mask[None, :])
     m = scan.num_measurements
     rows = np.concatenate([cache.beta[0, :, :m], cache.beta[0, :, -1:]], axis=1)
-    hs = np.stack([step[8][0] for step in cache.steps])
-    cs = np.stack([step[6][0] for step in cache.steps])
-    return AssocProbabilities(rows), (hs, cs)
+    return AssocProbabilities(rows), (cache.hs[0], cache.cs[0])
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ def jpda_measurement_subset_dp(likelihood, gates, p_d, clutter_density, max_even
     this walks the tracks in order over states (track k, measurements used
     before k that a track >= k can still gate), after Horridge & Maskell
     (FUSION 2006), keeping the states in dicts. Raises ``ComplexityError``
-    past ``max_events`` state transitions (states x (candidates + 1)) and
+    past ``max_events`` state updates (states x (candidates + 1)) and
     ``NumericalError`` when every joint event of a cluster weighs zero.
     """
     n, m = likelihood.shape
@@ -180,12 +180,12 @@ def jpda_measurement_subset_dp(likelihood, gates, p_d, clutter_density, max_even
 
         # alpha[k][S]: summed weight of the assignments of tracks < k using S within future[k].
         alpha = [{0: 1.0}]
-        transitions = 0
+        updates = 0
         for k, moves_k in enumerate(moves):
-            transitions += len(alpha[k]) * len(moves_k)
-            if transitions > max_events:
+            updates += len(alpha[k]) * len(moves_k)
+            if updates > max_events:
                 raise ComplexityError(
-                    f"more than {max_events} state transitions in a cluster of {len(tracks_c)} "
+                    f"more than {max_events} state updates in a cluster of {len(tracks_c)} "
                     f"tracks and {len(meas_c)} measurements; split the cluster first"
                 )
             nxt: Dict[int, float] = {}
@@ -395,8 +395,9 @@ def reference_sigmoid(x):
 def reference_forward(model, x, mask):
     """The LSTM forward pass with one ``reference_sigmoid`` call per gate.
 
-    Takes inputs (B, T, features) and an output mask (B, m_max+1); returns
-    (xp, steps, beta) laid out as deepda's forward cache: ``steps[t]`` is
+    Every product runs step by step, one (B, ·) block at a time. Takes
+    inputs (B, T, features) and an output mask (B, m_max+1); returns
+    (xp, steps, beta), where ``steps[t]`` is
     (h, c, gi, gf, gg, go, c_new, tc, h_new, u, s, row), with u and s None
     for the softmax output.
     """

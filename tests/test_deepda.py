@@ -20,7 +20,9 @@ from cluttertrack.deepda import (
     forward_scan,
     identity_norm,
     init_model,
+    init_model_detectors,
     load_model,
+    offset_scale_from_dataset,
     output_mask,
     param_shapes,
     rmsprop_step,
@@ -34,6 +36,7 @@ from cluttertrack.domain import (
     ModelFormatError,
     Scan,
     ScenarioConfig,
+    five_crossing_targets,
 )
 from cluttertrack.scenario import make_training_set, seeded_variants
 
@@ -249,6 +252,41 @@ def test_sigmoid_matches_two_branch_reference():
             np.testing.assert_array_equal(_sigmoid(x), reference_sigmoid(x))
 
 
+def reference_cache(model, x, mask):
+    """``reference_forward``'s per-step tensors laid out as deepda's forward cache."""
+    xp, steps, beta = reference_forward(model, x, mask)
+
+    gates = [(gi, gf, gg, go, tc) for _, _, gi, gf, gg, go, _, tc, _, _, _, _ in steps]
+
+    def trace(field):
+        return np.stack([step[field] for step in steps], axis=1)
+
+    hs, cs = trace(8), trace(6)
+    u, s = (trace(9), trace(10)) if model.cfg.output == "sigmoid" else (None, None)
+    return _ForwardCache(x, xp, mask, gates, hs, cs, u, s, beta)
+
+
+def assert_same(got, ref, exact, atol=0.0):
+    if exact:
+        np.testing.assert_array_equal(got, ref)
+    else:
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=atol)
+
+
+def assert_cache_matches(got, ref, exact):
+    np.testing.assert_array_equal(got.xp, ref.xp)
+    for name in ("hs", "cs", "u", "s", "beta"):
+        if getattr(ref, name) is None:
+            assert getattr(got, name) is None
+        else:
+            assert_same(getattr(got, name), getattr(ref, name), exact)
+    assert len(got.steps) == len(ref.steps) == ref.x.shape[1]
+    for got_step, ref_step in zip(got.steps, ref.steps):
+        assert len(got_step) == len(ref_step) == 5
+        for got_t, ref_t in zip(got_step, ref_step):
+            assert_same(got_t, ref_t, exact)
+
+
 @pytest.mark.parametrize("output", ["sigmoid", "softmax"])
 @pytest.mark.parametrize("b", [1, 32])
 @pytest.mark.parametrize("t", [1, 5])
@@ -269,26 +307,68 @@ def test_forward_core_matches_per_gate_reference(output, b, t):
     x = np.stack([e.inputs for e in batch])
     mask = np.stack([e.mask for e in batch])
 
+    # The core takes the input and output products over all B*T rows at
+    # once. Each row of a matrix product has the same bits whatever the row
+    # count, except that numpy takes a matrix-vector product for one row:
+    # only a single sequence of several steps sums in another order.
+    exact = b > 1 or t == 1
     cache = _forward_core(model, x, mask)
-    xp, steps, beta = reference_forward(model, x, mask)
-    np.testing.assert_array_equal(cache.xp, xp)
-    np.testing.assert_array_equal(cache.beta, beta)
-    assert len(cache.steps) == len(steps) == t
-    for got_step, ref_step in zip(cache.steps, steps):
-        for got, ref in zip(got_step, ref_step):
-            if ref is None:
-                assert got is None
-            else:
-                np.testing.assert_array_equal(got, ref)
+    ref = reference_cache(model, x, mask)
+    assert_cache_matches(cache, ref, exact)
 
-    diff = beta - np.stack([e.truth for e in batch])
-    ref_grads = _backward_core(
-        model, _ForwardCache(x, xp, mask, steps, beta), (2.0 / b) * diff
-    )
+    diff = ref.beta - np.stack([e.truth for e in batch])
+    ref_grads = _backward_core(model, ref, (2.0 / b) * diff)
     batch_loss, grads = _batch_loss_and_grads(model, batch)
-    assert batch_loss == float(np.sum(diff * diff)) / b
+    assert_same(batch_loss, float(np.sum(diff * diff)) / b, exact)
     assert grads.keys() == ref_grads.keys()
     for name in grads:
+        # A gradient sums over steps, so an entry that nearly cancels keeps
+        # the rounding of its largest terms: bound it by the array's scale.
+        ref_grad = ref_grads[name]
+        assert_same(grads[name], ref_grad, exact, atol=1e-13 * np.abs(ref_grad).max())
+
+
+def benchmark_size_model_and_data():
+    """The benchmark's network size (m_max 42, hidden 64) on five crossing
+    targets at lambda 20, detector-initialized from the data as ``train``
+    does, with a nonzero recurrent weight so the steps interact."""
+    ds = make_training_set(seeded_variants(five_crossing_targets(seed=4242), 2))
+    cfg = NetConfig(m_max=42, hidden=64)
+    norm = fit_norm_stats(ds, cfg)
+    model = init_model_detectors(cfg, norm, 2.0 * offset_scale_from_dataset(ds))
+    model = model.with_params({"lstm_wh": init_model(cfg, norm).lstm_wh})
+    return model, ds
+
+
+def test_forward_at_benchmark_size_matches_per_step_reference():
+    model, ds = benchmark_size_model_and_data()
+    for group in ds.groups[:8]:
+        tracks = make_set([make_track(j, (x, 0.0, y, 0.0)) for j, (x, y) in enumerate(group.pred_meas)])
+        scan = Scan(k=0, measurements=group.measurements)
+        probs, (hs, cs) = forward_scan(model, tracks, scan)
+        feats = build_features(group.pred_meas, group.measurements, model.cfg, model.norm)
+        ref = reference_cache(model, feats[None], output_mask(model.cfg, scan.num_measurements)[None])
+        m = scan.num_measurements
+        ref_rows = np.concatenate([ref.beta[0, :, :m], ref.beta[0, :, -1:]], axis=1)
+        assert hs.shape == cs.shape == (5, 64)
+        np.testing.assert_allclose(probs.rows, ref_rows, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(hs, ref.hs[0], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(cs, ref.cs[0], rtol=1e-13, atol=0)
+
+
+def test_batch_gradients_at_benchmark_size_equal_reference_bits():
+    # Training batches hold 32 sequences, where the hoisted products give
+    # the per-step bits exactly; the benchmark's final loss relies on it.
+    model, ds = benchmark_size_model_and_data()
+    batch = encode_dataset(ds, model.cfg, model.norm)[:32]
+    assert len(batch) == 32 and {e.inputs.shape for e in batch} == {(5, 84)}
+    x = np.stack([e.inputs for e in batch])
+    ref = reference_cache(model, x, np.stack([e.mask for e in batch]))
+    diff = ref.beta - np.stack([e.truth for e in batch])
+    ref_grads = _backward_core(model, ref, (2.0 / 32) * diff)
+    batch_loss, grads = _batch_loss_and_grads(model, batch)
+    assert batch_loss == float(np.sum(diff * diff)) / 32
+    for name in ref_grads:
         np.testing.assert_array_equal(grads[name], ref_grads[name])
 
 
