@@ -429,7 +429,6 @@ def jpda(
     gp: GateParams,
     p_d: float,
     clutter_density: float,
-    max_events: int = MAX_JOINT_EVENTS,
     max_candidates: int = 8,
 ) -> AssocProbabilities:
     """Joint probabilistic data association over the gated measurements.
@@ -446,9 +445,7 @@ def jpda(
     _, _, det, d2 = innovations(tracks, scan.measurements, params)
     likelihood = np.exp(-0.5 * d2) / (2.0 * math.pi * np.sqrt(det))[:, None]
     gates = [gate(row, gp) for row in d2]
-    if max_candidates is not None:
-        for j, g in enumerate(gates):
-            if len(g) > max_candidates:
-                best = sorted(g, key=lambda i: -likelihood[j, i])[:max_candidates]
-                gates[j] = set(best)
-    return jpda_from_gates(likelihood, gates, p_d, clutter_density, max_events)
+    for j, g in enumerate(gates):
+        if len(g) > max_candidates:
+            gates[j] = set(sorted(g, key=lambda i: -likelihood[j, i])[:max_candidates])
+    return jpda_from_gates(likelihood, gates, p_d, clutter_density)

@@ -7,7 +7,8 @@ slots carry the pad sentinel (normalized value 1, the far corner). The
 network runs once per target in track-set row order within a scan,
 carrying hidden state across targets, and resets between scans. The output
 row holds one probability per measurement slot plus a trailing miss
-probability.
+probability: each column has its own sigmoid, and the sigmoids of the valid
+slots and the miss are normalised to sum to 1.
 
 Everything here is plain numpy in float64: forward, exact backpropagation
 through the target unrolling, and the RMSprop optimizer.
@@ -42,15 +43,12 @@ from .domain import (
 )
 from .scenario import ScanSequence, TrainingSet
 
-MODEL_FORMAT_VERSION = 1
-
-_OUTPUTS = ("sigmoid", "softmax")
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture: slot count, hidden width, initialization seed and the
-    output layer ("sigmoid" or "softmax").
+    """Architecture: slot count, hidden width and initialization seed.
 
     Measurements are 2-D (x, y), so each slot holds two input features.
     """
@@ -58,15 +56,12 @@ class NetConfig:
     m_max: int = 32
     hidden: int = 64
     seed: int = 0
-    output: str = "sigmoid"
 
     def __post_init__(self):
         if self.m_max < 1 or self.hidden < 1:
             raise ContractViolation(
                 f"m_max, hidden must be >= 1, got {self.m_max}/{self.hidden}"
             )
-        if self.output not in _OUTPUTS:
-            raise ContractViolation(f"output must be one of {_OUTPUTS}, got {self.output!r}")
 
     @property
     def features(self) -> int:
@@ -363,8 +358,8 @@ class _ForwardCache:
         self.steps = steps  # per step (gi, gf, gg, go, tanh(c))
         self.hs = hs  # (B, T, hidden) states after each step
         self.cs = cs  # (B, T, hidden) cells after each step
-        self.u = u  # (B, T, m_max+1) masked sigmoids; None for softmax
-        self.s = s  # (B, T, 1) their row sums; None for softmax
+        self.u = u  # (B, T, m_max+1) masked sigmoids
+        self.s = s  # (B, T, 1) their row sums
         self.beta = beta
 
 
@@ -372,9 +367,8 @@ def _forward_core(model: LstmModel, x: np.ndarray, mask: np.ndarray) -> _Forward
     # Only h @ lstm_wh.T depends on the previous step. The input projection,
     # its product with lstm_wx, the output layer and the normalisation run
     # once over all B*T rows; the loop keeps the recurrence alone.
-    cfg = model.cfg
     b, t, f = x.shape
-    hdim = cfg.hidden
+    hdim = model.cfg.hidden
     xp = x.reshape(b * t, f) @ model.w_in.T
     xp += model.b_in
     zx = (xp @ model.lstm_wx.T).reshape(b, t, 4 * hdim)
@@ -401,17 +395,9 @@ def _forward_core(model: LstmModel, x: np.ndarray, mask: np.ndarray) -> _Forward
         steps.append((gi, gf, gg, go, tc))
 
     logits = (hs.reshape(b * t, hdim) @ model.w_out.T + model.b_out).reshape(b, t, -1)
-    maskf = mask.astype(float)[:, None, :]
-    if cfg.output == "sigmoid":
-        u = _sigmoid(logits) * maskf
-        s = u.sum(axis=2, keepdims=True)
-        beta = u / s
-    else:
-        shifted = np.where(mask[:, None, :], logits, -np.inf)
-        shifted = shifted - shifted.max(axis=2, keepdims=True)
-        e = np.exp(shifted) * maskf
-        beta = e / e.sum(axis=2, keepdims=True)
-        u = s = None
+    u = _sigmoid(logits) * mask.astype(float)[:, None, :]
+    s = u.sum(axis=2, keepdims=True)
+    beta = u / s
     if not np.all(np.isfinite(beta)):
         bad = int(np.argwhere(~np.isfinite(beta))[0][0])
         raise NumericalError(f"non-finite activations in forward pass (sequence {bad})")
@@ -433,16 +419,11 @@ def _backward_core(model: LstmModel, cache: _ForwardCache, dbeta: np.ndarray) ->
         h_prev = cache.hs[:, step - 1] if step else zero
         c_prev = cache.cs[:, step - 1] if step else zero
         h_new = cache.hs[:, step]
-        row = cache.beta[:, step]
         db = dbeta[:, step]
-        if cfg.output == "sigmoid":
-            u = cache.u[:, step]
-            inner = (db * row).sum(axis=1, keepdims=True)
-            du = (db - inner) / cache.s[:, step]
-            dlogits = du * u * (1.0 - u)
-        else:
-            inner = (db * row).sum(axis=1, keepdims=True)
-            dlogits = row * (db - inner)
+        u = cache.u[:, step]
+        inner = (db * cache.beta[:, step]).sum(axis=1, keepdims=True)
+        du = (db - inner) / cache.s[:, step]
+        dlogits = du * u * (1.0 - u)
         grads["w_out"] += dlogits.T @ h_new
         grads["b_out"] += dlogits.sum(axis=0)
         dh = dlogits @ model.w_out + dh_next
@@ -522,14 +503,6 @@ def encode_group(group: ScanSequence, cfg: NetConfig, norm: NormStats) -> Encode
     for idx, label in enumerate(group.labels):
         truth[idx, label if label >= 0 else cfg.m_max] = 1.0
     return EncodedScan(feats, truth, output_mask(cfg, group.measurements.shape[0]))
-
-
-def encode_dataset(dataset: TrainingSet, cfg: NetConfig, norm: NormStats) -> List[EncodedScan]:
-    if dataset.m_max > cfg.m_max:
-        raise CapacityError(
-            f"dataset needs m_max >= {dataset.m_max}, network has {cfg.m_max}"
-        )
-    return [encode_group(g, cfg, norm) for g in dataset.groups]
 
 
 def fit_norm_stats(dataset: TrainingSet, cfg: NetConfig) -> NormStats:
@@ -642,7 +615,7 @@ def train(
         }
     else:
         model = init_model(net_cfg, norm)
-    encoded = encode_dataset(dataset, net_cfg, norm)
+    encoded = [encode_group(g, net_cfg, norm) for g in dataset.groups]
     n = len(encoded)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(train_cfg.seed)))
     state: Optional[Dict[str, np.ndarray]] = None
@@ -705,7 +678,6 @@ def load_model(path) -> LstmModel:
             m_max=int(nc["m_max"]),
             hidden=int(nc["hidden"]),
             seed=int(nc["seed"]),
-            output=str(nc["output"]),
         )
         norm = NormStats(
             np.asarray(doc["norm_stats"]["min"], dtype=float),

@@ -40,7 +40,8 @@ class CapacityError(ContractViolation):
 
 
 class ComplexityError(ToolkitError):
-    """Joint-event enumeration would exceed the tractability guard."""
+    """Exact JPDA would make more state updates of its subset walk than the
+    tractability guard allows."""
 
 
 class ModelFormatError(ToolkitError):

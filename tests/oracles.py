@@ -378,7 +378,7 @@ def gate(track, scan, params, gamma):
 # ---------------------------------------------------------------------------
 # LSTM step: the two-branch sigmoid and the per-gate forward loop that the
 # single activation pass in ``cluttertrack.deepda`` replaced, kept unchanged
-# as their bit-for-bit reference.
+# as their bit-for-bit reference, and backpropagation through that loop.
 # ---------------------------------------------------------------------------
 
 
@@ -398,8 +398,7 @@ def reference_forward(model, x, mask):
     Every product runs step by step, one (B, ·) block at a time. Takes
     inputs (B, T, features) and an output mask (B, m_max+1); returns
     (xp, steps, beta), where ``steps[t]`` is
-    (h, c, gi, gf, gg, go, c_new, tc, h_new, u, s, row), with u and s None
-    for the softmax output.
+    (h, c, gi, gf, gg, go, c_new, tc, h_new, u, s, row).
     """
     cfg = model.cfg
     b, t, f = x.shape
@@ -423,17 +422,57 @@ def reference_forward(model, x, mask):
         tc = np.tanh(c_new)
         h_new = go * tc
         logits = h_new @ model.w_out.T + model.b_out
-        if cfg.output == "sigmoid":
-            u = reference_sigmoid(logits) * maskf
-            s = u.sum(axis=1, keepdims=True)
-            row = u / s
-        else:
-            shifted = np.where(mask, logits, -np.inf)
-            shifted = shifted - shifted.max(axis=1, keepdims=True)
-            e = np.exp(shifted) * maskf
-            row = e / e.sum(axis=1, keepdims=True)
-            u = s = None
+        u = reference_sigmoid(logits) * maskf
+        s = u.sum(axis=1, keepdims=True)
+        row = u / s
         steps.append((h, c, gi, gf, gg, go, c_new, tc, h_new, u, s, row))
         beta[:, step] = row
         h, c = h_new, c_new
     return xp, steps, beta
+
+
+def reference_backward(model, x, mask, dbeta):
+    """Gradients of sum(dbeta * beta) for the rows of ``reference_forward``.
+
+    Walks the steps of ``reference_forward`` from the last to the first, one
+    gate at a time, and adds each gate's share of every weight gradient
+    step by step. As in that forward pass, the four gates meet in one
+    product with the input and recurrent weights and the input projection
+    runs once over all steps, so every gradient sums its terms in the order
+    the training code does. Returns a dict keyed by parameter name.
+    """
+    xp, steps, _ = reference_forward(model, x, mask)
+    b, t, f = x.shape
+    hdim = model.cfg.hidden
+    gate_rows = [slice(k * hdim, (k + 1) * hdim) for k in range(4)]
+    grads = {name: np.zeros_like(p) for name, p in model.params().items()}
+    dxp = np.zeros((b, t, hdim))
+    dh_next = np.zeros((b, hdim))
+    dc_next = np.zeros((b, hdim))
+    for step in range(t - 1, -1, -1):
+        h, c, gi, gf, gg, go, _, tc, h_new, u, s, row = steps[step]
+        db = dbeta[:, step]
+        # row = u / s, and u is the masked sigmoid of the logits.
+        dlogits = (db - (db * row).sum(axis=1, keepdims=True)) / s * u * (1.0 - u)
+        grads["w_out"] += dlogits.T @ h_new
+        grads["b_out"] += dlogits.sum(axis=0)
+        dh = dlogits @ model.w_out + dh_next
+        dc = dh * go * (1.0 - tc * tc) + dc_next
+        dz = [
+            dc * gg * gi * (1.0 - gi),  # input gate
+            dc * c * gf * (1.0 - gf),  # forget gate
+            dc * gi * (1.0 - gg * gg),  # cell gate
+            dh * tc * go * (1.0 - go),  # output gate
+        ]
+        for rows, dz_gate in zip(gate_rows, dz):
+            grads["lstm_wx"][rows] += dz_gate.T @ xp[:, step]
+            grads["lstm_wh"][rows] += dz_gate.T @ h
+            grads["lstm_b"][rows] += dz_gate.sum(axis=0)
+        dz = np.concatenate(dz, axis=1)
+        dxp[:, step] = dz @ model.lstm_wx
+        dh_next = dz @ model.lstm_wh
+        dc_next = dc * gf
+    flat_dxp = dxp.reshape(b * t, hdim)
+    grads["w_in"] += flat_dxp.T @ x.reshape(b * t, f)
+    grads["b_in"] += flat_dxp.sum(axis=0)
+    return grads

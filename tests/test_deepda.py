@@ -10,12 +10,11 @@ from cluttertrack.deepda import (
     NormStats,
     TrainConfig,
     _ForwardCache,
-    _backward_core,
     _batch_loss_and_grads,
     _forward_core,
     _sigmoid,
     build_features,
-    encode_dataset,
+    encode_group,
     fit_norm_stats,
     forward_scan,
     identity_norm,
@@ -41,7 +40,7 @@ from cluttertrack.domain import (
 from cluttertrack.scenario import make_training_set, seeded_variants
 
 from conftest import make_set, make_track
-from oracles import numeric_gradients, reference_forward, reference_sigmoid
+from oracles import numeric_gradients, reference_backward, reference_forward, reference_sigmoid
 
 
 def small_cfg(**kw):
@@ -176,15 +175,6 @@ def test_forward_scalar_lstm_hand_evaluation():
     assert probs.rows[0] == pytest.approx(u / u.sum(), abs=1e-12)
 
 
-def test_forward_softmax_variant_rows_sum_one():
-    cfg = small_cfg(m_max=3, hidden=4, output="softmax", seed=2)
-    model = init_model(cfg, identity_norm(cfg.features))
-    scan = Scan(k=0, measurements=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    probs, _ = forward_scan(model, make_set([make_track(0), make_track(1)]), scan)
-    assert np.allclose(probs.rows.sum(axis=1), 1.0)
-    assert probs.rows.shape == (2, 3)
-
-
 def test_forward_slot_permutation_equivariance():
     # A slot-symmetric model (identical per-slot weights, identical per-slot
     # norm stats) must permute its beta columns when the slots permute.
@@ -220,9 +210,12 @@ def test_forward_slot_permutation_equivariance():
 
 
 def test_configs_have_no_dimension_or_clip_field():
-    # Measurements are 2-D by contract and nothing clips gradients.
+    # Measurements are 2-D by contract, the output head is fixed and
+    # nothing clips gradients.
     with pytest.raises(TypeError):
         NetConfig(d=2)
+    with pytest.raises(TypeError):
+        NetConfig(output="sigmoid")
     with pytest.raises(TypeError):
         TrainConfig(clip=1.0)
     assert small_cfg(m_max=5).features == 10
@@ -261,9 +254,7 @@ def reference_cache(model, x, mask):
     def trace(field):
         return np.stack([step[field] for step in steps], axis=1)
 
-    hs, cs = trace(8), trace(6)
-    u, s = (trace(9), trace(10)) if model.cfg.output == "sigmoid" else (None, None)
-    return _ForwardCache(x, xp, mask, gates, hs, cs, u, s, beta)
+    return _ForwardCache(x, xp, mask, gates, trace(8), trace(6), trace(9), trace(10), beta)
 
 
 def assert_same(got, ref, exact, atol=0.0):
@@ -276,10 +267,7 @@ def assert_same(got, ref, exact, atol=0.0):
 def assert_cache_matches(got, ref, exact):
     np.testing.assert_array_equal(got.xp, ref.xp)
     for name in ("hs", "cs", "u", "s", "beta"):
-        if getattr(ref, name) is None:
-            assert getattr(got, name) is None
-        else:
-            assert_same(getattr(got, name), getattr(ref, name), exact)
+        assert_same(getattr(got, name), getattr(ref, name), exact)
     assert len(got.steps) == len(ref.steps) == ref.x.shape[1]
     for got_step, ref_step in zip(got.steps, ref.steps):
         assert len(got_step) == len(ref_step) == 5
@@ -287,11 +275,13 @@ def assert_cache_matches(got, ref, exact):
             assert_same(got_t, ref_t, exact)
 
 
-@pytest.mark.parametrize("output", ["sigmoid", "softmax"])
-@pytest.mark.parametrize("b", [1, 32])
-@pytest.mark.parametrize("t", [1, 5])
-def test_forward_core_matches_per_gate_reference(output, b, t):
-    cfg = small_cfg(m_max=6, hidden=8, seed=3, output=output)
+# Case ids are t-b-head; the sigmoid head is the only one.
+SEQUENCE_SIZES = [(1, 1), (1, 32), (5, 1), (5, 32)]
+
+
+@pytest.mark.parametrize("t, b", SEQUENCE_SIZES, ids=[f"{t}-{b}-sigmoid" for t, b in SEQUENCE_SIZES])
+def test_forward_core_matches_per_gate_reference(t, b):
+    cfg = small_cfg(m_max=6, hidden=8, seed=3)
     model = init_model(cfg, identity_norm(cfg.features))
     # wider weights: gate pre-activations of both signs, some saturated
     model = model.with_params({n: 3.0 * p for n, p in model.params().items()})
@@ -317,7 +307,7 @@ def test_forward_core_matches_per_gate_reference(output, b, t):
     assert_cache_matches(cache, ref, exact)
 
     diff = ref.beta - np.stack([e.truth for e in batch])
-    ref_grads = _backward_core(model, ref, (2.0 / b) * diff)
+    ref_grads = reference_backward(model, x, mask, (2.0 / b) * diff)
     batch_loss, grads = _batch_loss_and_grads(model, batch)
     assert_same(batch_loss, float(np.sum(diff * diff)) / b, exact)
     assert grads.keys() == ref_grads.keys()
@@ -360,12 +350,13 @@ def test_batch_gradients_at_benchmark_size_equal_reference_bits():
     # Training batches hold 32 sequences, where the hoisted products give
     # the per-step bits exactly; the benchmark's final loss relies on it.
     model, ds = benchmark_size_model_and_data()
-    batch = encode_dataset(ds, model.cfg, model.norm)[:32]
+    batch = [encode_group(g, model.cfg, model.norm) for g in ds.groups[:32]]
     assert len(batch) == 32 and {e.inputs.shape for e in batch} == {(5, 84)}
     x = np.stack([e.inputs for e in batch])
-    ref = reference_cache(model, x, np.stack([e.mask for e in batch]))
+    mask = np.stack([e.mask for e in batch])
+    ref = reference_cache(model, x, mask)
     diff = ref.beta - np.stack([e.truth for e in batch])
-    ref_grads = _backward_core(model, ref, (2.0 / 32) * diff)
+    ref_grads = reference_backward(model, x, mask, (2.0 / 32) * diff)
     batch_loss, grads = _batch_loss_and_grads(model, batch)
     assert batch_loss == float(np.sum(diff * diff)) / 32
     for name in ref_grads:
@@ -434,18 +425,16 @@ def test_backward_zero_at_exact_truth():
 
 
 def test_backward_matches_finite_differences():
-    rng = np.random.default_rng(1)
-    for output in ("sigmoid", "softmax"):
-        cfg = small_cfg(seed=6, output=output)
-        model = init_model(cfg, identity_norm(cfg.features))
-        batch = random_batch(cfg, rng)
-        loss_fn = lambda: _batch_loss_and_grads(model, batch)[0]
-        _, analytic = _batch_loss_and_grads(model, batch)
-        numeric = numeric_gradients(loss_fn, model, step=1e-5)
-        for name in analytic:
-            a, n = analytic[name], numeric[name]
-            rel = np.abs(a - n) / np.maximum.reduce([np.abs(a), np.abs(n), np.full_like(a, 1e-6)])
-            assert rel.max() < 1e-4, f"{name}: {rel.max()}"
+    cfg = small_cfg(seed=6)
+    model = init_model(cfg, identity_norm(cfg.features))
+    batch = random_batch(cfg, np.random.default_rng(1))
+    loss_fn = lambda: _batch_loss_and_grads(model, batch)[0]
+    _, analytic = _batch_loss_and_grads(model, batch)
+    numeric = numeric_gradients(loss_fn, model, step=1e-5)
+    for name in analytic:
+        a, n = analytic[name], numeric[name]
+        rel = np.abs(a - n) / np.maximum.reduce([np.abs(a), np.abs(n), np.full_like(a, 1e-6)])
+        assert rel.max() < 1e-4, f"{name}: {rel.max()}"
 
 
 def test_backward_padded_output_weights_zero_grad():
@@ -589,10 +578,12 @@ def test_load_rejects_wrong_version(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     doc = json.loads(path.read_text())
-    doc["version"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match="version"):
-        load_model(path)
+    # Version 1 files recorded an output head, which may be "softmax".
+    for version in (1, 99):
+        doc["version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="version"):
+            load_model(path)
 
 
 def test_load_rejects_inconsistent_m_max(tmp_path):
