@@ -130,7 +130,6 @@ class EpisodeResult:
     stti: Optional[int]  # None when the scans carry no origin labels
     time_mean_s: float
     scan_ospa: Tuple[float, ...]
-    scan_times: Tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,6 @@ def track_scans(
         stti=switches,
         time_mean_s=float(np.mean(scan_times)),
         scan_ospa=tuple(scan_ospa),
-        scan_times=tuple(scan_times),
     )
     return TrackingRun(result, np.array(states))
 
@@ -213,14 +211,15 @@ def run_episode(
 ) -> EpisodeResult:
     """Simulate one episode and track it with the chosen association engine.
 
-    ``seed`` defaults to ``config.seed`` and ``ospa_params`` to c 10, p 2;
-    the filter runs at the scenario's ``dt`` and both classic engines use the
-    default gate. ``model`` is required for method "deepda".
+    ``seed`` defaults to ``config.seed`` and ``ospa_params`` to
+    ``OspaParams()``; the filter runs at the scenario's ``dt`` and both
+    classic engines use the default gate. ``model`` is required for method
+    "deepda".
     """
     if seed is None:
         seed = config.seed
     params = FilterParams(dt=config.dt)
-    op = ospa_params or OspaParams(c=10.0, p=2.0)
+    op = ospa_params or OspaParams()
     engine = make_engine(method, config, params, GateParams(), model)
 
     truth = generate_truth(config)
@@ -243,7 +242,7 @@ class BenchSpec:
     n_runs: int = 100
     methods: Tuple[str, ...] = METHODS
     model_path: Optional[str] = None
-    ospa: OspaParams = OspaParams(c=10.0, p=2.0)
+    ospa: OspaParams = OspaParams()
     seed: int = 0
 
     def __post_init__(self):
@@ -268,19 +267,19 @@ class BenchSpec:
             raise ConfigError(f"unknown bench fields: {sorted(unknown)}")
         if "base" not in d:
             raise ConfigError("missing bench field: base")
-        ospa_d = d.get("ospa", {"c": 10.0, "p": 2.0})
+        ospa_d = d.get("ospa", {})
         extra = set(ospa_d) - {f.name for f in fields(OspaParams)}
         if extra:
             raise ConfigError(f"ospa: unknown fields {sorted(extra)}")
+        # Fields the spec leaves out keep the dataclass defaults.
+        casts = {"n_runs": int, "methods": tuple, "seed": int}
         return BenchSpec(
             base=ScenarioConfig.from_dict(d["base"]),
             pd_values=tuple(d.get("pd_values", [d["base"]["p_d"]])),
             elambda_values=tuple(d.get("elambda_values", [d["base"]["e_lambda"]])),
-            n_runs=int(d.get("n_runs", 100)),
-            methods=tuple(d.get("methods", METHODS)),
             model_path=d.get("model_path"),
-            ospa=OspaParams(float(ospa_d["c"]), float(ospa_d["p"])),
-            seed=int(d.get("seed", 0)),
+            ospa=OspaParams(**{k: float(v) for k, v in ospa_d.items()}),
+            **{k: cast(d[k]) for k, cast in casts.items() if k in d},
         )
 
 

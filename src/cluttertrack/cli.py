@@ -102,10 +102,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_train_config(doc: dict):
-    unknown = set(doc) - {"scenarios", "base", "variants", "net", "train"}
+def _reject_unknown(section: str, doc: dict, accepted: Sequence[str]) -> None:
+    unknown = set(doc) - set(accepted)
     if unknown:
-        raise ConfigError(f"unknown train config fields: {sorted(unknown)}")
+        raise ConfigError(
+            f"{section}: unknown fields {sorted(unknown)}; accepted fields are {list(accepted)}"
+        )
+
+
+def _parse_train_config(doc: dict):
+    _reject_unknown("train config", doc, ("scenarios", "base", "variants", "net", "train"))
     if "scenarios" in doc:
         configs = [ScenarioConfig.from_dict(d) for d in doc["scenarios"]]
     elif "base" in doc:
@@ -115,15 +121,11 @@ def _parse_train_config(doc: dict):
         raise ConfigError("train config needs either 'scenarios' or 'base'")
 
     net_doc = dict(doc.get("net", {}))
-    unknown = set(net_doc) - {f.name for f in fields(NetConfig)}
-    if unknown:
-        raise ConfigError(f"net: unknown fields {sorted(unknown)}")
+    _reject_unknown("net", net_doc, [f.name for f in fields(NetConfig)])
     m_max = net_doc.pop("m_max", None)
 
     train_doc = dict(doc.get("train", {}))
-    unknown = set(train_doc) - {f.name for f in fields(TrainConfig)}
-    if unknown:
-        raise ConfigError(f"train: unknown fields {sorted(unknown)}")
+    _reject_unknown("train", train_doc, [f.name for f in fields(TrainConfig)])
     return configs, net_doc, m_max, TrainConfig(**train_doc)
 
 
@@ -331,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--elambda", type=float, default=None,
         help=f"clutter rate for csv input (default {_CSV_DEFAULT_ELAMBDA})",
     )
-    p.add_argument("--ospa-c", type=float, default=10.0)
-    p.add_argument("--ospa-p", type=float, default=2.0)
+    p.add_argument("--ospa-c", type=float, default=OspaParams.c)
+    p.add_argument("--ospa-p", type=float, default=OspaParams.p)
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("bench", help="run a Monte Carlo benchmark grid")

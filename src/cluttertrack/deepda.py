@@ -80,6 +80,8 @@ class NormStats:
         mx = np.asarray(self.max, dtype=float).reshape(-1)
         if mn.shape != mx.shape:
             raise ContractViolation(f"min/max shapes differ: {mn.shape} vs {mx.shape}")
+        if not (np.all(np.isfinite(mn)) and np.all(np.isfinite(mx))):
+            raise ContractViolation("norm stats must be finite")
         if np.any(mx < mn):
             raise ContractViolation("norm stats need max >= min elementwise")
         object.__setattr__(self, "min", mn)
@@ -91,53 +93,35 @@ def identity_norm(features: int) -> NormStats:
     return NormStats(np.zeros(features), np.ones(features))
 
 
-_INITS = ("detector", "uniform")
+#: Learning-rate multiplier of everything but the output read. The detector
+#: ramps of :func:`init_model_detectors` give the network body a huge
+#: output-sensitivity (|x| can reach hundreds), so full-rate sign-normalized
+#: updates there destroy the detectors within an epoch; the readout trains at
+#: full rate while the body refines slowly.
+_BODY_LR_SCALE = 1e-3
+#: RMSprop decay of the squared-gradient average and its denominator guard.
+_RHO = 0.9
+_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """RMSprop settings (``lr``, ``rho``, ``eps``) and loop settings.
-    ``batch`` counts scan sequences per step; ``seed`` drives the shuffle.
-
-    ``init`` selects the parameter initialization: "uniform" is plain
-    seeded uniform(-1/sqrt(hidden), 1/sqrt(hidden)); "detector" (default)
-    additionally shapes the input projection into a bank of sharp per-slot
-    offset detectors scaled from the training data, without which the tiny
-    informative band left by min-max normalization is unlearnable in any
-    practical number of epochs.
-
-    ``body_lr_scale`` multiplies the learning rate of everything except the
-    output read. The detector ramps give the network body a huge
-    output-sensitivity (|x| can reach hundreds), so full-rate sign-normalized
-    updates there destroy the detectors within an epoch; the readout trains
-    at full rate while the body refines slowly.
+    """RMSprop learning rate ``lr`` and loop settings: ``batch`` counts scan
+    sequences per step and ``seed`` drives the shuffle. The rest of the
+    recipe is fixed (see :func:`train`).
     """
 
     lr: float = 1e-2
-    rho: float = 0.9
-    eps: float = 1e-8
     batch: int = 32
     epochs: int = 60
     seed: int = 0
-    init: str = "detector"
-    body_lr_scale: float = 1e-3
 
     def __post_init__(self):
         if not self.lr > 0:
             raise ContractViolation(f"lr must be > 0, got {self.lr}")
-        if not (0.0 < self.rho < 1.0):
-            raise ContractViolation(f"rho must be in (0, 1), got {self.rho}")
-        if not self.eps > 0:
-            raise ContractViolation(f"eps must be > 0, got {self.eps}")
         if self.batch < 1 or self.epochs < 1:
             raise ContractViolation(
                 f"batch and epochs must be >= 1, got {self.batch}/{self.epochs}"
-            )
-        if self.init not in _INITS:
-            raise ContractViolation(f"init must be one of {_INITS}, got {self.init!r}")
-        if self.body_lr_scale < 0:
-            raise ContractViolation(
-                f"body_lr_scale must be >= 0, got {self.body_lr_scale}"
             )
 
 
@@ -563,7 +547,8 @@ def rmsprop_step(
     cfg: TrainConfig,
     lr_scales: Optional[Dict[str, float]] = None,
 ) -> Tuple[LstmModel, Dict[str, np.ndarray]]:
-    """v <- rho v + (1 - rho) g^2; theta <- theta - lr g / (sqrt(v) + eps).
+    """v <- rho v + (1 - rho) g^2; theta <- theta - lr g / (sqrt(v) + eps),
+    with rho ``_RHO`` and eps ``_EPS``.
 
     ``lr_scales`` optionally multiplies the learning rate per parameter name
     (RMSprop is scale-invariant in the gradient itself, so per-group rates
@@ -580,10 +565,10 @@ def rmsprop_step(
         g = grads[name]
         if g.shape != p.shape:
             raise ContractViolation(f"{name}: gradient shape {g.shape} != {p.shape}")
-        v = cfg.rho * state[name] + (1.0 - cfg.rho) * g * g
+        v = _RHO * state[name] + (1.0 - _RHO) * g * g
         new_state[name] = v
         lr = cfg.lr * (lr_scales.get(name, 1.0) if lr_scales else 1.0)
-        new_params[name] = p - lr * g / (np.sqrt(v) + cfg.eps)
+        new_params[name] = p - lr * g / (np.sqrt(v) + _EPS)
     return model.with_params(new_params), new_state
 
 
@@ -592,29 +577,23 @@ def train(
 ) -> Tuple[LstmModel, List[float]]:
     """Fit the network on a training set; returns the model and loss curve.
 
-    Normalization stats come from the training inputs; parameters start as
-    ``train_cfg.init`` selects (see :class:`TrainConfig`); each epoch visits
-    all scan sequences in a seeded shuffled order in mini-batches. The loss
-    curve holds the mean per-sequence loss of each epoch. Deterministic
-    given the config seeds.
+    Normalization stats come from the training inputs, and parameters start
+    from :func:`init_model_detectors`. Each epoch visits all scan sequences in
+    a seeded shuffled order in mini-batches of RMSprop steps, the output read
+    at ``train_cfg.lr`` and everything else at ``_BODY_LR_SCALE`` times it.
+    The loss curve holds the mean per-sequence loss of each epoch.
+    Deterministic given the config seeds.
     """
     if len(dataset) == 0:
         raise ContractViolation("training set is empty")
     norm = fit_norm_stats(dataset, net_cfg)
-    lr_scales = None
-    if train_cfg.init == "detector":
-        # Detector widths cover both the training offsets (pure measurement
-        # noise: predictions come from exact truth) and the extra filter
-        # prediction error present at inference.
-        scale = 2.0 * offset_scale_from_dataset(dataset)
-        model = init_model_detectors(net_cfg, norm, scale)
-        lr_scales = {
-            name: train_cfg.body_lr_scale
-            for name in PARAM_NAMES
-            if name not in ("w_out", "b_out")
-        }
-    else:
-        model = init_model(net_cfg, norm)
+    # Detector widths cover both the training offsets (pure measurement
+    # noise: predictions come from exact truth) and the extra filter
+    # prediction error present at inference.
+    model = init_model_detectors(net_cfg, norm, 2.0 * offset_scale_from_dataset(dataset))
+    lr_scales = {
+        name: _BODY_LR_SCALE for name in PARAM_NAMES if name not in ("w_out", "b_out")
+    }
     encoded = [encode_group(g, net_cfg, norm) for g in dataset.groups]
     n = len(encoded)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(train_cfg.seed)))
@@ -696,5 +675,5 @@ def load_model(path) -> LstmModel:
         return LstmModel(cfg=cfg, norm=norm, **params)
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError, ContractViolation) as e:
+    except (KeyError, TypeError, ValueError, ContractViolation, NumericalError) as e:
         raise ModelFormatError(f"corrupt model file {path}: {e}") from None

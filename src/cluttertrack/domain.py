@@ -337,14 +337,6 @@ class CostMatrix:
             raise ContractViolation("cost matrix entries must be >= 0 and not NaN")
         object.__setattr__(self, "values", v)
 
-    @property
-    def num_tracks(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_measurements(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class Assignment:

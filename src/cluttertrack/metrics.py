@@ -18,8 +18,8 @@ T = TypeVar("T")
 class OspaParams:
     """Cutoff distance c (m) and order p of the OSPA metric."""
 
-    c: float
-    p: float
+    c: float = 10.0
+    p: float = 2.0
 
     def __post_init__(self):
         if not self.c > 0:

@@ -186,7 +186,8 @@ def seeded_variants(base: ScenarioConfig, count: int) -> List[ScenarioConfig]:
 # origins=() unless some measurement row has an empty origin, then None.
 # truth.csv columns: scan, target, x, vx, y, vy. Floats are written as
 # repr(float(v)), the same text under numpy 1 and 2, so files round-trip
-# exactly. Malformed rows raise ConfigError naming the file and line.
+# exactly. Malformed rows, non-finite numbers included, raise ConfigError
+# naming the file and line.
 # ---------------------------------------------------------------------------
 
 SCANS_CSV_HEADER = ["scan", "k", "x", "y", "origin"]
@@ -196,6 +197,13 @@ _EMPTY_SCAN_FIELDS = ["", "", "", ""]
 
 def _malformed(path, line: int, row, e: Exception) -> ConfigError:
     return ConfigError(f"{path}, line {line}: malformed row {row}: {e}")
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
 
 
 def write_scans_csv(scans: Sequence[Scan], path) -> None:
@@ -227,7 +235,7 @@ def read_scans_csv(path) -> List[Scan]:
                 if row[1:] == _EMPTY_SCAN_FIELDS:
                     continue
                 origin = None if row[4] == "" else int(row[4])
-                rows.append((int(row[1]), float(row[2]), float(row[3]), origin))
+                rows.append((int(row[1]), _finite(row[2]), _finite(row[3]), origin))
             except (ValueError, IndexError) as e:
                 raise _malformed(path, reader.line_num, row, e) from None
             labeled_file = labeled_file and origin is not None
@@ -269,7 +277,7 @@ def read_truth_states(path) -> np.ndarray:
             try:
                 if len(row) != len(TRUTH_CSV_HEADER):
                     raise IndexError(f"{len(row)} fields, expected {len(TRUTH_CSV_HEADER)}")
-                entries[(int(row[0]), int(row[1]))] = [float(v) for v in row[2:6]]
+                entries[(int(row[0]), int(row[1]))] = [_finite(v) for v in row[2:6]]
             except (ValueError, IndexError) as e:
                 raise _malformed(path, reader.line_num, row, e) from None
     if not entries:

@@ -15,7 +15,8 @@ from cluttertrack.bench import (
     write_raw_log,
 )
 from cluttertrack.deepda import LstmModel, NetConfig, identity_norm, init_model, save_model
-from cluttertrack.domain import five_crossing_targets
+from cluttertrack.domain import ConfigError, five_crossing_targets
+from cluttertrack.metrics import OspaParams
 
 ACCURACY_COLUMNS = ("ospa_mean", "ospa_std", "stti_mean", "stti_std")
 
@@ -39,6 +40,21 @@ def _spec(model_path, methods):
         model_path=model_path,
         seed=3,
     )
+
+
+def test_bench_spec_from_dict_keeps_the_field_defaults():
+    base = five_crossing_targets()
+    doc = {"base": base.to_dict(), "model_path": "model.json"}
+    spec = BenchSpec.from_dict(doc)
+    assert spec == BenchSpec(
+        base=base, pd_values=(base.p_d,), elambda_values=(base.e_lambda,), model_path="model.json"
+    )
+    assert spec.ospa == OspaParams(c=10.0, p=2.0)
+    # An ospa section may set one of its fields; the other keeps its default.
+    spec = BenchSpec.from_dict({**doc, "ospa": {"c": 5}, "n_runs": 3.0})
+    assert (spec.ospa, spec.n_runs) == (OspaParams(c=5.0, p=2.0), 3)
+    with pytest.raises(ConfigError, match="ospa: unknown fields"):
+        BenchSpec.from_dict({**doc, "ospa": {"q": 1}})
 
 
 def test_parallel_grid_reproduces_serial_accuracy_columns(model_path):

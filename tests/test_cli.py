@@ -5,6 +5,7 @@ import pytest
 
 from cluttertrack import cli
 from cluttertrack.cli import main
+from cluttertrack.deepda import NetConfig, identity_norm, init_model, save_model
 from cluttertrack.domain import Region, ScenarioConfig, five_crossing_targets
 from cluttertrack.scenario import generate_scans, generate_truth
 
@@ -75,25 +76,42 @@ def _train_config(tmp_path, train):
     return str(path)
 
 
-def test_train_accepts_init_and_body_lr_scale(tmp_path):
-    config = _train_config(
-        tmp_path, {"epochs": 1, "batch": 8, "init": "uniform", "body_lr_scale": 0.5}
-    )
-    assert main(["train", config, "--out", str(tmp_path / "model")]) == 0
-    assert (tmp_path / "model" / "model.json").exists()
-
-
 def test_train_rejects_unknown_field(tmp_path, capsys):
     config = _train_config(tmp_path, {"epochs": 1, "warmup": 3})
     assert main(["train", config, "--out", str(tmp_path / "model")]) == 2
-    assert "warmup" in capsys.readouterr().err
-    # Neither the measurement dimension nor gradient clipping is a setting.
+    err = capsys.readouterr().err
+    assert "warmup" in err
+    assert "accepted fields are ['lr', 'batch', 'epochs', 'seed']" in err
+    # Neither the measurement dimension nor gradient clipping is a setting,
+    # and training has one recipe: no init choice, body rate or RMSprop
+    # decay and guard to set.
     doc = json.loads(open(config).read())
-    for section, field, value in (("net", "d", 2), ("train", "clip", 1.0)):
+    for section, field, value in (
+        ("net", "d", 2),
+        ("train", "clip", 1.0),
+        ("train", "init", "uniform"),
+        ("train", "body_lr_scale", 0.5),
+        ("train", "rho", 0.9),
+        ("train", "eps", 1e-8),
+    ):
         path = tmp_path / f"{field}.json"
         path.write_text(json.dumps({**doc, section: {field: value}}))
         assert main(["train", str(path), "--out", str(tmp_path / "model")]) == 2
         assert f"{section}: unknown fields ['{field}']" in capsys.readouterr().err
+
+
+def test_track_with_non_finite_model_exits_with_config_code(tmp_path, capsys):
+    cfg = NetConfig(m_max=3, hidden=4)
+    path = tmp_path / "model.json"
+    save_model(init_model(cfg, identity_norm(cfg.features)), path)
+    doc = json.loads(path.read_text())
+    doc["parameters"]["w_out"][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(five_crossing_targets().to_json())
+    argv = ["track", str(scenario), "--method", "deepda", "--model", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "track")]) == 2
+    assert "corrupt model file" in capsys.readouterr().err
 
 
 def test_track_csv_warns_about_assumed_scenario(tmp_path, capsys):

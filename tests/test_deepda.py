@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -210,8 +211,13 @@ def test_forward_slot_permutation_equivariance():
 
 
 def test_configs_have_no_dimension_or_clip_field():
-    # Measurements are 2-D by contract, the output head is fixed and
-    # nothing clips gradients.
+    # Measurements are 2-D by contract, the output head is fixed, nothing
+    # clips gradients, and training has one recipe: no init choice, body
+    # rate or RMSprop decay and guard to set.
+    assert [f.name for f in fields(TrainConfig)] == ["lr", "batch", "epochs", "seed"]
+    for name, value in (("init", "uniform"), ("body_lr_scale", 0.5), ("rho", 0.9), ("eps", 1e-8)):
+        with pytest.raises(TypeError):
+            TrainConfig(**{name: value})
     with pytest.raises(TypeError):
         NetConfig(d=2)
     with pytest.raises(TypeError):
@@ -458,7 +464,7 @@ def test_backward_padded_output_weights_zero_grad():
 def test_rmsprop_zero_gradient_decays_state():
     cfg = small_cfg(seed=1)
     model = init_model(cfg, identity_norm(cfg.features))
-    tc = TrainConfig(lr=0.01, rho=0.9)
+    tc = TrainConfig(lr=0.01)
     grads = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
     state = {name: np.full(shape, 0.4) for name, shape in param_shapes(cfg).items()}
     out, new_state = rmsprop_step(model, grads, state, tc)
@@ -470,7 +476,7 @@ def test_rmsprop_zero_gradient_decays_state():
 def test_rmsprop_hand_values():
     cfg = small_cfg(seed=1)
     model = zero_model(cfg)
-    tc = TrainConfig(lr=0.01, rho=0.9, eps=1e-8)
+    tc = TrainConfig(lr=0.01)
     grads = {name: np.ones(shape) for name, shape in param_shapes(cfg).items()}
     out, state = rmsprop_step(model, grads, None, tc)
     # v = 0.1, step = 0.01 / (sqrt(0.1) + 1e-8)
@@ -517,7 +523,7 @@ def test_train_memorizes_single_group():
     assert curve[-1] < 0.01 * curve[0]
 
 
-def test_train_deterministic():
+def four_variant_dataset():
     cfg = ScenarioConfig(
         num_targets=2,
         initial_states=((6.0, 1.0, 10.0, 0.0), (6.0, 1.0, 18.0, 0.0)),
@@ -526,7 +532,11 @@ def test_train_deterministic():
         num_scans=6,
         seed=1,
     )
-    ds = make_training_set(seeded_variants(cfg, 4))
+    return make_training_set(seeded_variants(cfg, 4))
+
+
+def test_train_deterministic():
+    ds = four_variant_dataset()
     net = NetConfig(m_max=ds.m_max, hidden=8, seed=3)
     tc = TrainConfig(lr=0.01, epochs=8, batch=4, seed=5)
     m1, c1 = train(ds, net, tc)
@@ -534,6 +544,16 @@ def test_train_deterministic():
     assert c1 == c2
     for name, arr in m1.params().items():
         assert np.array_equal(arr, getattr(m2, name))
+
+
+def test_train_default_recipe_loss_curve_is_pinned():
+    # Recorded from the detector-bank start, body at 1e-3 of the rate and
+    # RMSprop decay 0.9; rtol covers BLAS kernels that sum in another order.
+    ds = four_variant_dataset()
+    assert (len(ds), ds.m_max) == (20, 9)
+    _, curve = train(ds, NetConfig(m_max=ds.m_max, hidden=8, seed=3), TrainConfig(epochs=4))
+    expected = [1.5586703219408584, 1.5366242802949417, 1.5211522583654609, 1.5082974545448267]
+    np.testing.assert_allclose(curve, expected, rtol=1e-9, atol=0.0)
 
 
 def test_train_curve_length_is_epochs():
@@ -633,6 +653,31 @@ def test_load_rejects_truncated_file(tmp_path):
     path.write_text(text[: len(text) // 2])
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("where", ["parameters", "norm_stats"])
+def test_load_rejects_non_finite_values(tmp_path, where, value):
+    cfg = small_cfg()
+    model = init_model(cfg, identity_norm(cfg.features))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    if where == "parameters":
+        doc["parameters"]["lstm_wh"][5] = value
+    else:
+        doc["norm_stats"]["max"][2] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="corrupt model file"):
+        load_model(path)
+
+
+def test_norm_stats_reject_non_finite_bounds():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ContractViolation, match="finite"):
+            NormStats(np.array([0.0, bad]), np.array([1.0, 1.0]))
+        with pytest.raises(ContractViolation, match="finite"):
+            NormStats(np.array([0.0, 0.0]), np.array([1.0, bad]))
 
 
 def test_load_missing_file():

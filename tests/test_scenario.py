@@ -212,8 +212,26 @@ def test_read_truth_rejects_numpy_scalar_repr(tmp_path):
         read_truth_states(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+def test_read_truth_rejects_non_finite_number(tmp_path, value):
+    path = tmp_path / "truth.csv"
+    path.write_text(
+        ",".join(TRUTH_CSV_HEADER) + "\n0,0,5.0,1.0,11.0,0.4\n" + f"0,1,5.0,{value},9.0,0.4\n"
+    )
+    with pytest.raises(ConfigError, match=r"truth\.csv, line 3: .*non-finite"):
+        read_truth_states(path)
+
+
 @pytest.mark.parametrize(
-    "row", ["x,0,1.0,2.0,-1", "0,0,1.0,2.0", "0,0,1.0,oops,-1", "0,,1.0,2.0,"]
+    "row",
+    [
+        "x,0,1.0,2.0,-1",
+        "0,0,1.0,2.0",
+        "0,0,1.0,oops,-1",
+        "0,,1.0,2.0,",
+        "0,1,nan,2.0,-1",
+        "0,1,1.0,inf,-1",
+    ],
 )
 def test_read_scans_rejects_malformed_row(tmp_path, row):
     path = tmp_path / "scans.csv"
