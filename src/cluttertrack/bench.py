@@ -13,7 +13,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .domain import (
     ToolkitError,
     TrackSet,
     hard_assignment_from_probs,
+    read_config,
 )
 from .kalman import DEFAULT_INITIAL_COVARIANCE, FilterParams, innovations, predict, update_weighted
 from .metrics import OspaParams, ospa, stti, timed
@@ -234,11 +235,15 @@ def run_episode(
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """A sweep over detection probability and clutter rate for some methods."""
+    """A sweep over detection probability and clutter rate for some methods.
+
+    ``pd_values``/``elambda_values`` default to the base's p_d/e_lambda. No
+    axis is empty or repeats a value: a (method, p_d, e_lambda) cell is a row.
+    """
 
     base: ScenarioConfig
-    pd_values: Tuple[float, ...]
-    elambda_values: Tuple[float, ...]
+    pd_values: Optional[Tuple[float, ...]] = None
+    elambda_values: Optional[Tuple[float, ...]] = None
     n_runs: int = 100
     methods: Tuple[str, ...] = METHODS
     model_path: Optional[str] = None
@@ -246,41 +251,27 @@ class BenchSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "pd_values", tuple(float(v) for v in self.pd_values))
-        object.__setattr__(self, "elambda_values", tuple(float(v) for v in self.elambda_values))
+        pd_values = (self.base.p_d,) if self.pd_values is None else self.pd_values
+        elambda_values = (self.base.e_lambda,) if self.elambda_values is None else self.elambda_values
+        object.__setattr__(self, "pd_values", tuple(float(v) for v in pd_values))
+        object.__setattr__(self, "elambda_values", tuple(float(v) for v in elambda_values))
         methods = tuple(m.lower() for m in self.methods)
         object.__setattr__(self, "methods", methods)
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
-        if not self.pd_values or not self.elambda_values:
-            raise ConfigError("pd_values and elambda_values must be non-empty")
         for m in methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}, expected subset of {METHODS}")
+        for name in ("pd_values", "elambda_values", "methods"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ConfigError(f"{name} must be non-empty with no repeats, got {list(values)}")
         if "deepda" in methods and not self.model_path:
             raise ConfigError("method deepda requires model_path")
 
     @staticmethod
-    def from_dict(d: Mapping) -> "BenchSpec":
-        unknown = set(d) - {f.name for f in fields(BenchSpec)}
-        if unknown:
-            raise ConfigError(f"unknown bench fields: {sorted(unknown)}")
-        if "base" not in d:
-            raise ConfigError("missing bench field: base")
-        ospa_d = d.get("ospa", {})
-        extra = set(ospa_d) - {f.name for f in fields(OspaParams)}
-        if extra:
-            raise ConfigError(f"ospa: unknown fields {sorted(extra)}")
-        # Fields the spec leaves out keep the dataclass defaults.
-        casts = {"n_runs": int, "methods": tuple, "seed": int}
-        return BenchSpec(
-            base=ScenarioConfig.from_dict(d["base"]),
-            pd_values=tuple(d.get("pd_values", [d["base"]["p_d"]])),
-            elambda_values=tuple(d.get("elambda_values", [d["base"]["e_lambda"]])),
-            model_path=d.get("model_path"),
-            ospa=OspaParams(**{k: float(v) for k, v in ospa_d.items()}),
-            **{k: cast(d[k]) for k, cast in casts.items() if k in d},
-        )
+    def from_dict(d) -> "BenchSpec":
+        return read_config("bench", d, BenchSpec)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 Subcommands: simulate, train, track, bench, inspect-model. Configuration
 comes from JSON files; every resolved setting is printed at startup so
 emitted artifacts are self-describing. Exit codes: 0 success, 2 bad usage
-or configuration, 3 numerical failure.
+or configuration, 3 numerical failure. A failure prints one line to stderr,
+``error: <message>``. For a config file the message starts with the field
+at fault, under the file's section ``scenario``, ``bench`` or ``train`` and
+its nested sections, as in ``error: bench.ospa.c: could not convert ...``.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
-from typing import List, Optional, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .domain import (
     Region,
     ScenarioConfig,
     ToolkitError,
+    read_config,
 )
 from .kalman import FilterParams
 from .metrics import OspaParams
@@ -102,49 +106,42 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _reject_unknown(section: str, doc: dict, accepted: Sequence[str]) -> None:
-    unknown = set(doc) - set(accepted)
-    if unknown:
-        raise ConfigError(
-            f"{section}: unknown fields {sorted(unknown)}; accepted fields are {list(accepted)}"
-        )
+@dataclass(frozen=True)
+class _TrainFile:
+    """A train config: the training scenarios, given as a list or as
+    ``variants`` seeded copies of ``base`` (the list wins), and the network
+    and training-loop settings."""
 
+    scenarios: Optional[Tuple[ScenarioConfig, ...]] = None
+    base: Optional[ScenarioConfig] = None
+    variants: int = 500
+    net: NetConfig = NetConfig()
+    train: TrainConfig = TrainConfig()
 
-def _parse_train_config(doc: dict):
-    _reject_unknown("train config", doc, ("scenarios", "base", "variants", "net", "train"))
-    if "scenarios" in doc:
-        configs = [ScenarioConfig.from_dict(d) for d in doc["scenarios"]]
-    elif "base" in doc:
-        base = ScenarioConfig.from_dict(doc["base"])
-        configs = seeded_variants(base, int(doc.get("variants", 500)))
-    else:
-        raise ConfigError("train config needs either 'scenarios' or 'base'")
-
-    net_doc = dict(doc.get("net", {}))
-    _reject_unknown("net", net_doc, [f.name for f in fields(NetConfig)])
-    m_max = net_doc.pop("m_max", None)
-
-    train_doc = dict(doc.get("train", {}))
-    _reject_unknown("train", train_doc, [f.name for f in fields(TrainConfig)])
-    return configs, net_doc, m_max, TrainConfig(**train_doc)
+    def __post_init__(self):
+        if self.scenarios is None and self.base is None:
+            raise ConfigError("needs either 'scenarios' or 'base'")
 
 
 def _cmd_train(args) -> int:
-    configs, net_doc, m_max, train_cfg = _parse_train_config(_load_json(args.config))
+    doc = _load_json(args.config)
+    spec = read_config("train", doc, _TrainFile)
+    configs = seeded_variants(spec.base, spec.variants) if spec.scenarios is None else spec.scenarios
     _make_out_dir(args.out)
-    dataset = make_training_set(configs, m_max=m_max)
-    net_cfg = NetConfig(m_max=dataset.m_max if m_max is None else m_max, **net_doc)
+    dataset = make_training_set(configs)
+    # A net section without m_max sizes the network to the largest scan.
+    net_cfg = spec.net if "m_max" in doc.get("net", {}) else replace(spec.net, m_max=dataset.m_max)
     _announce(
         "train",
         {
             "scenarios": len(configs),
             "scan_sequences": len(dataset),
             "net": net_cfg.__dict__,
-            "train": train_cfg.__dict__,
+            "train": spec.train.__dict__,
             "out": args.out,
         },
     )
-    model, curve = train(dataset, net_cfg, train_cfg)
+    model, curve = train(dataset, net_cfg, spec.train)
     model_path = os.path.join(args.out, "model.json")
     curve_path = os.path.join(args.out, "loss_curve.csv")
     save_model(model, model_path)
@@ -216,7 +213,7 @@ def _cmd_track(args) -> int:
             "ospa": asdict(op),
             "p_d": config.p_d,
             "e_lambda": config.e_lambda,
-            "region": config.region.to_dict(),
+            "region": asdict(config.region),
             "filter": params.__dict__,
             "gate_gamma": GateParams().gamma,
         },

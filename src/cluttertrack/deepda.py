@@ -35,11 +35,13 @@ import numpy as np
 from .domain import (
     AssocProbabilities,
     CapacityError,
+    ConfigError,
     ContractViolation,
     ModelFormatError,
     NumericalError,
     Scan,
     TrackSet,
+    read_config,
 )
 from .scenario import ScanSequence, TrainingSet
 
@@ -117,8 +119,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ContractViolation(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ContractViolation(f"lr must be finite and > 0, got {self.lr}")
         if self.batch < 1 or self.epochs < 1:
             raise ContractViolation(
                 f"batch and epochs must be >= 1, got {self.batch}/{self.epochs}"
@@ -652,12 +654,10 @@ def load_model(path) -> LstmModel:
             f"unsupported model format version {version!r}, expected {MODEL_FORMAT_VERSION}"
         )
     try:
-        nc = doc["net_config"]
-        cfg = NetConfig(
-            m_max=int(nc["m_max"]),
-            hidden=int(nc["hidden"]),
-            seed=int(nc["seed"]),
-        )
+        net_doc = doc["net_config"]
+        if isinstance(net_doc, dict):  # older files record "d", checked by the shapes below
+            net_doc.pop("d", None)
+        cfg = read_config("net_config", net_doc, NetConfig, required=True)
         norm = NormStats(
             np.asarray(doc["norm_stats"]["min"], dtype=float),
             np.asarray(doc["norm_stats"]["max"], dtype=float),
@@ -669,11 +669,11 @@ def load_model(path) -> LstmModel:
             if arr.size != int(np.prod(shape)):
                 raise ModelFormatError(
                     f"{name} has {arr.size} values, expected {int(np.prod(shape))} "
-                    f"for net_config {nc}"
+                    f"for {cfg}"
                 )
             params[name] = arr.reshape(shape)
         return LstmModel(cfg=cfg, norm=norm, **params)
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError, ContractViolation, NumericalError) as e:
+    except (KeyError, TypeError, ValueError, ConfigError, ContractViolation, NumericalError) as e:
         raise ModelFormatError(f"corrupt model file {path}: {e}") from None

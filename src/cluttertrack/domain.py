@@ -7,9 +7,10 @@ Numpy arrays held by these types are treated as read-only by convention.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
-from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
+import math
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from typing import ClassVar, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -48,6 +49,60 @@ class ModelFormatError(ToolkitError):
     """Model file is corrupt, truncated, or of an unsupported version."""
 
 
+def read_config(section: str, doc, cls, required: bool = False):
+    """The ``cls`` that the JSON object ``doc`` describes; any failure, also
+    one ``cls`` raises, is a :class:`ConfigError` led by ``section.field``
+    (or ``section`` when no one field is at fault).
+
+    Unknown keys are refused, and so are missing ones: a field with no
+    default, and every field if ``required`` or ``cls.every_field_required``.
+    Values take their field's type: ``float``, ``int``, ``str``,
+    ``Optional[X]``, tuples from JSON lists, and config dataclasses, read
+    by this function as section ``section.field``.
+    """
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{section}: expected a JSON object, got {type(doc).__name__}")
+    names = [f.name for f in fields(cls)]
+    unknown = set(doc) - set(names)
+    if unknown:
+        raise ConfigError(
+            f"{section}: unknown fields {sorted(unknown)}; accepted fields are {names}"
+        )
+    required = required or getattr(cls, "every_field_required", False)
+    missing = [f.name for f in fields(cls) if f.name not in doc and (required or f.default is MISSING)]
+    if missing:
+        raise ConfigError(f"{section}: missing fields {missing}")
+    hints = get_type_hints(cls)
+    values = {n: _convert(f"{section}.{n}", doc[n], hints[n]) for n in names if n in doc}
+    try:
+        return cls(**values)
+    except (TypeError, ValueError, ToolkitError) as e:
+        raise ConfigError(f"{section}: {e}") from None
+
+
+def _convert(path: str, value, tp):
+    """``value`` as the declared type ``tp``; see :func:`read_config`."""
+    if isinstance(tp, type) and is_dataclass(tp):
+        return read_config(path, value, tp)
+    if get_origin(tp) is Union:  # Optional[X]
+        return None if value is None else _convert(path, value, get_args(tp)[0])
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{path}: expected a list of {len(args)} items, got {len(value)}")
+        return tuple(_convert(f"{path}[{i}]", v, a) for i, (v, a) in enumerate(zip(value, args)))
+    if tp is str and not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {type(value).__name__}")
+    try:
+        return tp(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 @dataclass(frozen=True)
 class Region:
     """Axis-aligned surveillance rectangle in metres."""
@@ -58,9 +113,9 @@ class Region:
     ymax: float
 
     def __post_init__(self):
-        if not (self.xmax > self.xmin and self.ymax > self.ymin):
+        if not (self.xmax > self.xmin and self.ymax > self.ymin and math.isfinite(self.area)):
             raise ConfigError(
-                f"region must have positive area, got x [{self.xmin}, {self.xmax}] "
+                f"region must have finite positive area, got x [{self.xmin}, {self.xmax}] "
                 f"y [{self.ymin}, {self.ymax}]"
             )
 
@@ -70,19 +125,6 @@ class Region:
 
     def contains(self, x: float, y: float) -> bool:
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
-
-    def to_dict(self) -> Dict[str, float]:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "Region":
-        unknown = set(d) - {f.name for f in fields(Region)}
-        if unknown:
-            raise ConfigError(f"region: unknown fields {sorted(unknown)}")
-        try:
-            return Region(float(d["xmin"]), float(d["xmax"]), float(d["ymin"]), float(d["ymax"]))
-        except KeyError as e:
-            raise ConfigError(f"region: missing field {e.args[0]!r}") from None
 
 
 #: Default surveillance region: covers the reference trajectories with margin.
@@ -95,8 +137,13 @@ class ScenarioConfig:
 
     ``initial_states`` entries are (x, vx, y, vy) in (m, m/s, m, m/s).
     ``e_lambda`` is the expected number of clutter points per scan over the
-    whole region (clutter positions are uniform over ``region``).
+    whole region (clutter positions are uniform over ``region``). Every
+    number must be finite.
     """
+
+    #: A scenario file spells out every field, so that it describes its run
+    #: in full; :func:`read_config` requires them all.
+    every_field_required: ClassVar[bool] = True
 
     num_targets: int
     initial_states: Tuple[Tuple[float, float, float, float], ...]
@@ -121,6 +168,11 @@ class ScenarioConfig:
         for s in states:
             if len(s) != 4:
                 raise ConfigError(f"initial_states entries must be (x, vx, y, vy), got {s}")
+            if not all(map(math.isfinite, s)):
+                raise ConfigError(f"initial_states entries must be finite, got {s}")
+        for name in ("dt", "sigma_x", "sigma_y", "e_lambda"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.dt > 0:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
         if self.num_scans < 1:
@@ -140,40 +192,9 @@ class ScenarioConfig:
     def to_dict(self) -> Dict:
         return {**asdict(self), "initial_states": [list(s) for s in self.initial_states]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @staticmethod
-    def from_dict(d: Mapping) -> "ScenarioConfig":
-        names = {f.name for f in fields(ScenarioConfig)}
-        unknown = set(d) - names
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        missing = names - set(d)
-        if missing:
-            raise ConfigError(f"missing config fields: {sorted(missing)}")
-        return ScenarioConfig(
-            num_targets=int(d["num_targets"]),
-            initial_states=tuple(tuple(s) for s in d["initial_states"]),
-            dt=float(d["dt"]),
-            num_scans=int(d["num_scans"]),
-            sigma_x=float(d["sigma_x"]),
-            sigma_y=float(d["sigma_y"]),
-            p_d=float(d["p_d"]),
-            e_lambda=float(d["e_lambda"]),
-            region=Region.from_dict(d["region"]),
-            seed=int(d["seed"]),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "ScenarioConfig":
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from None
-        if not isinstance(d, dict):
-            raise ConfigError("config JSON must be an object")
-        return ScenarioConfig.from_dict(d)
+    def from_dict(d) -> "ScenarioConfig":
+        return read_config("scenario", d, ScenarioConfig)
 
 
 def five_crossing_targets(p_d: float = 0.9, e_lambda: float = 20.0, seed: int = 0) -> ScenarioConfig:
@@ -315,10 +336,6 @@ class Track:
         object.__setattr__(self, "state", x)
         object.__setattr__(self, "covariance", p)
 
-    @property
-    def position(self) -> np.ndarray:
-        return self.state[::2]
-
 
 @dataclass(frozen=True)
 class CostMatrix:
@@ -362,14 +379,6 @@ class Assignment:
             raise ContractViolation("a track is both assigned and unassigned")
         if set(meas) & self.unassigned_measurements:
             raise ContractViolation("a measurement is both assigned and unassigned")
-
-    @property
-    def num_tracks(self) -> int:
-        return len(self.pairs) + len(self.unassigned_tracks)
-
-    @property
-    def num_measurements(self) -> int:
-        return len(self.pairs) + len(self.unassigned_measurements)
 
 
 @dataclass(frozen=True)

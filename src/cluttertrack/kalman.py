@@ -13,6 +13,7 @@ every step and updates use the Joseph form for PSD safety.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
@@ -47,21 +48,17 @@ class FilterParams:
     r_diag: Tuple[float, float] = (0.1, 0.1)
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ContractViolation(f"dt must be > 0, got {self.dt}")
-        if self.q < 0:
-            raise ContractViolation(f"q must be >= 0, got {self.q}")
-        if not all(r > 0 for r in self.r_diag):
-            raise ContractViolation(f"r_diag entries must be > 0, got {self.r_diag}")
-
-    @property
-    def r_matrix(self) -> np.ndarray:
-        return np.diag(self.r_diag)
+        if not 0 < self.dt < math.inf:
+            raise ContractViolation(f"dt must be finite and > 0, got {self.dt}")
+        if not 0 <= self.q < math.inf:
+            raise ContractViolation(f"q must be finite and >= 0, got {self.q}")
+        if not all(0 < r < math.inf for r in self.r_diag):
+            raise ContractViolation(f"r_diag entries must be finite and > 0, got {self.r_diag}")
 
     @cached_property
     def _model(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(F, Q, R) of this tuning, built on first use; never written to."""
-        return transition_matrix(self.dt), process_noise(self.dt, self.q), self.r_matrix
+        return transition_matrix(self.dt), process_noise(self.dt, self.q), np.diag(self.r_diag)
 
 
 def transition_matrix(dt: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
@@ -16,16 +17,21 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class OspaParams:
-    """Cutoff distance c (m) and order p of the OSPA metric."""
+    """Cutoff distance c (m) and order p of the OSPA metric. Both and
+    ``c ** p``, the largest cost the assignment solver sees, are finite."""
 
     c: float = 10.0
     p: float = 2.0
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ContractViolation(f"c must be > 0, got {self.c}")
-        if not self.p >= 1:
-            raise ContractViolation(f"p must be >= 1, got {self.p}")
+        if not 0 < self.c < math.inf:
+            raise ContractViolation(f"c must be finite and > 0, got {self.c}")
+        if not 1 <= self.p < math.inf:
+            raise ContractViolation(f"p must be finite and >= 1, got {self.p}")
+        try:
+            self.c**self.p
+        except OverflowError:
+            raise ContractViolation(f"c ** p overflows a float for c={self.c}, p={self.p}") from None
 
 
 def ospa(

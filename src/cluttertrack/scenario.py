@@ -16,7 +16,6 @@ import numpy as np
 
 from .domain import (
     CLUTTER,
-    CapacityError,
     ConfigError,
     ContractViolation,
     Scan,
@@ -133,13 +132,13 @@ class TrainingSet:
 def make_training_set(
     configs: Sequence[ScenarioConfig],
     seeds: Optional[Sequence[Seed]] = None,
-    m_max: Optional[int] = None,
 ) -> TrainingSet:
     """Simulate every config and emit per-scan association samples.
 
     For each scan k >= 1 and each target: the target's truth at k-1
     propagated one step, the scan's measurements, and the one-hot truth row
-    (its measurement's index, or the miss column when undetected).
+    (its measurement's index, or the miss column when undetected). The
+    set's ``m_max`` is its largest scan's measurement count, at least 1.
     """
     if not configs:
         raise ConfigError("make_training_set needs at least one scenario config")
@@ -149,7 +148,7 @@ def make_training_set(
         raise ConfigError(f"{len(seeds)} seeds for {len(configs)} configs")
 
     groups: List[ScanSequence] = []
-    observed_max = 0
+    m_max = 0
     for cfg, seed in zip(configs, seeds):
         truth = generate_truth(cfg)
         scans = generate_scans(truth, seed)
@@ -158,15 +157,11 @@ def make_training_set(
             pred_states = truth.states[k - 1] @ f.T
             pred_meas = pred_states[:, [0, 2]]
             scan = scans[k]
-            observed_max = max(observed_max, scan.num_measurements)
+            m_max = max(m_max, scan.num_measurements)
             origin_to_meas = {o: i for i, o in enumerate(scan.origins) if o != CLUTTER}
             labels = tuple(origin_to_meas.get(j, -1) for j in range(cfg.num_targets))
             groups.append(ScanSequence(pred_meas, scan.measurements, labels))
 
-    if m_max is None:
-        m_max = observed_max
-    elif m_max < observed_max:
-        raise CapacityError(f"m_max={m_max} below the largest scan ({observed_max} measurements)")
     return TrainingSet(tuple(groups), m_max=max(m_max, 1))
 
 

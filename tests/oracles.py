@@ -291,7 +291,7 @@ def predicted_measurement(track):
 
 
 def innovation_covariance(track, params):
-    return H @ track.covariance @ H.T + params.r_matrix
+    return H @ track.covariance @ H.T + np.diag(params.r_diag)
 
 
 def _solve_innovation(s, rhs):
@@ -311,7 +311,7 @@ def update_hard(track, z, params):
     nu = z - predicted_measurement(track)
     x = track.state + k @ nu
     ikh = np.eye(4) - k @ H
-    p_new = ikh @ p @ ikh.T + k @ params.r_matrix @ k.T
+    p_new = ikh @ p @ ikh.T + k @ np.diag(params.r_diag) @ k.T
     return Track(track.id, x, _symmetrize(p_new))
 
 
@@ -347,7 +347,7 @@ def update_weighted(track, scan, beta_row, params):
     x = track.state + k @ nu_bar
 
     ikh = np.eye(4) - k @ H
-    p_updated = ikh @ p @ ikh.T + k @ params.r_matrix @ k.T
+    p_updated = ikh @ p @ ikh.T + k @ np.diag(params.r_diag) @ k.T
     spread_inner = (nus.T * w) @ nus - np.outer(nu_bar, nu_bar)
     p_new = beta_miss * p + (1.0 - beta_miss) * p_updated + k @ spread_inner @ k.T
     return Track(track.id, x, _symmetrize(p_new))

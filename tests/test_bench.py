@@ -57,6 +57,17 @@ def test_bench_spec_from_dict_keeps_the_field_defaults():
         BenchSpec.from_dict({**doc, "ospa": {"q": 1}})
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("pd_values", [0.9, 0.9]), ("elambda_values", [20, 20.0]), ("methods", ["ha", "HA"])],
+)
+def test_bench_spec_refuses_repeated_grid_values(field, value):
+    # A repeated value gave two report rows with one (method, p_d, e_lambda) key.
+    doc = {"base": five_crossing_targets().to_dict(), field: value}
+    with pytest.raises(ConfigError, match=f"bench: {field} must be non-empty with no repeats"):
+        BenchSpec.from_dict(doc)
+
+
 def test_parallel_grid_reproduces_serial_accuracy_columns(model_path):
     spec = _spec(model_path, ("ha", "jpda", "deepda"))
     serial = run_grid(spec, jobs=1)

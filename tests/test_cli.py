@@ -12,7 +12,7 @@ from cluttertrack.scenario import generate_scans, generate_truth
 
 def _simulate_then_track(tmp_path, config, method="ha"):
     config_path = tmp_path / "scenario.json"
-    config_path.write_text(config.to_json())
+    config_path.write_text(json.dumps(config.to_dict()))
     sim = tmp_path / "sim"
     assert main(["simulate", str(config_path), "--out", str(sim)]) == 0
     out = tmp_path / "track"
@@ -100,6 +100,45 @@ def test_train_rejects_unknown_field(tmp_path, capsys):
         assert f"{section}: unknown fields ['{field}']" in capsys.readouterr().err
 
 
+REFERENCE = five_crossing_targets().to_dict()
+BENCH = {"base": REFERENCE, "n_runs": 1, "methods": ["ha"]}
+TRAIN = {"base": REFERENCE, "variants": 2, "net": {"hidden": 4}, "train": {"epochs": 1}}
+
+
+@pytest.mark.parametrize(
+    "command,doc,where",
+    [
+        ("simulate", 5, "scenario"),
+        ("simulate", [REFERENCE], "scenario"),
+        ("simulate", {**REFERENCE, "region": [4.0, 30.0, 8.0, 22.0]}, "scenario.region"),
+        ("simulate", {**REFERENCE, "region": 4.0}, "scenario.region"),
+        ("simulate", {**REFERENCE, "initial_states": 5.0}, "scenario.initial_states"),
+        ("simulate", {**REFERENCE, "num_targets": "x"}, "scenario.num_targets"),
+        ("simulate", {**REFERENCE, "p_d": None}, "scenario.p_d"),
+        ("bench", 5, "bench"),
+        ("bench", {**BENCH, "ospa": [10.0, 2.0]}, "bench.ospa"),
+        ("bench", {**BENCH, "ospa": {"c": "x"}}, "bench.ospa.c"),
+        ("bench", {**BENCH, "n_runs": "x"}, "bench.n_runs"),
+        ("bench", {**BENCH, "pd_values": 0.5}, "bench.pd_values"),
+        ("bench", {**BENCH, "methods": "ha"}, "bench.methods"),
+        ("train", 5, "train"),
+        ("train", {**TRAIN, "net": [4]}, "train.net"),
+        ("train", {**TRAIN, "variants": "x"}, "train.variants"),
+        ("train", {**TRAIN, "train": {"lr": "x"}}, "train.train.lr"),
+        ("train", {**TRAIN, "net": {"hidden": "x"}}, "train.net.hidden"),
+        ("train", {**TRAIN, "scenarios": 5}, "train.scenarios"),
+    ],
+)
+def test_malformed_config_exits_with_config_code_naming_the_field(
+    tmp_path, capsys, command, doc, where
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, err
+
+
 def test_track_with_non_finite_model_exits_with_config_code(tmp_path, capsys):
     cfg = NetConfig(m_max=3, hidden=4)
     path = tmp_path / "model.json"
@@ -108,7 +147,7 @@ def test_track_with_non_finite_model_exits_with_config_code(tmp_path, capsys):
     doc["parameters"]["w_out"][0] = float("nan")
     path.write_text(json.dumps(doc))
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(five_crossing_targets().to_json())
+    scenario.write_text(json.dumps(five_crossing_targets().to_dict()))
     argv = ["track", str(scenario), "--method", "deepda", "--model", str(path)]
     assert main(argv + ["--out", str(tmp_path / "track")]) == 2
     assert "corrupt model file" in capsys.readouterr().err
@@ -201,7 +240,7 @@ def test_track_numerical_failure_exits_3_and_names_the_scan(tmp_path, capsys):
     # At p_d 1 a JPDA cluster with more tracks than gated measurements has
     # no event of positive weight; seed 10 reaches one at scan 18.
     config = tmp_path / "scenario.json"
-    config.write_text(five_crossing_targets(p_d=1.0, e_lambda=0.0, seed=10).to_json())
+    config.write_text(json.dumps(five_crossing_targets(p_d=1.0, e_lambda=0.0, seed=10).to_dict()))
     code = main(["track", str(config), "--method", "jpda", "--out", str(tmp_path / "out")])
     assert code == 3
     err = capsys.readouterr().err
@@ -213,7 +252,7 @@ def test_out_naming_a_file_exits_with_config_code_before_any_work(
     tmp_path, capsys, monkeypatch, command
 ):
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(five_crossing_targets().to_json())
+    scenario.write_text(json.dumps(five_crossing_targets().to_dict()))
     bench_spec = tmp_path / "bench.json"
     doc = {"base": five_crossing_targets().to_dict(), "n_runs": 1, "methods": ["ha"]}
     bench_spec.write_text(json.dumps(doc))

@@ -556,6 +556,13 @@ def test_train_default_recipe_loss_curve_is_pinned():
     np.testing.assert_allclose(curve, expected, rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("lr", [0.0, float("nan"), float("inf")])
+def test_train_config_lr_must_be_finite_and_positive(lr):
+    # An infinite rate trained into non-finite weights and exited 3, not 2.
+    with pytest.raises(ContractViolation, match="lr must be finite and > 0"):
+        TrainConfig(lr=lr)
+
+
 def test_train_curve_length_is_epochs():
     ds = one_group_dataset()
     net = NetConfig(m_max=ds.m_max, hidden=4, seed=0)
@@ -652,6 +659,17 @@ def test_load_rejects_truncated_file(tmp_path):
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_load_rejects_malformed_net_config(tmp_path):
+    cfg = small_cfg()
+    path = tmp_path / "model.json"
+    save_model(init_model(cfg, identity_norm(cfg.features)), path)
+    doc = json.loads(path.read_text())
+    doc["net_config"]["hidden"] = "x"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="corrupt model file .*: net_config.hidden: "):
         load_model(path)
 
 

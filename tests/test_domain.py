@@ -28,9 +28,11 @@ from oracles import brute_force_max_prob
 # ScenarioConfig
 # ---------------------------------------------------------------------------
 
+REFERENCE_STATES = five_crossing_targets().initial_states
+
 
 def test_config_json_round_trip(reference_config):
-    restored = ScenarioConfig.from_json(reference_config.to_json())
+    restored = ScenarioConfig.from_dict(json.loads(json.dumps(reference_config.to_dict())))
     assert restored == reference_config
 
 
@@ -56,6 +58,19 @@ def test_config_rejects_missing_fields(reference_config):
         ("e_lambda", -1.0, "e_lambda"),
         ("num_scans", 0, "num_scans"),
         ("dt", 0.0, "dt"),
+        ("e_lambda", float("nan"), "e_lambda must be finite"),
+        ("sigma_x", float("inf"), "sigma_x must be finite"),
+        ("dt", float("inf"), "dt must be finite"),
+        (
+            "initial_states",
+            [[5.0, float("nan"), 11.0, 0.4]] + [list(s) for s in REFERENCE_STATES[1:]],
+            "initial_states entries must be finite",
+        ),
+        (
+            "region",
+            {"xmin": 4.0, "xmax": float("inf"), "ymin": 8.0, "ymax": 22.0},
+            "region must have finite positive area",
+        ),
     ],
 )
 def test_config_validation_names_field(reference_config, field, value, msg):
@@ -294,7 +309,7 @@ def test_track_set_rows_and_positions():
     for j, t in enumerate(ts):
         assert t.id == j
         np.testing.assert_array_equal(t.state, x[j])
-        np.testing.assert_array_equal(t.position, x[j, [0, 2]])
+        np.testing.assert_array_equal(t.state[::2], x[j, [0, 2]])
     assert len(TrackSet(np.zeros((0, 4)), np.zeros((0, 4, 4)))) == 0
 
 
@@ -304,9 +319,7 @@ def test_track_set_rows_and_positions():
 
 
 def test_assignment_invariants():
-    a = Assignment({0: 2, 1: 0}, frozenset({2}), frozenset({1}))
-    assert a.num_tracks == 3
-    assert a.num_measurements == 3
+    Assignment({0: 2, 1: 0}, frozenset({2}), frozenset({1}))
     with pytest.raises(ContractViolation):
         Assignment({0: 1, 1: 1}, frozenset(), frozenset())
     with pytest.raises(ContractViolation):

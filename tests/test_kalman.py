@@ -74,7 +74,7 @@ def test_predicted_measurement_commutes_with_predict():
 
 def test_update_hard_zero_innovation_keeps_state():
     t = make_track(state=(1.0, 2.0, 3.0, 4.0))
-    out = update_one(t, t.position, FilterParams())
+    out = update_one(t, t.state[::2], FilterParams())
     assert np.allclose(out.state, t.state, atol=1e-12)
 
 
@@ -169,6 +169,21 @@ def test_update_weighted_validates_row():
         update_weighted(ts, scan, np.array([[0.5, 0.2, 0.3]]), FilterParams())
     with pytest.raises(ContractViolation):
         update_weighted(ts, scan, np.array([0.5, 0.5]), FilterParams())  # not (N, M+1)
+
+
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"dt": np.inf}, "dt"),
+        ({"dt": np.nan}, "dt"),
+        ({"q": np.nan}, "q"),
+        ({"q": np.inf}, "q"),
+        ({"r_diag": (0.1, np.inf)}, "r_diag entries"),
+    ],
+)
+def test_filter_params_must_be_finite(kwargs, field):
+    with pytest.raises(ContractViolation, match=f"{field} must be finite"):
+        FilterParams(**kwargs)
 
 
 def test_noiseless_stream_converges():

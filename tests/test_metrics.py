@@ -95,6 +95,16 @@ def test_ospa_params_validation():
         OspaParams(c=0.0, p=2.0)
     with pytest.raises(ContractViolation):
         OspaParams(c=1.0, p=0.5)
+    # The assignment solver needs finite costs; an infinite one made it loop forever.
+    for c, p, msg in (
+        (np.inf, 2.0, "c must be finite"),
+        (np.nan, 2.0, "c must be finite"),
+        (10.0, np.inf, "p must be finite"),
+        (10.0, np.nan, "p must be finite"),
+        (10.0, 400.0, r"c \*\* p overflows"),
+    ):
+        with pytest.raises(ContractViolation, match=msg):
+            OspaParams(c=c, p=p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cluttertrack.deepda import NetConfig, encode_group, identity_norm
+from cluttertrack.deepda import NetConfig, encode_group, fit_norm_stats, identity_norm
 from cluttertrack.domain import CLUTTER, CapacityError, ConfigError, Scan, five_crossing_targets
 from cluttertrack.scenario import (
     SCANS_CSV_HEADER,
@@ -106,18 +106,23 @@ def test_scan_order_is_shuffled(reference_config):
     assert unsorted > 0
 
 
-def truth_rows(ds, group):
-    """The one-hot rows the network is trained on, over ds.m_max slots plus a miss."""
-    cfg = NetConfig(m_max=ds.m_max)
+def truth_rows(ds, group, m_max=None):
+    """The one-hot rows the network is trained on, over m_max slots (default
+    ds.m_max) plus a miss."""
+    cfg = NetConfig(m_max=m_max or ds.m_max)
     return encode_group(group, cfg, identity_norm(cfg.features)).truth
 
 
 def test_training_set_one_hot_layout(clean_config):
-    ds = make_training_set([clean_config], m_max=6)
-    assert ds.m_max == 6
+    ds = make_training_set([clean_config])
+    # No clutter and no misses: every scan holds one measurement per target.
+    assert ds.m_max == 5
+    # A network with a slot to spare takes the set, and pads that slot.
+    fit_norm_stats(ds, NetConfig(m_max=6))
     group = ds.groups[0]
-    rows = truth_rows(ds, group)
+    rows = truth_rows(ds, group, m_max=6)
     assert rows.shape == (5, 7)
+    assert not rows[:, 5].any()
     assert np.allclose(rows.sum(axis=1), 1.0)
     for t, label in enumerate(group.labels):
         assert label >= 0
@@ -139,8 +144,9 @@ def test_training_set_miss_row():
 
 
 def test_training_set_capacity_guard(reference_config):
-    with pytest.raises(CapacityError):
-        make_training_set([reference_config], m_max=3)
+    ds = make_training_set([reference_config])
+    with pytest.raises(CapacityError, match=f"dataset needs m_max >= {ds.m_max}, network has 3"):
+        fit_norm_stats(ds, NetConfig(m_max=3))
 
 
 def test_training_set_group_count(reference_config):
