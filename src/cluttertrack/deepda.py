@@ -25,10 +25,11 @@ another order.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -180,6 +181,22 @@ def param_shapes(cfg: NetConfig) -> Dict[str, Tuple[int, ...]]:
         "w_out": (k, h),
         "b_out": (k,),
     }
+
+
+def _param_views(flat: np.ndarray, cfg: NetConfig) -> Dict[str, np.ndarray]:
+    """Named reshape views of one flat vector that holds every parameter
+    (or gradient, or RMSprop entry) in ``PARAM_NAMES`` order."""
+    views = {}
+    start = 0
+    for name, shape in param_shapes(cfg).items():
+        size = math.prod(shape)
+        views[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return views
+
+
+def _param_count(cfg: NetConfig) -> int:
+    return sum(math.prod(shape) for shape in param_shapes(cfg).values())
 
 
 def init_model(cfg: NetConfig, norm: NormStats) -> LstmModel:
@@ -390,11 +407,13 @@ def _forward_core(model: LstmModel, x: np.ndarray, mask: np.ndarray) -> _Forward
     return _ForwardCache(x, xp, mask, steps, hs, cs, u, s, beta)
 
 
-def _backward_core(model: LstmModel, cache: _ForwardCache, dbeta: np.ndarray) -> Dict[str, np.ndarray]:
+def _backward_core(model: LstmModel, cache: _ForwardCache, dbeta: np.ndarray) -> np.ndarray:
+    # Gradients accumulate into named views of one flat vector, returned flat.
     cfg = model.cfg
     b, t, f = cache.x.shape
     hdim = cfg.hidden
-    grads = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
+    flat = np.zeros(_param_count(cfg))
+    grads = _param_views(flat, cfg)
     dxp = np.zeros((b, t, hdim))
     dh_next = np.zeros((b, hdim))
     dc_next = np.zeros((b, hdim))
@@ -438,7 +457,7 @@ def _backward_core(model: LstmModel, cache: _ForwardCache, dbeta: np.ndarray) ->
     flat_dxp = dxp.reshape(b * t, hdim)
     grads["w_in"] += flat_dxp.T @ cache.x.reshape(b * t, f)
     grads["b_in"] += flat_dxp.sum(axis=0)
-    return grads
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -472,23 +491,40 @@ def forward_scan(
 
 
 @dataclass(frozen=True)
-class EncodedScan:
-    """One scan sequence encoded for the network: inputs, truth rows, mask."""
+class EncodedStack:
+    """Scan sequences of one length T encoded for the network and stacked:
+    inputs, one-hot truth rows over m_max slots plus a trailing miss, and
+    output masks."""
 
-    inputs: np.ndarray  # (T, features)
-    truth: np.ndarray  # (T, m_max + 1)
-    mask: np.ndarray  # (m_max + 1,) bool
+    inputs: np.ndarray  # (N, T, features)
+    truth: np.ndarray  # (N, T, m_max + 1)
+    mask: np.ndarray  # (N, m_max + 1) bool
+
+    def take(self, rows: np.ndarray) -> "EncodedStack":
+        """The sequences at ``rows``, in that order."""
+        return EncodedStack(self.inputs[rows], self.truth[rows], self.mask[rows])
 
 
-def encode_group(group: ScanSequence, cfg: NetConfig, norm: NormStats) -> EncodedScan:
-    """Network inputs and one-hot truth rows over m_max slots plus a trailing
-    miss for one scan sequence."""
-    feats = build_features(group.pred_meas, group.measurements, cfg, norm)
-    t = len(group.labels)
-    truth = np.zeros((t, cfg.m_max + 1))
-    for idx, label in enumerate(group.labels):
-        truth[idx, label if label >= 0 else cfg.m_max] = 1.0
-    return EncodedScan(feats, truth, output_mask(cfg, group.measurements.shape[0]))
+def encode_groups(
+    groups: Sequence[ScanSequence], cfg: NetConfig, norm: NormStats
+) -> Dict[int, EncodedStack]:
+    """Every scan sequence encoded once, written straight into one stack per
+    sequence length T (ascending keys); within a stack the sequences keep
+    their order in ``groups``."""
+    lengths = [len(g.labels) for g in groups]
+    stacks = {}
+    for t in sorted(set(lengths)):
+        members = [g for g, n in zip(groups, lengths) if n == t]
+        inputs = np.empty((len(members), t, cfg.features))
+        truth = np.zeros((len(members), t, cfg.m_max + 1))
+        mask = np.empty((len(members), cfg.m_max + 1), dtype=bool)
+        for row, g in enumerate(members):
+            inputs[row] = build_features(g.pred_meas, g.measurements, cfg, norm)
+            labels = np.asarray(g.labels, dtype=int)
+            truth[row, np.arange(t), np.where(labels >= 0, labels, cfg.m_max)] = 1.0
+            mask[row] = output_mask(cfg, g.measurements.shape[0])
+        stacks[t] = EncodedStack(inputs, truth, mask)
+    return stacks
 
 
 def fit_norm_stats(dataset: TrainingSet, cfg: NetConfig) -> NormStats:
@@ -513,65 +549,54 @@ def fit_norm_stats(dataset: TrainingSet, cfg: NetConfig) -> NormStats:
 
 
 def _batch_loss_and_grads(
-    model: LstmModel, batch: Sequence[EncodedScan]
-) -> Tuple[float, Dict[str, np.ndarray]]:
-    """Mean per-sequence loss over the batch and its exact gradients.
+    model: LstmModel, batch: Sequence[EncodedStack]
+) -> Tuple[float, np.ndarray]:
+    """Mean per-sequence loss over the batch and its exact gradients, flat in
+    ``PARAM_NAMES`` order (:func:`_param_views` names them).
 
     A sequence's loss is the summed squared error between its output rows
-    and its one-hot truth rows, over all m_max + 1 columns.
+    and its one-hot truth rows, over all m_max + 1 columns. Each stack of
+    the batch is one forward and backward pass, run in the given order;
+    :func:`train` passes one stack per sequence length, by ascending length.
     """
     if not batch:
         raise ContractViolation("batch must be non-empty")
-    total = len(batch)
-    grads = {name: np.zeros(shape) for name, shape in param_shapes(model.cfg).items()}
+    total = sum(enc.inputs.shape[0] for enc in batch)
+    grads = np.zeros(_param_count(model.cfg))
     loss_sum = 0.0
-    by_t: Dict[int, List[EncodedScan]] = {}
     for enc in batch:
-        by_t.setdefault(enc.inputs.shape[0], []).append(enc)
-    for t in sorted(by_t):
-        encs = by_t[t]
-        x = np.stack([e.inputs for e in encs])
-        truth = np.stack([e.truth for e in encs])
-        mask = np.stack([e.mask for e in encs])
-        cache = _forward_core(model, x, mask)
-        diff = cache.beta - truth
+        cache = _forward_core(model, enc.inputs, enc.mask)
+        diff = cache.beta - enc.truth
         loss_sum += float(np.sum(diff * diff))
-        sub = _backward_core(model, cache, (2.0 / total) * diff)
-        for name in grads:
-            grads[name] += sub[name]
+        grads += _backward_core(model, cache, (2.0 / total) * diff)
     return loss_sum / total, grads
 
 
-def rmsprop_step(
-    model: LstmModel,
-    grads: Dict[str, np.ndarray],
-    state: Optional[Dict[str, np.ndarray]],
-    cfg: TrainConfig,
-    lr_scales: Optional[Dict[str, float]] = None,
-) -> Tuple[LstmModel, Dict[str, np.ndarray]]:
-    """v <- rho v + (1 - rho) g^2; theta <- theta - lr g / (sqrt(v) + eps),
-    with rho ``_RHO`` and eps ``_EPS``.
+def rmsprop_step(theta: np.ndarray, grads: np.ndarray, v: np.ndarray, rate: np.ndarray) -> None:
+    """One RMSprop step on flat vectors, in place:
+    v <- rho v + (1 - rho) g^2; theta <- theta - rate g / (sqrt(v) + eps),
+    with rho ``_RHO``, eps ``_EPS`` and a learning rate per entry.
 
-    ``lr_scales`` optionally multiplies the learning rate per parameter name
-    (RMSprop is scale-invariant in the gradient itself, so per-group rates
-    must scale the step).
+    Per-group rates must scale the step, because RMSprop is scale-invariant
+    in the gradient itself.
     """
-    params = model.params()
-    if set(grads) != set(params):
-        raise ContractViolation(f"gradient names {sorted(grads)} != parameter names")
-    if state is None:
-        state = {name: np.zeros_like(p) for name, p in params.items()}
-    new_state = {}
-    new_params = {}
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ContractViolation(f"{name}: gradient shape {g.shape} != {p.shape}")
-        v = _RHO * state[name] + (1.0 - _RHO) * g * g
-        new_state[name] = v
-        lr = cfg.lr * (lr_scales.get(name, 1.0) if lr_scales else 1.0)
-        new_params[name] = p - lr * g / (np.sqrt(v) + _EPS)
-    return model.with_params(new_params), new_state
+    if not theta.shape == grads.shape == v.shape == rate.shape:
+        raise ContractViolation(
+            f"rmsprop vectors differ in shape: theta {theta.shape}, grads {grads.shape}, "
+            f"v {v.shape}, rate {rate.shape}"
+        )
+    v *= _RHO
+    v += (1.0 - _RHO) * grads * grads
+    theta -= rate * grads / (np.sqrt(v) + _EPS)
+
+
+def _learning_rates(cfg: NetConfig, lr: float) -> np.ndarray:
+    """Per-entry rate over the flat parameters: ``lr`` for the output read
+    (``w_out``, ``b_out``), ``_BODY_LR_SCALE`` times it for the rest."""
+    return np.concatenate([
+        np.full(math.prod(shape), lr if name in ("w_out", "b_out") else lr * _BODY_LR_SCALE)
+        for name, shape in param_shapes(cfg).items()
+    ])
 
 
 def train(
@@ -580,10 +605,15 @@ def train(
     """Fit the network on a training set; returns the model and loss curve.
 
     Normalization stats come from the training inputs, and parameters start
-    from :func:`init_model_detectors`. Each epoch visits all scan sequences in
-    a seeded shuffled order in mini-batches of RMSprop steps, the output read
-    at ``train_cfg.lr`` and everything else at ``_BODY_LR_SCALE`` times it.
-    The loss curve holds the mean per-sequence loss of each epoch.
+    from :func:`init_model_detectors`. The scan sequences are encoded once,
+    into one stack per sequence length. Each epoch visits them in a seeded
+    shuffled order in mini-batches; a batch gathers its sequences from the
+    stacks, by ascending length and in shuffled order within a length, and
+    takes one RMSprop step, the output read at ``train_cfg.lr`` and
+    everything else at ``_BODY_LR_SCALE`` times it. Parameters, gradients
+    and RMSprop state are each one flat vector; the model's arrays are views
+    of the parameter vector, which the steps update in place. The loss curve
+    holds the mean per-sequence loss of each epoch.
     Deterministic given the config seeds.
     """
     if len(dataset) == 0:
@@ -592,27 +622,39 @@ def train(
     # Detector widths cover both the training offsets (pure measurement
     # noise: predictions come from exact truth) and the extra filter
     # prediction error present at inference.
-    model = init_model_detectors(net_cfg, norm, 2.0 * offset_scale_from_dataset(dataset))
-    lr_scales = {
-        name: _BODY_LR_SCALE for name in PARAM_NAMES if name not in ("w_out", "b_out")
-    }
-    encoded = [encode_group(g, net_cfg, norm) for g in dataset.groups]
-    n = len(encoded)
+    start_model = init_model_detectors(net_cfg, norm, 2.0 * offset_scale_from_dataset(dataset))
+    theta = np.concatenate([p.reshape(-1) for p in start_model.params().values()])
+    model = LstmModel(cfg=net_cfg, norm=norm, **_param_views(theta, net_cfg))
+    v = np.zeros_like(theta)
+    rates = _learning_rates(net_cfg, train_cfg.lr)
+
+    stacks = encode_groups(dataset.groups, net_cfg, norm)
+    n = len(dataset)
+    lengths = np.array([len(g.labels) for g in dataset.groups])
+    rows = np.empty(n, dtype=np.intp)  # each sequence's row in its length's stack
+    for t in stacks:
+        rows[lengths == t] = np.arange(stacks[t].inputs.shape[0])
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(train_cfg.seed)))
-    state: Optional[Dict[str, np.ndarray]] = None
     curve: List[float] = []
     for epoch in range(train_cfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, train_cfg.batch):
-            batch = [encoded[i] for i in order[start : start + train_cfg.batch]]
+            picked = order[start : start + train_cfg.batch]
+            picked_lengths = lengths[picked]
+            batch = []
+            for t, stack in stacks.items():
+                chosen = picked[picked_lengths == t]
+                if len(chosen):
+                    batch.append(stack.take(rows[chosen]))
             batch_loss, grads = _batch_loss_and_grads(model, batch)
             if not np.isfinite(batch_loss):
                 raise NumericalError(f"training diverged at epoch {epoch}")
-            model, state = rmsprop_step(model, grads, state, train_cfg, lr_scales)
-            epoch_loss += batch_loss * len(batch)
+            rmsprop_step(theta, grads, v, rates)
+            epoch_loss += batch_loss * len(picked)
         curve.append(epoch_loss / n)
-    return model, curve
+    # The steps wrote theta in place; a new model checks the final values.
+    return LstmModel(cfg=net_cfg, norm=norm, **_param_views(theta, net_cfg)), curve
 
 
 # ---------------------------------------------------------------------------

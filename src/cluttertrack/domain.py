@@ -56,9 +56,10 @@ def read_config(section: str, doc, cls, required: bool = False):
 
     Unknown keys are refused, and so are missing ones: a field with no
     default, and every field if ``required`` or ``cls.every_field_required``.
-    Values take their field's type: ``float``, ``int``, ``str``,
-    ``Optional[X]``, tuples from JSON lists, and config dataclasses, read
-    by this function as section ``section.field``.
+    Values take their field's type: ``float``, ``int`` (a JSON integer, or
+    a number with an integral value such as 5.0; not a fraction or a
+    boolean), ``str``, ``Optional[X]``, tuples from JSON lists, and config
+    dataclasses, read by this function as section ``section.field``.
     """
     if not isinstance(doc, Mapping):
         raise ConfigError(f"{section}: expected a JSON object, got {type(doc).__name__}")
@@ -97,6 +98,12 @@ def _convert(path: str, value, tp):
         return tuple(_convert(f"{path}[{i}]", v, a) for i, (v, a) in enumerate(zip(value, args)))
     if tp is str and not isinstance(value, str):
         raise ConfigError(f"{path}: expected a string, got {type(value).__name__}")
+    if tp is int:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        return value
     try:
         return tp(value)
     except (TypeError, ValueError, OverflowError) as e:
@@ -427,18 +434,21 @@ def assign_with_misses(cost: np.ndarray, miss, big: float, tie: float = 0.0) -> 
     are never returned; ``tie`` times the column index is added to order
     exact ties.
 
-    Only the columns some track can take below ``big`` go to the solver.
-    Dropping the others is exact: a track holding one does better on its own
-    miss column, which no other track takes below ``big``, so no optimum
-    uses it. The kept columns keep their order and their tie bias.
+    Only the measurement columns that can win go to the solver, with all n
+    miss columns: a column is kept when some track's entry is at most that
+    track's own miss entry, tie bias included. Dropping the others is
+    exact: a track holding one does strictly better on its own miss column,
+    which no other track takes below ``big``, so no optimum uses it. The
+    kept columns keep their order and their tie bias.
     """
     n, m = cost.shape
     aug = np.full((n, m + n), big)
     aug[:, :m] = cost
     aug[:, m:][np.diag_indices(n)] = miss
     aug += tie * np.arange(m + n)
-    takeable = (aug.min(axis=0) < big).nonzero()[0]
-    cols = takeable[solve_lap(aug[:, takeable].tolist())].tolist()
+    # Each miss column passes the test on its own track's row, so all stay.
+    kept = (aug <= aug[:, m:].diagonal()[:, None]).any(axis=0).nonzero()[0]
+    cols = kept[solve_lap(aug[:, kept].tolist())].tolist()
     pairs = {j: c for j, c in enumerate(cols) if c < m and aug[j, c] < big}
     missed = frozenset(range(n)) - frozenset(pairs)
     return Assignment(pairs, missed, frozenset(range(m)) - frozenset(pairs.values()))

@@ -46,6 +46,8 @@ def ospa(
     inner minimization is the m x n assignment problem itself, solved exactly
     without miss columns, as every point of the smaller set is matched. Tied
     matchings give the same distance up to the order of the summed terms.
+    Raises :class:`ContractViolation` when n * c^p, the largest sum, is not
+    a finite float.
     """
     a = np.asarray(truth_positions, dtype=float).reshape(-1, 2)
     b = np.asarray(est_positions, dtype=float).reshape(-1, 2)
@@ -55,6 +57,11 @@ def ospa(
     if n == 0:
         return 0.0
     c_p = params.c**params.p
+    if not math.isfinite(n * c_p):
+        raise ContractViolation(
+            f"OSPA of {n} points overflows a float: n * c ** p is not finite "
+            f"for c={params.c}, p={params.p}"
+        )
     if m == 0:
         return params.c
     dists = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ def test_train_rejects_unknown_field(tmp_path, capsys):
     # Neither the measurement dimension nor gradient clipping is a setting,
     # and training has one recipe: no init choice, body rate or RMSprop
     # decay and guard to set.
-    doc = json.loads(open(config).read())
+    doc = json.loads(Path(config).read_text())
     for section, field, value in (
         ("net", "d", 2),
         ("train", "clip", 1.0),
@@ -127,6 +128,8 @@ TRAIN = {"base": REFERENCE, "variants": 2, "net": {"hidden": 4}, "train": {"epoc
         ("train", {**TRAIN, "train": {"lr": "x"}}, "train.train.lr"),
         ("train", {**TRAIN, "net": {"hidden": "x"}}, "train.net.hidden"),
         ("train", {**TRAIN, "scenarios": 5}, "train.scenarios"),
+        ("simulate", {**REFERENCE, "num_targets": 5.7}, "scenario.num_targets"),
+        ("simulate", {**REFERENCE, "num_targets": True}, "scenario.num_targets"),
     ],
 )
 def test_malformed_config_exits_with_config_code_naming_the_field(

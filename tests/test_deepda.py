@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 
 from cluttertrack.deepda import (
-    EncodedScan,
+    EncodedStack,
     LstmModel,
     NetConfig,
     NormStats,
+    PARAM_NAMES,
     TrainConfig,
     _ForwardCache,
     _batch_loss_and_grads,
     _forward_core,
+    _learning_rates,
+    _param_views,
     _sigmoid,
     build_features,
-    encode_group,
+    encode_groups,
     fit_norm_stats,
     forward_scan,
     identity_norm,
@@ -51,16 +54,22 @@ def small_cfg(**kw):
 
 
 def random_batch(cfg, rng, groups=2, targets=2):
-    batch = []
-    for _ in range(groups):
+    """One stack of ``groups`` random sequences of ``targets`` steps."""
+    inputs = rng.normal(size=(groups, targets, cfg.features))
+    truth = np.zeros((groups, targets, cfg.m_max + 1))
+    mask = np.empty((groups, cfg.m_max + 1), dtype=bool)
+    for g in range(groups):
         m = int(rng.integers(1, cfg.m_max + 1))
-        inputs = rng.normal(size=(targets, cfg.features))
-        truth = np.zeros((targets, cfg.m_max + 1))
         for t in range(targets):
             choice = int(rng.integers(0, m + 1))
-            truth[t, cfg.m_max if choice == m else choice] = 1.0
-        batch.append(EncodedScan(inputs, truth, output_mask(cfg, m)))
-    return batch
+            truth[g, t, cfg.m_max if choice == m else choice] = 1.0
+        mask[g] = output_mask(cfg, m)
+    return EncodedStack(inputs, truth, mask)
+
+
+def sequences(stack):
+    """Each sequence of a stack as a stack of one."""
+    return [stack.take([i]) for i in range(stack.inputs.shape[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +301,15 @@ def test_forward_core_matches_per_gate_reference(t, b):
     # wider weights: gate pre-activations of both signs, some saturated
     model = model.with_params({n: 3.0 * p for n, p in model.params().items()})
     rng = np.random.default_rng(10 * b + t)
-    batch = []
+    truth = np.zeros((b, t, cfg.m_max + 1))
+    x = np.empty((b, t, cfg.features))
+    mask = np.empty((b, cfg.m_max + 1), dtype=bool)
     for seq in range(b):
         # sequence 0 always has padded slots; m = 0 leaves only the miss
         m = cfg.m_max // 2 if seq == 0 else int(rng.integers(0, cfg.m_max + 1))
-        truth = np.zeros((t, cfg.m_max + 1))
-        truth[np.arange(t), rng.choice(list(range(m)) + [cfg.m_max], size=t)] = 1.0
-        inputs = rng.normal(scale=2.0, size=(t, cfg.features))
-        batch.append(EncodedScan(inputs, truth, output_mask(cfg, m)))
-    x = np.stack([e.inputs for e in batch])
-    mask = np.stack([e.mask for e in batch])
+        truth[seq, np.arange(t), rng.choice(list(range(m)) + [cfg.m_max], size=t)] = 1.0
+        x[seq] = rng.normal(scale=2.0, size=(t, cfg.features))
+        mask[seq] = output_mask(cfg, m)
 
     # The core takes the input and output products over all B*T rows at
     # once. Each row of a matrix product has the same bits whatever the row
@@ -312,9 +320,10 @@ def test_forward_core_matches_per_gate_reference(t, b):
     ref = reference_cache(model, x, mask)
     assert_cache_matches(cache, ref, exact)
 
-    diff = ref.beta - np.stack([e.truth for e in batch])
+    diff = ref.beta - truth
     ref_grads = reference_backward(model, x, mask, (2.0 / b) * diff)
-    batch_loss, grads = _batch_loss_and_grads(model, batch)
+    batch_loss, flat = _batch_loss_and_grads(model, [EncodedStack(x, truth, mask)])
+    grads = _param_views(flat, cfg)
     assert_same(batch_loss, float(np.sum(diff * diff)) / b, exact)
     assert grads.keys() == ref_grads.keys()
     for name in grads:
@@ -356,14 +365,14 @@ def test_batch_gradients_at_benchmark_size_equal_reference_bits():
     # Training batches hold 32 sequences, where the hoisted products give
     # the per-step bits exactly; the benchmark's final loss relies on it.
     model, ds = benchmark_size_model_and_data()
-    batch = [encode_group(g, model.cfg, model.norm) for g in ds.groups[:32]]
-    assert len(batch) == 32 and {e.inputs.shape for e in batch} == {(5, 84)}
-    x = np.stack([e.inputs for e in batch])
-    mask = np.stack([e.mask for e in batch])
+    stacks = encode_groups(ds.groups[:32], model.cfg, model.norm)
+    assert list(stacks) == [5] and stacks[5].inputs.shape == (32, 5, 84)
+    x, mask = stacks[5].inputs, stacks[5].mask
     ref = reference_cache(model, x, mask)
-    diff = ref.beta - np.stack([e.truth for e in batch])
+    diff = ref.beta - stacks[5].truth
     ref_grads = reference_backward(model, x, mask, (2.0 / 32) * diff)
-    batch_loss, grads = _batch_loss_and_grads(model, batch)
+    batch_loss, flat = _batch_loss_and_grads(model, [stacks[5]])
+    grads = _param_views(flat, model.cfg)
     assert batch_loss == float(np.sum(diff * diff)) / 32
     for name in ref_grads:
         np.testing.assert_array_equal(grads[name], ref_grads[name])
@@ -382,14 +391,14 @@ def test_loss_examples():
     model = zero_model(cfg)
     one_hot = np.zeros((2, cfg.m_max + 1))
     one_hot[0, 0] = one_hot[1, cfg.m_max] = 1.0
-    inputs = np.zeros((2, cfg.features))
-    one_meas = EncodedScan(inputs[:1], one_hot[:1], output_mask(cfg, 1))
-    three_meas = EncodedScan(inputs, one_hot, output_mask(cfg, 3))
+    inputs = np.zeros((1, 2, cfg.features))
+    one_meas = EncodedStack(inputs[:, :1], one_hot[None, :1], output_mask(cfg, 1)[None])
+    three_meas = EncodedStack(inputs, one_hot[None], output_mask(cfg, 3)[None])
     assert _batch_loss_and_grads(model, [one_meas])[0] == 0.5
     assert _batch_loss_and_grads(model, [three_meas])[0] == 1.5
     assert _batch_loss_and_grads(model, [one_meas, three_meas])[0] == 1.0
-    own_rows = np.tile(np.where(output_mask(cfg, 3), 0.25, 0.0), (2, 1))
-    assert _batch_loss_and_grads(model, [EncodedScan(inputs, own_rows, output_mask(cfg, 3))])[0] == 0.0
+    own_rows = np.tile(np.where(output_mask(cfg, 3), 0.25, 0.0), (1, 2, 1))
+    assert _batch_loss_and_grads(model, [EncodedStack(inputs, own_rows, three_meas.mask)])[0] == 0.0
 
 
 def test_loss_matches_elementwise_recomputation():
@@ -397,17 +406,17 @@ def test_loss_matches_elementwise_recomputation():
     model = init_model(cfg, identity_norm(cfg.features))
     rng = np.random.default_rng(3)
     # Sequences of different lengths take separate forward passes.
-    batch = random_batch(cfg, rng, groups=3, targets=2) + random_batch(cfg, rng, groups=2, targets=3)
+    batch = [random_batch(cfg, rng, groups=3, targets=2), random_batch(cfg, rng, groups=2, targets=3)]
     got, _ = _batch_loss_and_grads(model, batch)
     expected = 0.0
-    for enc in batch:
-        rows = _forward_core(model, enc.inputs[None], enc.mask[None]).beta[0]
+    for enc in sequences(batch[0]) + sequences(batch[1]):
+        rows = _forward_core(model, enc.inputs, enc.mask).beta[0]
         expected += sum(
-            (rows[t, j] - enc.truth[t, j]) ** 2
+            (rows[t, j] - enc.truth[0, t, j]) ** 2
             for t in range(rows.shape[0])
             for j in range(cfg.m_max + 1)
         )
-    assert got == pytest.approx(expected / len(batch), rel=1e-12)
+    assert got == pytest.approx(expected / 5, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +428,19 @@ def test_backward_zero_at_exact_truth():
     cfg = small_cfg(seed=4)
     model = init_model(cfg, identity_norm(cfg.features))
     rng = np.random.default_rng(0)
-    batch = random_batch(cfg, rng)
+    stack = random_batch(cfg, rng)
     # replace truth by the model's own output: loss 0, exactly zero gradients
-    stationary = []
-    for enc in batch:
-        cache = _forward_core(model, enc.inputs[None], enc.mask[None])
-        stationary.append(EncodedScan(enc.inputs, cache.beta[0], enc.mask))
-    _, grads = _batch_loss_and_grads(model, stationary)
-    for g in grads.values():
-        assert np.max(np.abs(g)) < 1e-6
+    cache = _forward_core(model, stack.inputs, stack.mask)
+    _, grads = _batch_loss_and_grads(model, [EncodedStack(stack.inputs, cache.beta, stack.mask)])
+    assert np.max(np.abs(grads)) < 1e-6
 
 
 def test_backward_matches_finite_differences():
     cfg = small_cfg(seed=6)
     model = init_model(cfg, identity_norm(cfg.features))
-    batch = random_batch(cfg, np.random.default_rng(1))
+    batch = [random_batch(cfg, np.random.default_rng(1))]
     loss_fn = lambda: _batch_loss_and_grads(model, batch)[0]
-    _, analytic = _batch_loss_and_grads(model, batch)
+    analytic = _param_views(_batch_loss_and_grads(model, batch)[1], cfg)
     numeric = numeric_gradients(loss_fn, model, step=1e-5)
     for name in analytic:
         a, n = analytic[name], numeric[name]
@@ -447,11 +452,12 @@ def test_backward_padded_output_weights_zero_grad():
     cfg = small_cfg(m_max=4, seed=2)
     model = init_model(cfg, identity_norm(cfg.features))
     rng = np.random.default_rng(5)
-    inputs = rng.normal(size=(2, cfg.features))
-    truth = np.zeros((2, cfg.m_max + 1))
-    truth[:, 0] = 1.0
-    mask = output_mask(cfg, 1)  # slots 1..3 padded
-    _, grads = _batch_loss_and_grads(model, [EncodedScan(inputs, truth, mask)])
+    inputs = rng.normal(size=(1, 2, cfg.features))
+    truth = np.zeros((1, 2, cfg.m_max + 1))
+    truth[..., 0] = 1.0
+    mask = output_mask(cfg, 1)[None]  # slots 1..3 padded
+    _, flat = _batch_loss_and_grads(model, [EncodedStack(inputs, truth, mask)])
+    grads = _param_views(flat, cfg)
     assert np.all(grads["w_out"][1:4, :] == 0.0)
     assert np.all(grads["b_out"][1:4] == 0.0)
 
@@ -462,40 +468,63 @@ def test_backward_padded_output_weights_zero_grad():
 
 
 def test_rmsprop_zero_gradient_decays_state():
-    cfg = small_cfg(seed=1)
-    model = init_model(cfg, identity_norm(cfg.features))
-    tc = TrainConfig(lr=0.01)
-    grads = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
-    state = {name: np.full(shape, 0.4) for name, shape in param_shapes(cfg).items()}
-    out, new_state = rmsprop_step(model, grads, state, tc)
-    for name in grads:
-        assert np.allclose(getattr(out, name), getattr(model, name))
-        assert np.allclose(new_state[name], 0.36)
+    theta = np.linspace(-1.0, 1.0, 7)
+    before = theta.copy()
+    v = np.full(7, 0.4)
+    rmsprop_step(theta, np.zeros(7), v, np.full(7, 0.01))
+    assert np.array_equal(theta, before)
+    assert np.allclose(v, 0.36)
 
 
 def test_rmsprop_hand_values():
-    cfg = small_cfg(seed=1)
-    model = zero_model(cfg)
-    tc = TrainConfig(lr=0.01)
-    grads = {name: np.ones(shape) for name, shape in param_shapes(cfg).items()}
-    out, state = rmsprop_step(model, grads, None, tc)
+    theta, v = np.zeros(3), np.zeros(3)
+    rmsprop_step(theta, np.ones(3), v, np.full(3, 0.01))
     # v = 0.1, step = 0.01 / (sqrt(0.1) + 1e-8)
     expected = -0.01 / (np.sqrt(0.1) + 1e-8)
-    assert getattr(out, "w_in")[0, 0] == pytest.approx(expected, rel=1e-9)
+    assert theta[0] == pytest.approx(expected, rel=1e-9)
     assert expected == pytest.approx(-0.0316228, abs=1e-6)
-    assert state["w_in"][0, 0] == pytest.approx(0.1)
+    assert v[0] == pytest.approx(0.1)
 
 
 def test_rmsprop_repeated_gradient_shrinks_steps():
-    cfg = small_cfg(seed=1)
-    model = zero_model(cfg)
-    tc = TrainConfig(lr=0.01)
-    grads = {name: np.ones(shape) for name, shape in param_shapes(cfg).items()}
-    m1, state = rmsprop_step(model, grads, None, tc)
-    step1 = abs(m1.w_in[0, 0] - model.w_in[0, 0])
-    m2, _ = rmsprop_step(m1, grads, state, tc)
-    step2 = abs(m2.w_in[0, 0] - m1.w_in[0, 0])
+    theta, v, g, rate = np.zeros(3), np.zeros(3), np.ones(3), np.full(3, 0.01)
+    rmsprop_step(theta, g, v, rate)
+    step1 = abs(theta[0])
+    before = theta[0]
+    rmsprop_step(theta, g, v, rate)
+    step2 = abs(theta[0] - before)
     assert step2 < step1
+
+
+def test_rmsprop_step_has_the_bits_of_the_per_parameter_formula():
+    # Each entry sees the IEEE operations of the per-name update it replaced.
+    cfg = small_cfg(seed=2)
+    rng = np.random.default_rng(4)
+    count = sum(int(np.prod(s)) for s in param_shapes(cfg).values())
+    theta, g, v0 = rng.normal(size=count), rng.normal(size=count), rng.uniform(0.0, 2.0, count)
+    rates = _learning_rates(cfg, 0.03)
+    theta_views, g_views, v_views = (_param_views(a.copy(), cfg) for a in (theta, g, v0))
+    v = v0.copy()
+    rmsprop_step(theta, g, v, rates)
+    for name, p in theta_views.items():
+        lr = 0.03 if name in ("w_out", "b_out") else 0.03 * 1e-3
+        want_v = 0.9 * v_views[name] + (1.0 - 0.9) * g_views[name] * g_views[name]
+        want_p = p - lr * g_views[name] / (np.sqrt(want_v) + 1e-8)
+        np.testing.assert_array_equal(_param_views(v, cfg)[name], want_v)
+        np.testing.assert_array_equal(_param_views(theta, cfg)[name], want_p)
+
+
+def test_learning_rates_slow_the_body_only():
+    cfg = small_cfg()
+    rates = _param_views(_learning_rates(cfg, 0.01), cfg)
+    assert list(rates) == list(PARAM_NAMES)
+    for name, r in rates.items():
+        assert np.all(r == (0.01 if name in ("w_out", "b_out") else 0.01 * 1e-3)), name
+
+
+def test_rmsprop_refuses_vectors_of_different_shapes():
+    with pytest.raises(ContractViolation, match="differ in shape"):
+        rmsprop_step(np.zeros(3), np.zeros(3), np.zeros(4), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +583,58 @@ def test_train_default_recipe_loss_curve_is_pinned():
     _, curve = train(ds, NetConfig(m_max=ds.m_max, hidden=8, seed=3), TrainConfig(epochs=4))
     expected = [1.5586703219408584, 1.5366242802949417, 1.5211522583654609, 1.5082974545448267]
     np.testing.assert_allclose(curve, expected, rtol=1e-9, atol=0.0)
+
+
+def mixed_length_dataset():
+    # Two- and three-target scenarios: batches of 8 mix sequence lengths.
+    two = ScenarioConfig(
+        num_targets=2,
+        initial_states=((6.0, 1.0, 10.0, 0.0), (6.0, 1.0, 18.0, 0.0)),
+        p_d=0.9,
+        e_lambda=3.0,
+        num_scans=6,
+        seed=1,
+    )
+    three = ScenarioConfig(
+        num_targets=3,
+        initial_states=((6.0, 1.0, 10.0, 0.2), (6.0, 1.0, 14.0, 0.0), (6.0, 1.0, 18.0, -0.2)),
+        p_d=0.9,
+        e_lambda=3.0,
+        num_scans=6,
+        seed=7,
+    )
+    return make_training_set(seeded_variants(two, 2) + seeded_variants(three, 2))
+
+
+def test_train_mixed_length_loss_curve_is_pinned():
+    # Recorded when each batch still stacked its per-scan encodings by
+    # length: the stacked training set must gather the same batches.
+    ds = mixed_length_dataset()
+    assert (len(ds), ds.m_max) == (20, 9)
+    assert sorted(len(g.labels) for g in ds.groups) == [2] * 10 + [3] * 10
+    net = NetConfig(m_max=ds.m_max, hidden=8, seed=3)
+    _, curve = train(ds, net, TrainConfig(epochs=4, batch=8, seed=2))
+    expected = [2.0344171097935657, 2.0016899088219686, 1.978824658675825, 1.9605341305371042]
+    np.testing.assert_allclose(curve, expected, rtol=1e-9, atol=0.0)
+
+
+def test_encode_groups_stacks_by_length_in_group_order():
+    ds = mixed_length_dataset()
+    cfg = NetConfig(m_max=ds.m_max)
+    norm = fit_norm_stats(ds, cfg)
+    stacks = encode_groups(ds.groups, cfg, norm)
+    assert list(stacks) == [2, 3]
+    rows = {2: 0, 3: 0}
+    for g in ds.groups:
+        t = len(g.labels)
+        stack, row = stacks[t], rows[t]
+        rows[t] += 1
+        np.testing.assert_array_equal(stack.inputs[row], build_features(g.pred_meas, g.measurements, cfg, norm))
+        np.testing.assert_array_equal(stack.mask[row], output_mask(cfg, g.measurements.shape[0]))
+        hot = [label if label >= 0 else cfg.m_max for label in g.labels]
+        assert stack.truth[row].sum() == t
+        assert np.all(stack.truth[row][np.arange(t), hot] == 1.0)
+    assert rows == {t: stacks[t].inputs.shape[0] for t in stacks}
 
 
 @pytest.mark.parametrize("lr", [0.0, float("nan"), float("inf")])

@@ -17,9 +17,12 @@ from cluttertrack.domain import (
     ScenarioConfig,
     Track,
     TrackSet,
+    assign_with_misses,
     five_crossing_targets,
     hard_assignment_from_probs,
 )
+from cluttertrack import domain
+from cluttertrack._lap import solve_lap
 
 from oracles import brute_force_max_prob
 
@@ -78,6 +81,17 @@ def test_config_validation_names_field(reference_config, field, value, msg):
     doc[field] = value
     with pytest.raises(ConfigError, match=msg):
         ScenarioConfig.from_dict(doc)
+
+
+def test_config_int_fields_take_integral_numbers_only(reference_config):
+    doc = reference_config.to_dict()
+    doc["num_scans"] = 12.0
+    cfg = ScenarioConfig.from_dict(doc)
+    assert cfg.num_scans == 12 and type(cfg.num_scans) is int
+    for value in (12.5, True, "12", None, float("inf")):
+        doc["num_scans"] = value
+        with pytest.raises(ConfigError, match="^scenario.num_scans: expected an integer, got "):
+            ScenarioConfig.from_dict(doc)
 
 
 def test_config_region_must_contain_targets(reference_config):
@@ -417,3 +431,49 @@ def test_hard_assignment_output_invariants(n, m, seed):
     # Assignment construction revalidates the one-to-one constraints; check coverage.
     assert set(a.pairs) | a.unassigned_tracks == set(range(n))
     assert set(a.pairs.values()) | a.unassigned_measurements == set(range(m))
+
+
+# ---------------------------------------------------------------------------
+# assign_with_misses
+# ---------------------------------------------------------------------------
+
+
+def test_assign_with_misses_solves_only_the_columns_that_can_win(monkeypatch):
+    widths = []
+
+    def recording_lap(cost):
+        widths.append(len(cost[0]))
+        return solve_lap(cost)
+
+    monkeypatch.setattr(domain, "solve_lap", recording_lap)
+    cost = np.array([[0.2, 0.9, 0.5], [0.8, 0.95, 0.5]])
+    a = assign_with_misses(cost, np.array([0.5, 0.6]), big=10.0)
+    # Column 1 loses to both misses; column 2 ties track 0's miss and stays.
+    assert widths == [2 + 2]
+    assert a.pairs == {0: 0, 1: 2}
+    assert a.unassigned_measurements == {1}
+
+
+def full_width_pairs(cost, miss, big, tie):
+    """The pairs of the whole n x (m + n) problem, every column solved."""
+    n, m = cost.shape
+    aug = np.full((n, m + n), big)
+    aug[:, :m] = cost
+    aug[:, m:][np.diag_indices(n)] = miss
+    aug += tie * np.arange(m + n)
+    cols = solve_lap(aug.tolist())
+    return {j: c for j, c in enumerate(cols) if c < m and aug[j, c] < big}
+
+
+@pytest.mark.parametrize("tie", [0.0, 1e-9])
+def test_assign_with_misses_matches_the_full_width_problem(tie):
+    # Costs on a coarse grid tie often, with each other and with the misses.
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(0, 7))
+        big = 10.0
+        cost = rng.integers(0, 6, size=(n, m)) / 4.0
+        cost[rng.random((n, m)) < 0.2] = big
+        miss = rng.integers(1, 5, size=n) / 4.0
+        got = assign_with_misses(cost, miss, big, tie)
+        assert got.pairs == full_width_pairs(cost, miss, big, tie)

@@ -107,6 +107,17 @@ def test_ospa_params_validation():
             OspaParams(c=c, p=p)
 
 
+def test_ospa_overflow_names_c_p_and_point_count():
+    params = OspaParams(c=10.0, p=308.0)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ContractViolation, match=r"OSPA of 3 points .* c=10.0, p=308.0"):
+        ospa(rng.random((2, 2)), rng.random((3, 2)), params)
+    with pytest.raises(ContractViolation, match="OSPA of 2 points"):
+        ospa([], rng.random((2, 2)), params)
+    # One point: n * c ** p = 1e308 is still finite.
+    assert ospa([(0.0, 0.0)], [(3.0, 4.0)], params) == pytest.approx(5.0)
+
+
 # ---------------------------------------------------------------------------
 # stti
 # ---------------------------------------------------------------------------

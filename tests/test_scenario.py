@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cluttertrack.deepda import NetConfig, encode_group, fit_norm_stats, identity_norm
+from cluttertrack.deepda import NetConfig, encode_groups, fit_norm_stats, identity_norm
 from cluttertrack.domain import CLUTTER, CapacityError, ConfigError, Scan, five_crossing_targets
 from cluttertrack.scenario import (
     SCANS_CSV_HEADER,
@@ -110,7 +110,7 @@ def truth_rows(ds, group, m_max=None):
     """The one-hot rows the network is trained on, over m_max slots (default
     ds.m_max) plus a miss."""
     cfg = NetConfig(m_max=m_max or ds.m_max)
-    return encode_group(group, cfg, identity_norm(cfg.features)).truth
+    return encode_groups([group], cfg, identity_norm(cfg.features))[len(group.labels)].truth[0]
 
 
 def test_training_set_one_hot_layout(clean_config):
