@@ -24,6 +24,7 @@ from .domain import (
     Assignment,
     AssocProbabilities,
     ConfigError,
+    ContractViolation,
     CostMatrix,
     ScenarioConfig,
     ToolkitError,
@@ -158,8 +159,11 @@ def track_scans(
     assignment becomes one-hot rows, so an assigned track takes the standard
     Kalman update and a missed one (miss probability 1) coasts on its
     prediction. Identity switches come from the hard assignment
-    (probability rows are hardened first).
+    (probability rows are hardened first). Fewer than two scans, the first
+    of which only starts the tracks, raise :class:`ContractViolation`.
     """
+    if len(scans) < 2:
+        raise ContractViolation(f"tracking needs at least 2 scans, got {len(scans)}")
     initial = np.asarray(initial_states, dtype=float)
     n = len(initial)
     tracks = TrackSet(initial, np.broadcast_to(DEFAULT_INITIAL_COVARIANCE, (n, 4, 4)))

@@ -309,7 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("train", help="train an association model")
+    p = sub.add_parser(
+        "train",
+        help="train an association model",
+        epilog="Training's matrix products run on OpenBLAS threads, one per core; on 2 cores "
+        "shared with another busy process, a run read 14x slower per epoch. To train on one "
+        "thread, start the process with OPENBLAS_NUM_THREADS=1 set: OpenBLAS reads it only "
+        "when numpy loads, so setting it in a running program has no effect.",
+    )
     p.add_argument("config", help="training config JSON")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=_cmd_train)

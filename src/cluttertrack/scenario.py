@@ -1,9 +1,12 @@
 """Scenario simulation: ground truth, noisy labeled scans, training sets.
 
-Randomness comes from numpy's PCG64 generator seeded through SeedSequence
-with explicit spawn keys, one independent stream per scan. That choice is
-part of the output format: the same seed reproduces the same scans bit for
-bit, serially or from parallel workers.
+The random stream is part of the output format: an int or tuple seed gives
+the same scans bit for bit, serially or in parallel. Scan k draws only from
+``PCG64(SeedSequence(seed, spawn_key=(k,)))``, in this order: ``random``
+per target (detected if below p_d), ``standard_normal`` (detections, 2)
+noise, the ``poisson`` clutter count, ``random`` (count, 2) clutter as
+low + (high - low) * u, and a ``permutation`` of detections, in target
+order, then clutter.
 """
 
 from __future__ import annotations
@@ -43,26 +46,18 @@ class GroundTruth:
         if s.shape != expected:
             raise ContractViolation(f"states shape {s.shape}, expected {expected}")
         stepped = s[:-1].copy()
-        stepped[:, :, 0] += stepped[:, :, 1] * self.config.dt
-        stepped[:, :, 2] += stepped[:, :, 3] * self.config.dt
+        stepped[:, :, ::2] += stepped[:, :, 1::2] * self.config.dt
         if not np.array_equal(stepped, s[1:]):
             raise ContractViolation("states do not follow constant-velocity propagation")
         object.__setattr__(self, "states", s)
 
-    def positions(self, k: int) -> np.ndarray:
-        return self.states[k][:, [0, 2]]
-
 
 def generate_truth(config: ScenarioConfig) -> GroundTruth:
-    """Deterministic constant-velocity trajectories from the initial states."""
-    states = np.empty((config.num_scans, config.num_targets, 4))
-    states[0] = np.array(config.initial_states, dtype=float)
-    for k in range(1, config.num_scans):
-        prev = states[k - 1]
-        nxt = prev.copy()
-        nxt[:, 0] += prev[:, 1] * config.dt
-        nxt[:, 2] += prev[:, 3] * config.dt
-        states[k] = nxt
+    """Constant-velocity truth: positions sum x0, v*dt, v*dt, ... in scan order."""
+    initial = np.array(config.initial_states, dtype=float)
+    states = np.repeat(initial[None], config.num_scans, axis=0)
+    states[1:, :, ::2] = initial[:, 1::2] * config.dt
+    states[:, :, ::2] = np.cumsum(states[:, :, ::2], axis=0)
     return GroundTruth(states, config)
 
 
@@ -79,28 +74,23 @@ def generate_scans(truth: GroundTruth, seed: Seed) -> List[Scan]:
     measurement order is shuffled so engines cannot exploit target order.
     """
     cfg = truth.config
-    scans: List[Scan] = []
     sigma = np.array([cfg.sigma_x, cfg.sigma_y])
     low = np.array([cfg.region.xmin, cfg.region.ymin])
-    high = np.array([cfg.region.xmax, cfg.region.ymax])
+    span = np.array([cfg.region.xmax, cfg.region.ymax]) - low
+    positions = truth.states[:, :, ::2]
+    scans: List[Scan] = []
     for k in range(cfg.num_scans):
         rng = _scan_rng(seed, k)
         detected = rng.random(cfg.num_targets) < cfg.p_d
-        ids = np.flatnonzero(detected)
-        noise = rng.standard_normal((len(ids), 2)) * sigma
-        target_meas = truth.positions(k)[ids] + noise
+        ids = detected.nonzero()[0]
+        target_meas = positions[k][detected] + rng.standard_normal((len(ids), 2)) * sigma
         n_clutter = int(rng.poisson(cfg.e_lambda))
-        clutter = rng.uniform(low, high, size=(n_clutter, 2))
+        # Generator.uniform(low, high) is low + (high - low) * u on these draws.
+        clutter = low + span * rng.random((n_clutter, 2))
         measurements = np.concatenate([target_meas, clutter], axis=0)
-        origins = [int(j) for j in ids] + [CLUTTER] * n_clutter
+        origins = ids.tolist() + [CLUTTER] * n_clutter
         perm = rng.permutation(len(origins))
-        scans.append(
-            Scan(
-                k=k,
-                measurements=measurements[perm],
-                origins=tuple(origins[i] for i in perm),
-            )
-        )
+        scans.append(Scan(k, measurements[perm], tuple([origins[i] for i in perm.tolist()])))
     return scans
 
 
@@ -152,15 +142,14 @@ def make_training_set(
     for cfg, seed in zip(configs, seeds):
         truth = generate_truth(cfg)
         scans = generate_scans(truth, seed)
-        f = transition_matrix(cfg.dt)
-        for k in range(1, cfg.num_scans):
-            pred_states = truth.states[k - 1] @ f.T
-            pred_meas = pred_states[:, [0, 2]]
-            scan = scans[k]
+        pred_meas = (truth.states[:-1] @ transition_matrix(cfg.dt).T)[:, :, [0, 2]]
+        for scan, pred in zip(scans[1:], pred_meas):
             m_max = max(m_max, scan.num_measurements)
-            origin_to_meas = {o: i for i, o in enumerate(scan.origins) if o != CLUTTER}
-            labels = tuple(origin_to_meas.get(j, -1) for j in range(cfg.num_targets))
-            groups.append(ScanSequence(pred_meas, scan.measurements, labels))
+            labels = [-1] * cfg.num_targets
+            for i, origin in enumerate(scan.origins):
+                if origin != CLUTTER:
+                    labels[origin] = i
+            groups.append(ScanSequence(pred, scan.measurements, tuple(labels)))
 
     return TrainingSet(tuple(groups), m_max=max(m_max, 1))
 

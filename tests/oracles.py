@@ -476,3 +476,42 @@ def reference_backward(model, x, mask, dbeta):
     grads["w_in"] += flat_dxp.T @ x.reshape(b * t, f)
     grads["b_in"] += flat_dxp.sum(axis=0)
     return grads
+
+
+def scenario_by_loops(config, seed):
+    """Truth states, scans and training groups of one scenario, scan by scan.
+
+    The simulation as a per-element loop, with ``Generator.uniform`` for the
+    clutter: the truth steps each state from the one before, scan k draws
+    from ``PCG64(SeedSequence(seed, spawn_key=(k,)))`` in the format's order,
+    and each training group predicts from the previous true state. Returns
+    ``(states, scans, groups)``: ``scans`` holds ``(measurements, origins)``
+    per scan and ``groups`` ``(pred_meas, measurements, labels)`` per scan
+    k >= 1.
+    """
+    states = np.empty((config.num_scans, config.num_targets, 4))
+    states[0] = np.array(config.initial_states, dtype=float)
+    for k in range(1, config.num_scans):
+        states[k] = states[k - 1]
+        states[k, :, 0] += states[k - 1, :, 1] * config.dt
+        states[k, :, 2] += states[k - 1, :, 3] * config.dt
+    r = config.region
+    scans = []
+    for k in range(config.num_scans):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
+        ids = [j for j, u in enumerate(rng.random(config.num_targets)) if u < config.p_d]
+        noise = rng.standard_normal((len(ids), 2)) * [config.sigma_x, config.sigma_y]
+        rows = [[states[k, j, 0] + noise[i, 0], states[k, j, 2] + noise[i, 1]] for i, j in enumerate(ids)]
+        n_clutter = int(rng.poisson(config.e_lambda))
+        clutter = rng.uniform([r.xmin, r.ymin], [r.xmax, r.ymax], size=(n_clutter, 2))
+        measurements = np.concatenate([np.reshape(rows, (-1, 2)), clutter])
+        origins = ids + [-1] * n_clutter
+        perm = rng.permutation(len(origins))
+        scans.append((measurements[perm], tuple(origins[i] for i in perm)))
+    f = transition_matrix(config.dt)
+    groups = []
+    for k in range(1, config.num_scans):
+        measurements, origins = scans[k]
+        labels = tuple(origins.index(j) if j in origins else -1 for j in range(config.num_targets))
+        groups.append(((states[k - 1] @ f.T)[:, [0, 2]], measurements, labels))
+    return states, scans, groups

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from cluttertrack.bench import (
     write_raw_log,
 )
 from cluttertrack.deepda import LstmModel, NetConfig, identity_norm, init_model, save_model
-from cluttertrack.domain import ConfigError, five_crossing_targets
+from cluttertrack.domain import ConfigError, ContractViolation, five_crossing_targets
 from cluttertrack.metrics import OspaParams
 
 ACCURACY_COLUMNS = ("ospa_mean", "ospa_std", "stti_mean", "stti_std")
@@ -115,6 +116,21 @@ def test_every_failing_episode_is_recorded_with_its_context(tmp_path):
     for e in errors:
         assert e["error"].startswith("CapacityError: scan 1: scan has ")
     assert json.loads(json.dumps(report.meta))["errors"] == errors
+
+
+def test_episode_with_fewer_than_two_scans_raises_naming_the_count():
+    config = replace(five_crossing_targets(), num_scans=1)
+    with pytest.raises(ContractViolation, match=r"at least 2 scans, got 1$"):
+        bench.run_episode(config, "ha")
+
+
+def test_grid_records_a_one_scan_cell_as_failed():
+    spec = replace(_spec(None, ("ha",)), base=replace(five_crossing_targets(), num_scans=1))
+    report = run_grid(spec, jobs=1)
+    assert all(math.isnan(getattr(report.rows[0], col)) for col in ACCURACY_COLUMNS)
+    assert [e["error"] for e in report.meta["errors"]] == [
+        "ContractViolation: tracking needs at least 2 scans, got 1"
+    ] * 2
 
 
 def _crlf(*lines):

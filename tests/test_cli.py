@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,27 @@ def test_track_numerical_failure_exits_3_and_names_the_scan(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: scan 18:")
+
+
+def test_train_help_says_how_to_pin_openblas_threads(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "OPENBLAS_NUM_THREADS=1" in out
+    assert "when numpy loads" in out
+
+
+def test_track_single_scan_scenario_exits_2_and_writes_no_metrics(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(replace(five_crossing_targets(), num_scans=1).to_dict()))
+    out = tmp_path / "out"
+    code = main(["track", str(config), "--method", "ha", "--out", str(out)])
+    assert code == 2
+    assert "error: tracking needs at least 2 scans, got 1" in (
+        capsys.readouterr().err
+    )
+    assert not (out / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "train", "track", "bench"])

@@ -1,8 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from cluttertrack.deepda import NetConfig, encode_groups, fit_norm_stats, identity_norm
-from cluttertrack.domain import CLUTTER, CapacityError, ConfigError, Scan, five_crossing_targets
+from cluttertrack.domain import (
+    CLUTTER,
+    CapacityError,
+    ConfigError,
+    Scan,
+    ScenarioConfig,
+    five_crossing_targets,
+)
 from cluttertrack.scenario import (
     SCANS_CSV_HEADER,
     TRUTH_CSV_HEADER,
@@ -15,6 +24,8 @@ from cluttertrack.scenario import (
     write_scans_csv,
     write_truth_csv,
 )
+
+from oracles import scenario_by_loops
 
 
 def test_truth_first_step_matches_hand_values(reference_config):
@@ -49,7 +60,7 @@ def test_scans_degenerate_noise_free(clean_config):
     for k, scan in enumerate(scans):
         assert scan.num_measurements == 5
         order = np.argsort(scan.origins)
-        assert np.array_equal(scan.measurements[order], truth.positions(k))
+        assert np.array_equal(scan.measurements[order], truth.states[k][:, [0, 2]])
 
 
 def test_scans_bit_reproducible(reference_config):
@@ -91,7 +102,7 @@ def test_scans_labels_point_at_targets(reference_config):
         for i, origin in enumerate(scan.origins):
             if origin == CLUTTER:
                 continue
-            err = np.linalg.norm(scan.measurements[i] - truth.positions(scan.k)[origin])
+            err = np.linalg.norm(scan.measurements[i] - truth.states[scan.k][:, [0, 2]][origin])
             assert err < 6 * 0.3162
 
 
@@ -104,6 +115,93 @@ def test_scan_order_is_shuffled(reference_config):
         if labels != sorted(labels):
             unsorted += 1
     assert unsorted > 0
+
+
+def sha256(*chunks):
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk if isinstance(chunk, bytes) else repr(chunk).encode())
+    return h.hexdigest()
+
+
+SIGNED_ZERO_SCENARIO = ScenarioConfig(
+    num_targets=3,
+    initial_states=((5.0, -0.0, 11.0, 0.4), (6.0, 1.3, 15.0, -0.0), (7.0, 0.7, 12.0, -0.3)),
+    dt=0.7,
+    num_scans=12,
+    e_lambda=5.0,
+)
+
+
+# The simulation stream is part of the output format: one SeedSequence(seed,
+# spawn_key=(k,)) generator per scan, drawn in a fixed order. These digests
+# were recorded from the scan-by-scan loop that oracles.scenario_by_loops keeps.
+@pytest.mark.parametrize(
+    "p_d, e_lambda, seed, counts, digest",
+    [
+        (0.9, 20.0, 7, [26, 21, 16, 21, 29, 23, 20, 19, 26, 28, 23, 26, 22, 20, 28, 19, 33, 27, 22, 29],
+         "458808046d1e69ba42e2136e716d8a324fccc3b45285ea6d8a9a18090f930874"),
+        (0.9, 20.0, (1907, 3), [17, 30, 29, 24, 20, 29, 27, 26, 21, 28, 25, 17, 32, 20, 15, 27, 21, 27, 21, 28],
+         "64828cd5b4a2c56f5f784796bc2d08c22c027ff00eb76257ddbeb7070289c085"),
+        # Scan 14 is empty.
+        (0.5, 0.0, 1, [3, 3, 3, 2, 2, 4, 3, 3, 2, 5, 1, 3, 4, 3, 0, 4, 4, 1, 2, 1],
+         "fe85fd9787dd1155b038a49978fca7cb505e366a519f69e14296724132f30b89"),
+        (0.9, 40.0, 2, [39, 42, 53, 39, 66, 45, 34, 46, 38, 37, 49, 39, 56, 54, 47, 30, 37, 51, 59, 31],
+         "869d380779ce5bb83ccd3fec26f207a50341dc58c52e9e45ab9cfc4f78c3bedf"),
+    ],
+)
+def test_scans_stream_is_pinned(p_d, e_lambda, seed, counts, digest):
+    scans = generate_scans(generate_truth(five_crossing_targets(p_d=p_d, e_lambda=e_lambda)), seed)
+    assert [s.num_measurements for s in scans] == counts
+    chunks = [c for s in scans for c in (s.measurements.tobytes(), s.origins)]
+    assert sha256(*chunks) == digest
+
+
+def test_truth_is_pinned_and_keeps_signed_zero_velocities():
+    states = generate_truth(SIGNED_ZERO_SCENARIO).states
+    assert np.signbit(states[:, 0, 1]).all()
+    assert np.signbit(states[:, 1, 3]).all()
+    assert not np.signbit(states[:, 0, 3]).any()
+    assert states[-1].tolist() == [
+        [5.0, -0.0, 14.079999999999993, 0.4],
+        [16.01, 1.3, 15.0, -0.0],
+        [12.390000000000002, 0.7, 9.68999999999999, -0.3],
+    ]
+    assert sha256(states.tobytes()) == "b35184aaff7f9b24bea148150adf64caca1742b2bca0a4c27215c9facde5ba72"
+
+
+def test_training_set_is_pinned():
+    ds = make_training_set(seeded_variants(five_crossing_targets(seed=32), 4))
+    assert (ds.m_max, len(ds)) == (33, 76)
+    chunks = [
+        c for g in ds.groups for c in (g.pred_meas.tobytes(), g.measurements.tobytes(), g.labels)
+    ]
+    assert sha256(*chunks) == "7757f8fc314becc1609a449d5b9c2b6ace83a8ebcb3e07424b4ce4ad3a1634f1"
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [five_crossing_targets(p_d, e_lambda) for p_d in (0.5, 0.9, 1.0) for e_lambda in (0.0, 20.0, 40.0)]
+    + [SIGNED_ZERO_SCENARIO],
+)
+@pytest.mark.parametrize("seed", [0, 1, 23, (1907, 3), (4242, 0, 1, 2)])
+def test_simulation_has_the_bits_of_the_loop_reference(config, seed):
+    states, scans, groups = scenario_by_loops(config, seed)
+    assert_same_bits(generate_truth(config).states, states)
+    for scan, (measurements, origins) in zip(generate_scans(generate_truth(config), seed), scans, strict=True):
+        assert_same_bits(scan.measurements, measurements)
+        assert scan.origins == origins
+    ds = make_training_set([config], [seed])
+    for group, (pred_meas, measurements, labels) in zip(ds.groups, groups, strict=True):
+        assert_same_bits(group.pred_meas, pred_meas)
+        assert_same_bits(group.measurements, measurements)
+        assert group.labels == labels
 
 
 def truth_rows(ds, group, m_max=None):
