@@ -14,6 +14,17 @@ def solve_lap(cost: Sequence[Sequence[float]]) -> List[int]:
     dense matrix with rows <= cols. All entries must be finite. Deterministic:
     when several columns tie, the lowest column index is explored first.
 
+    Leading rows whose first minimum lies in a free column are placed
+    directly, as Jonker and Volgenant's initialisation does, in exactly the
+    state one pass of the augmenting loop leaves: with every column
+    potential at 0 a row's reduced costs are the row itself, so the loop
+    takes its first minimum, raises the row's potential from 0 by it,
+    lowers the root column's potential by it and stops at the free column.
+    Only the root column's potential moves, so this holds up to the first
+    row whose minimum column is taken. From there each row runs the loop,
+    which scans the columns not yet on its tree in ascending order with the
+    same arithmetic per entry: the same assignment results, ties included.
+
     Returns the assigned column index for each row.
     """
     n = len(cost)
@@ -29,21 +40,31 @@ def solve_lap(cost: Sequence[Sequence[float]]) -> List[int]:
     p = [0] * (m + 1)
     way = [0] * (m + 1)
 
-    for i in range(1, n + 1):
+    first = 1
+    while first <= n:
+        row = cost[first - 1]
+        low = min(row)
+        j = row.index(low) + 1
+        if p[j]:
+            break
+        p[j] = first
+        u[first] = 0.0 + low
+        v[0] -= low
+        first += 1
+
+    for i in range(first, n + 1):
         p[0] = i
         j0 = 0
         minv = [_INF] * (m + 1)
-        used = [False] * (m + 1)
+        free = list(range(1, m + 1))  # columns not yet on the tree, ascending
+        tree = [0]
         while True:
-            used[j0] = True
             i0 = p[j0]
             delta = _INF
             j1 = 0
             row = cost[i0 - 1]
             u_i0 = u[i0]
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
+            for j in free:
                 cur = row[j - 1] - u_i0 - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
@@ -51,15 +72,16 @@ def solve_lap(cost: Sequence[Sequence[float]]) -> List[int]:
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            for j in tree:
+                u[p[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
+            tree.append(j0)
+            free.remove(j0)
         while j0:
             j1 = way[j0]
             p[j0] = p[j1]

@@ -62,13 +62,14 @@ def hungarian(cost: CostMatrix, miss_cost: float) -> Assignment:
         raise ContractViolation(f"miss_cost must be > 0, got {miss_cost}")
     v = cost.values
     n, m = v.shape
-    finite = v[np.isfinite(v)]
+    allowed = np.isfinite(v)
+    finite = v[allowed]
     top = max(float(finite.max()) if finite.size else 0.0, miss_cost)
     big = (top + 1.0) * (n + 1)
     # Infinitesimal column bias so exact ties resolve toward the lowest
     # measurement index; far below any meaningful cost difference.
     tie = (top + 1.0) * 1e-12 / (m + n + 1)
-    return assign_with_misses(np.where(np.isfinite(v), v, big), miss_cost, big, tie)
+    return assign_with_misses(np.where(allowed, v, big), miss_cost, big, tie)
 
 
 def gate(d2: np.ndarray, gp: GateParams) -> Set[int]:

@@ -158,9 +158,12 @@ def track_scans(
     weighted engines hand it their probability rows, and a hard engine's
     assignment becomes one-hot rows, so an assigned track takes the standard
     Kalman update and a missed one (miss probability 1) coasts on its
-    prediction. Identity switches come from the hard assignment
-    (probability rows are hardened first). Fewer than two scans, the first
-    of which only starts the tracks, raise :class:`ContractViolation`.
+    prediction. Each scan's rows are checked once, where they are made: a
+    weighted engine returns them checked, and the one-hot rows are checked
+    when they are wrapped here. Identity switches come from the hard
+    assignment (probability rows are hardened first). Fewer than two scans,
+    the first of which only starts the tracks, raise
+    :class:`ContractViolation`.
     """
     if len(scans) < 2:
         raise ContractViolation(f"tracking needs at least 2 scans, got {len(scans)}")
@@ -179,18 +182,16 @@ def track_scans(
             out, seconds = timed(lambda: engine.associate(predicted, scan))
         except ToolkitError as e:
             raise type(e)(f"scan {scan.k}: {e}") from None
-        m = scan.num_measurements
         if engine.mode == "hard":
             assignment: Assignment = out
+            m = scan.num_measurements
             rows = np.zeros((n, m + 1))
-            rows[:, m] = 1.0
-            for j, i in assignment.pairs.items():
-                rows[j, i], rows[j, m] = 1.0, 0.0
+            rows[range(n), [assignment.pairs.get(j, m) for j in range(n)]] = 1.0
+            probs = AssocProbabilities(rows)
         else:
             probs: AssocProbabilities = out
-            rows = probs.rows
             assignment = hard_assignment_from_probs(probs)
-        tracks = update_weighted(predicted, scan, rows, params)
+        tracks = update_weighted(predicted, scan, probs, params)
         history.append(assignment)
         scan_times.append(seconds)
         scan_ospa.append(ospa(truth_positions[idx], tracks.positions, ospa_params))

@@ -244,7 +244,7 @@ class Scan:
             raise ContractViolation(f"measurements must be (M, 2), got shape {z.shape}")
         object.__setattr__(self, "measurements", z)
         if self.origins is not None:
-            origins = tuple(int(o) for o in self.origins)
+            origins = tuple(map(int, self.origins))
             object.__setattr__(self, "origins", origins)
             if len(origins) != len(z):
                 raise ContractViolation(
@@ -264,9 +264,10 @@ def _check_tracks(x: np.ndarray, p: np.ndarray, lead: Tuple[int, ...], ids) -> N
     covariances of shape ``lead + (4, 4)``; ``ids[row]`` names a row.
 
     Shapes, then symmetry to ``np.allclose(p, p.T, atol=1e-8)`` (NaN fails
-    it), raise ``ContractViolation``; a non-finite state or covariance
-    raises ``NumericalError``; a smallest eigenvalue below -1e-9 raises
-    ``ContractViolation``.
+    it; an exactly symmetric ``p``, which the filter always makes, passes
+    without the tolerance test), raise ``ContractViolation``; a non-finite
+    state or covariance raises ``NumericalError``; a smallest eigenvalue
+    below -1e-9 raises ``ContractViolation``.
     """
     if x.shape != lead + (4,):
         raise ContractViolation(f"state must have 4 entries, shape (4,) per track; got shape {x.shape}")
@@ -277,8 +278,11 @@ def _check_tracks(x: np.ndarray, p: np.ndarray, lead: Tuple[int, ...], ids) -> N
     pt = p.swapaxes(1, 2)
     # Each rule is one whole-array test; the failing row is found only after.
     finite = np.isfinite(p).all()
-    # allclose's rule without its non-finite handling, which only non-finite p needs.
-    if finite:
+    # Exact symmetry passes at once; otherwise allclose's rule, without its
+    # non-finite handling, which only non-finite p needs.
+    if (p == pt).all():
+        symmetric = True
+    elif finite:
         symmetric = (np.abs(p - pt) <= 1e-8 + 1e-5 * np.abs(pt)).all()
     else:
         symmetric = np.allclose(p, pt, atol=1e-8)
@@ -445,7 +449,8 @@ def assign_with_misses(cost: np.ndarray, miss, big: float, tie: float = 0.0) -> 
     aug = np.full((n, m + n), big)
     aug[:, :m] = cost
     aug[:, m:][np.diag_indices(n)] = miss
-    aug += tie * np.arange(m + n)
+    if tie:
+        aug += tie * np.arange(m + n)
     # Each miss column passes the test on its own track's row, so all stay.
     kept = (aug <= aug[:, m:].diagonal()[:, None]).any(axis=0).nonzero()[0]
     cols = kept[solve_lap(aug[:, kept].tolist())].tolist()

@@ -7,8 +7,11 @@ one pass and returns a new one; F, Q and R are built once per
 and the singular-S check: :func:`innovations` adds the Mahalanobis
 statistics that gating and the likelihoods use, the update takes the rest.
 There is one update, :func:`update_weighted`: a hard assignment is the
-one-hot case of its probability rows. Covariances are symmetrized after
-every step and updates use the Joseph form for PSD safety.
+one-hot case of its probability rows. It takes them as the
+:class:`~cluttertrack.domain.AssocProbabilities` that checked them where
+they were made, so no scan checks its rows twice. Covariances are
+symmetrized after every step, so they are exactly symmetric, and updates
+use the Joseph form for PSD safety.
 """
 
 from __future__ import annotations
@@ -121,18 +124,22 @@ def innovations(
     return nu, s, det, d2
 
 
-def update_weighted(ts: TrackSet, scan: Scan, rows: np.ndarray, params: FilterParams) -> TrackSet:
+def update_weighted(ts: TrackSet, scan: Scan, probs: AssocProbabilities, params: FilterParams) -> TrackSet:
     """Probability-weighted update of every predicted track over a whole scan.
 
-    ``rows[j]`` holds track j's probability for each measurement plus a
-    trailing miss probability; a one-hot row is the standard Kalman update
-    with one measurement. The state moves by the combined innovation and the
-    covariance mixes the no-detection and updated covariances plus the
-    spread-of-innovations term. All tracks share one pass: a miss-only row
+    ``probs.rows[j]`` holds track j's probability for each measurement plus
+    a trailing miss probability; a one-hot row is the standard Kalman update
+    with one measurement. The rows were checked where ``probs`` was made, so
+    only their shape, (N, M+1), is checked here; anything but an
+    :class:`AssocProbabilities` raises :class:`ContractViolation`. The state
+    moves by the combined innovation and the covariance mixes the
+    no-detection and updated covariances plus the spread-of-innovations term. All tracks share one pass: a miss-only row
     has weights 0, so its track keeps its (symmetric) prediction bit for bit;
     if no row has measurement mass, the input set itself comes back.
     """
-    beta = AssocProbabilities(rows).rows  # entries in [0, 1], rows sum to 1
+    if not isinstance(probs, AssocProbabilities):
+        raise ContractViolation(f"rows must be an AssocProbabilities, got {type(probs).__name__}")
+    beta = probs.rows
     n, m = len(ts), scan.num_measurements
     if beta.shape != (n, m + 1):
         raise ContractViolation(

@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-from cluttertrack._lap import solve_lap
 from cluttertrack.assoc import _clusters
 from cluttertrack.domain import (
     AssocProbabilities,
@@ -57,6 +56,71 @@ def brute_force_min_cost(cost, miss_cost):
     return best, best_assign
 
 
+def reference_lap(cost):
+    """Minimum-cost assignment of every row of a dense finite (n, m) cost,
+    n <= m, to a distinct column: the plain potentials/augmenting-path loop,
+    one full pass over every column for every row, exploring the lowest
+    column index first among ties. Returns the column of each row.
+
+    ``cluttertrack._lap.solve_lap`` must return the very same columns, ties
+    included, and so must any faster rewrite of it.
+    """
+    n = len(cost)
+    if n == 0:
+        return []
+    m = len(cost[0])
+    if n > m:
+        raise ValueError(f"need rows <= cols, got {n} rows x {m} cols")
+
+    # 1-based arrays; p[j] holds the row matched to column j (0 = free).
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
+    p = [0] * (m + 1)
+    way = [0] * (m + 1)
+
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [math.inf] * (m + 1)
+        used = [False] * (m + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = math.inf
+            j1 = 0
+            row = cost[i0 - 1]
+            u_i0 = u[i0]
+            for j in range(1, m + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - u_i0 - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(m + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+
+    result = [0] * n
+    for j in range(1, m + 1):
+        if p[j]:
+            result[p[j] - 1] = j - 1
+    return result
+
+
 def square_hungarian_oracle(cost, miss_cost):
     """Global assignment by the square (n + m) x (m + n) construction.
 
@@ -65,8 +129,8 @@ def square_hungarian_oracle(cost, miss_cost):
     the others) and one clutter row per measurement, free on its own
     measurement and on every dummy column. ``+inf`` entries are forbidden
     pairs, and the same infinitesimal column bias breaks exact ties toward
-    low measurement indices. It shares only the dense LAP kernel with the
-    production code, which ``brute_force_min_cost`` checks on its own.
+    low measurement indices. It solves the padded problem with
+    :func:`reference_lap`, so it shares no code with the production solver.
     Returns (pairs, unassigned_tracks, unassigned_measurements).
     """
     v = np.asarray(cost, dtype=float)
@@ -85,7 +149,7 @@ def square_hungarian_oracle(cost, miss_cost):
     aug[n:, m:] = 0.0
     tie = (top + 1.0) * 1e-12 / (m + n + 1)
     aug[:n, : m + n] += tie * np.arange(m + n)
-    cols = solve_lap(aug.tolist())
+    cols = reference_lap(aug.tolist())
     pairs = {j: cols[j] for j in range(n) if cols[j] < m and aug[j, cols[j]] < big}
     missed = frozenset(range(n)) - frozenset(pairs)
     return pairs, missed, frozenset(range(m)) - frozenset(pairs.values())

@@ -3,21 +3,33 @@ import math
 import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cluttertrack import bench
 from cluttertrack.bench import (
+    METHODS,
     BenchReport,
     BenchRow,
     BenchSpec,
     RawEpisodeRow,
     emit_report,
+    run_episode,
     run_grid,
     write_raw_log,
 )
-from cluttertrack.deepda import LstmModel, NetConfig, identity_norm, init_model, save_model
+from cluttertrack.deepda import (
+    LstmModel,
+    NetConfig,
+    TrainConfig,
+    identity_norm,
+    init_model,
+    save_model,
+    train,
+)
 from cluttertrack.domain import ConfigError, ContractViolation, five_crossing_targets
 from cluttertrack.metrics import OspaParams
+from cluttertrack.scenario import generate_scans, generate_truth, make_training_set, seeded_variants
 
 ACCURACY_COLUMNS = ("ospa_mean", "ospa_std", "stti_mean", "stti_std")
 
@@ -116,6 +128,45 @@ def test_every_failing_episode_is_recorded_with_its_context(tmp_path):
     for e in errors:
         assert e["error"].startswith("CapacityError: scan 1: scan has ")
     assert json.loads(json.dumps(report.meta))["errors"] == errors
+
+
+@pytest.fixture(scope="module")
+def small_model():
+    """A small DeepDA model trained here, with slots for every scan below."""
+    dataset = make_training_set(seeded_variants(five_crossing_targets(), 4))
+    model, _ = train(dataset, NetConfig(m_max=64, hidden=4), TrainConfig(epochs=1))
+    return model
+
+
+# Each engine must survive these; they take the m = 0 paths of the update,
+# the hardening and the assignment solver.
+ROBUSTNESS_EPISODES = {
+    "empty scan 14": five_crossing_targets(p_d=0.5, e_lambda=0.0, seed=1),
+    "empty scan 19": five_crossing_targets(p_d=0.5, e_lambda=0.0, seed=10),
+    "zero clutter": five_crossing_targets(p_d=1.0, e_lambda=0.0, seed=3),
+    "coincident targets": five_crossing_targets(),
+}
+
+
+def test_robustness_episodes_have_their_property():
+    sizes = {
+        name: [s.num_measurements for s in generate_scans(generate_truth(c), c.seed)]
+        for name, c in ROBUSTNESS_EPISODES.items()
+    }
+    assert sizes["empty scan 14"][14] == 0 and sizes["empty scan 19"][19] == 0
+    assert sizes["zero clutter"] == [5] * 20
+    # The reference scenario's five targets are all at one point at scan 10.
+    truth = generate_truth(ROBUSTNESS_EPISODES["coincident targets"])
+    assert np.ptp(truth.states[10][:, ::2], axis=0).max() < 1e-9
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("episode", sorted(ROBUSTNESS_EPISODES))
+def test_every_engine_finishes_the_robustness_episodes(episode, method, small_model):
+    config = ROBUSTNESS_EPISODES[episode]
+    result = run_episode(config, method, model=small_model)
+    assert len(result.scan_ospa) == config.num_scans - 1
+    assert np.isfinite(result.scan_ospa).all() and result.stti is not None
 
 
 def test_episode_with_fewer_than_two_scans_raises_naming_the_count():

@@ -24,7 +24,7 @@ from cluttertrack.domain import (
 from cluttertrack import domain
 from cluttertrack._lap import solve_lap
 
-from oracles import brute_force_max_prob
+from oracles import brute_force_max_prob, reference_lap
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +431,41 @@ def test_hard_assignment_output_invariants(n, m, seed):
     # Assignment construction revalidates the one-to-one constraints; check coverage.
     assert set(a.pairs) | a.unassigned_tracks == set(range(n))
     assert set(a.pairs.values()) | a.unassigned_measurements == set(range(m))
+
+
+# ---------------------------------------------------------------------------
+# solve_lap
+# ---------------------------------------------------------------------------
+
+
+def _lap_case(rng, n, m, collide):
+    """An (n, m) integer 0-3 cost whose rows before ``collide`` have distinct
+    first-minimum columns and whose row ``collide`` has its first minimum in
+    one of theirs; ``collide`` None leaves the draw as it is."""
+    cost = rng.integers(0, 4, size=(n, m))
+    if collide is not None:
+        cols = rng.permutation(m)[:collide]
+        for r, c in enumerate([*cols, rng.choice(cols)]):
+            cost[r, :c] = np.maximum(cost[r, :c], 1)
+            cost[r, c] = 0
+    return cost.astype(float).tolist()
+
+
+def test_solve_lap_equals_the_reference_loop_on_tie_heavy_costs():
+    rng = np.random.default_rng(1987)
+    cases = 0
+    for n in range(1, 7):
+        for m in range(n, 15):
+            collisions = [None] + sorted({r for r in (1, n // 2, n - 1) if 1 <= r < n})
+            for collide in collisions:
+                for _ in range(12):
+                    cost = _lap_case(rng, n, m, collide)
+                    assert solve_lap(cost) == reference_lap(cost), (n, m, collide, cost)
+                    cases += 1
+    assert cases >= 2000
+    # Every row placed at once, and a square problem that must augment.
+    assert solve_lap([[0.0, 1.0], [1.0, 0.0]]) == reference_lap([[0.0, 1.0], [1.0, 0.0]]) == [0, 1]
+    assert solve_lap([[0.0, 1.0], [0.0, 3.0]]) == reference_lap([[0.0, 1.0], [0.0, 3.0]]) == [1, 0]
 
 
 # ---------------------------------------------------------------------------

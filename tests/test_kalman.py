@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cluttertrack.domain import ContractViolation, NumericalError, Scan, Track, TrackSet
+from cluttertrack.domain import AssocProbabilities, ContractViolation, NumericalError, Scan, Track, TrackSet
 from cluttertrack.kalman import (
     FilterParams,
     innovations,
@@ -24,7 +24,7 @@ def one(ts):
 def update_one(track, z, params):
     """The hard update of one track with one measurement: a one-hot row."""
     scan = Scan(k=0, measurements=np.asarray(z, dtype=float).reshape(1, 2))
-    return one(update_weighted(make_set([track]), scan, np.array([[1.0, 0.0]]), params))
+    return one(update_weighted(make_set([track]), scan, AssocProbabilities(np.array([[1.0, 0.0]])), params))
 
 
 def test_predict_constant_velocity():
@@ -108,14 +108,14 @@ def test_update_hard_reduces_trace():
 def test_update_weighted_miss_only_returns_input():
     ts = make_set([make_track(state=(1.0, 0.5, 2.0, -0.5))])
     scan = Scan(k=0, measurements=np.array([[1.5, 2.5]]))
-    out = update_weighted(ts, scan, np.array([[0.0, 1.0]]), FilterParams())
+    out = update_weighted(ts, scan, AssocProbabilities(np.array([[0.0, 1.0]])), FilterParams())
     assert out is ts
 
 
 def test_update_weighted_empty_scan():
     ts = make_set([make_track()])
     scan = Scan(k=0, measurements=np.zeros((0, 2)))
-    out = update_weighted(ts, scan, np.array([[1.0]]), FilterParams())
+    out = update_weighted(ts, scan, AssocProbabilities(np.array([[1.0]])), FilterParams())
     assert out is ts
 
 
@@ -130,7 +130,7 @@ def test_update_weighted_one_hot_equals_hard():
         pick = int(rng.integers(0, 3))
         beta = np.zeros((1, 4))
         beta[0, pick] = 1.0
-        weighted = one(update_weighted(make_set([t]), scan, beta, params))
+        weighted = one(update_weighted(make_set([t]), scan, AssocProbabilities(beta), params))
         hard = oracles.update_hard(t, zs[pick], params)
         assert np.allclose(weighted.state, hard.state, atol=1e-10)
         assert np.allclose(weighted.covariance, hard.covariance, atol=1e-10)
@@ -144,7 +144,7 @@ def test_update_weighted_two_measurement_hand_case():
     zs = np.array([[1.0, 0.0], [-1.0, 0.0]])
     scan = Scan(k=0, measurements=zs)
     beta = np.array([[0.5, 0.5, 0.0]])
-    out = one(update_weighted(make_set([t]), scan, beta, params))
+    out = one(update_weighted(make_set([t]), scan, AssocProbabilities(beta), params))
     assert np.allclose(out.state, t.state, atol=1e-12)
 
     # hand evaluation: S = 1.1 I, K = P H^T S^-1 (position gain 1/1.1),
@@ -163,12 +163,15 @@ def test_update_weighted_two_measurement_hand_case():
 def test_update_weighted_validates_row():
     ts = make_set([make_track()])
     scan = Scan(k=0, measurements=np.array([[1.0, 1.0]]))
-    with pytest.raises(ContractViolation):
-        update_weighted(ts, scan, np.array([[0.5, 0.2]]), FilterParams())
-    with pytest.raises(ContractViolation):
-        update_weighted(ts, scan, np.array([[0.5, 0.2, 0.3]]), FilterParams())
-    with pytest.raises(ContractViolation):
-        update_weighted(ts, scan, np.array([0.5, 0.5]), FilterParams())  # not (N, M+1)
+    # The rows are checked where they are wrapped, once; the update refuses unchecked ones.
+    with pytest.raises(ContractViolation, match="rows must be an AssocProbabilities, got ndarray"):
+        update_weighted(ts, scan, np.array([[0.5, 0.5]]), FilterParams())
+    with pytest.raises(ContractViolation, match="sums to"):
+        update_weighted(ts, scan, AssocProbabilities(np.array([[0.5, 0.2]])), FilterParams())
+    with pytest.raises(ContractViolation, match=r"need \(N, M\+1\)"):
+        update_weighted(ts, scan, AssocProbabilities(np.array([[0.5, 0.2, 0.3]])), FilterParams())
+    with pytest.raises(ContractViolation, match=r"rows must be \(N, M\+1\)"):
+        update_weighted(ts, scan, AssocProbabilities(np.array([0.5, 0.5])), FilterParams())
 
 
 @pytest.mark.parametrize(
@@ -194,7 +197,7 @@ def test_noiseless_stream_converges():
     for k in range(1, 21):
         ts = predict(ts, params)
         scan = Scan(k=k, measurements=true_pos(k)[None])
-        ts = update_weighted(ts, scan, np.array([[1.0, 0.0]]), params)
+        ts = update_weighted(ts, scan, AssocProbabilities(np.array([[1.0, 0.0]])), params)
         errors[k] = np.linalg.norm(ts.positions[0] - true_pos(k))
     assert errors[20] < errors[2]
 
@@ -242,7 +245,7 @@ def test_batched_filter_matches_per_track_reference():
         rows = _random_rows(rng, kind, n, m)
 
         predicted = predict(ts, params)
-        updated = update_weighted(ts, scan, rows, params)
+        updated = update_weighted(ts, scan, AssocProbabilities(rows), params)
         for j, t in enumerate(ts):
             ref = oracles.predict(t, params)
             assert np.max(np.abs(predicted.x[j] - ref.state)) <= 1e-12, (case, j)
@@ -270,7 +273,7 @@ def test_operations_leave_their_input_set_alone():
     scan = Scan(k=0, measurements=rng.normal(size=(6, 2)))
     predict(ts, FilterParams())
     innovations(ts, scan.measurements, FilterParams())
-    update_weighted(ts, scan, _random_rows(rng, "fractional", 4, 6), FilterParams())
+    update_weighted(ts, scan, AssocProbabilities(_random_rows(rng, "fractional", 4, 6)), FilterParams())
     np.testing.assert_array_equal(ts.x, x)
     np.testing.assert_array_equal(ts.p, p)
 
@@ -318,7 +321,7 @@ def test_innovations_singular_covariance_names_the_track():
     # The update takes S from the same kernel: DeepDA reaches it without innovations.
     scan = Scan(k=0, measurements=np.zeros((1, 2)))
     with pytest.raises(NumericalError, match="track 1: singular innovation covariance"):
-        update_weighted(ts, scan, np.array([[0.5, 0.5], [0.5, 0.5]]), params)
+        update_weighted(ts, scan, AssocProbabilities(np.array([[0.5, 0.5], [0.5, 0.5]])), params)
 
 
 def test_track_set_iterates_its_rows_as_tracks():
