@@ -322,7 +322,6 @@ def jpda_from_gates(
     gates: Sequence[Set[int]],
     p_d: float,
     clutter_density: float,
-    max_events: int = MAX_JOINT_EVENTS,
 ) -> AssocProbabilities:
     """Joint association probabilities for an explicit gating structure.
 
@@ -348,9 +347,9 @@ def jpda_from_gates(
     on one measurement, walked track by track, a state of one.
 
     Raises :class:`ComplexityError` when a cluster needs more than
-    ``max_events`` state updates (open members x subsets kept, summed over
-    the steps of the walk taken), before any state is allocated; split the
-    scan into smaller clusters first.
+    :data:`MAX_JOINT_EVENTS` state updates (open members x subsets kept,
+    summed over the steps of the walk taken), before any state is allocated;
+    split the scan into smaller clusters first.
     """
     n, m = likelihood.shape
     if len(gates) != n:
@@ -387,9 +386,9 @@ def jpda_from_gates(
                 by_track = [[i for i in sorted(gates[j]) if len(owners[i]) > 1] for j in tracks_c]
                 walks.append((by_track, _schedule(by_track)))
             links, plan = min(walks, key=lambda walk: walk[1][3])
-            if plan[3] > max_events:
+            if plan[3] > MAX_JOINT_EVENTS:
                 raise ComplexityError(
-                    f"more than {max_events} state updates in a cluster of {len(tracks_c)} "
+                    f"more than {MAX_JOINT_EVENTS} state updates in a cluster of {len(tracks_c)} "
                     f"tracks and {len(meas_c)} measurements; split the cluster first"
                 )
             if links is by_meas:

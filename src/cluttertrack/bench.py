@@ -8,11 +8,10 @@ same accuracy columns and all methods see identical measurement draws.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +33,7 @@ from .domain import (
 )
 from .kalman import DEFAULT_INITIAL_COVARIANCE, FilterParams, innovations, predict, update_weighted
 from .metrics import OspaParams, ospa, stti, timed
-from .scenario import Seed, generate_scans, generate_truth
+from .scenario import Seed, generate_scans, generate_truth, write_csv
 
 METHODS = ("ha", "jpda", "deepda")
 
@@ -449,23 +448,14 @@ def run_grid(spec: BenchSpec, jobs: int = 1, raw_log=None) -> BenchReport:
 
 
 # ---------------------------------------------------------------------------
-# Report emission. Floats are written with repr so identical reports are
-# byte-identical and parse back exactly.
+# Report emission. The CSV files go through scenario.write_csv, which writes
+# floats with repr, so identical reports are byte-identical and parse back
+# exactly.
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path, rows: Sequence, columns: Sequence[str]) -> None:
-    """A header of ``columns``, then those attributes of each row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for r in rows:
-            values = (getattr(r, col) for col in columns)
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in values])
-
-
 def write_raw_log(rows: Sequence[RawEpisodeRow], path) -> None:
-    _write_csv(path, rows, [f.name for f in fields(RawEpisodeRow)])
+    write_csv(path, [f.name for f in fields(RawEpisodeRow)], map(astuple, rows))
 
 
 def emit_report(report: BenchReport, out_dir) -> Dict[str, str]:
@@ -474,11 +464,12 @@ def emit_report(report: BenchReport, out_dir) -> Dict[str, str]:
     missing); returns their paths keyed "csv", "json" and by file name."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {"csv": os.path.join(out_dir, "report.csv")}
-    _write_csv(paths["csv"], report.rows, [f.name for f in fields(BenchRow)])
+    write_csv(paths["csv"], [f.name for f in fields(BenchRow)], map(astuple, report.rows))
+    columns = ["method", "p_d", "e_lambda", "ospa_mean", "ospa_std"]
     for name, key in (("ospa_vs_elambda.csv", "e_lambda"), ("ospa_vs_pd.csv", "p_d")):
         paths[name] = os.path.join(out_dir, name)
         ordered = sorted(report.rows, key=lambda r: (r.method, getattr(r, key)))
-        _write_csv(paths[name], ordered, ["method", "p_d", "e_lambda", "ospa_mean", "ospa_std"])
+        write_csv(paths[name], columns, ([getattr(r, c) for c in columns] for r in ordered))
 
     paths["json"] = os.path.join(out_dir, "report.json")
     doc = {"meta": report.meta, "rows": [asdict(r) for r in report.rows]}

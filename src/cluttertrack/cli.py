@@ -12,7 +12,6 @@ its nested sections, as in ``error: bench.ospa.c: could not convert ...``.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -52,6 +51,7 @@ from .scenario import (
     read_scans_csv,
     read_truth_states,
     seeded_variants,
+    write_csv,
     write_scans_csv,
     write_truth_csv,
 )
@@ -145,11 +145,7 @@ def _cmd_train(args) -> int:
     model_path = os.path.join(args.out, "model.json")
     curve_path = os.path.join(args.out, "loss_curve.csv")
     save_model(model, model_path)
-    with open(curve_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for epoch, value in enumerate(curve):
-            writer.writerow([epoch, repr(value)])
+    write_csv(curve_path, ["epoch", "mean_loss"], enumerate(curve))
     print(f"final loss: {curve[-1]!r}")
     print(f"final/initial loss ratio: {curve[-1] / curve[0]!r}")
     print(f"wrote {model_path} and {curve_path}")
@@ -227,12 +223,8 @@ def _cmd_track(args) -> int:
 
     tracks_path = os.path.join(args.out, "tracks.csv")
     metrics_path = os.path.join(args.out, "metrics.json")
-    with open(tracks_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "track", "x", "vx", "y", "vy"])
-        for idx, scan in enumerate(scans[1:]):
-            for j, state in enumerate(run.states[idx]):
-                writer.writerow([scan.k, j] + [repr(float(v)) for v in state])
+    rows = ([scan.k, j, *x] for scan, xs in zip(scans[1:], run.states) for j, x in enumerate(xs))
+    write_csv(tracks_path, ["k", "track", "x", "vx", "y", "vy"], rows)
     metrics = {
         "ospa_mean": run.result.ospa_mean,
         "stti": run.result.stti,

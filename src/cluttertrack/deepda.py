@@ -91,11 +91,6 @@ class NormStats:
         object.__setattr__(self, "max", mx)
 
 
-def identity_norm(features: int) -> NormStats:
-    """Stats that leave features unchanged ((x - 0) / (1 - 0))."""
-    return NormStats(np.zeros(features), np.ones(features))
-
-
 #: Learning-rate multiplier of everything but the output read. The detector
 #: ramps of :func:`init_model_detectors` give the network body a huge
 #: output-sensitivity (|x| can reach hundreds), so full-rate sign-normalized
@@ -128,10 +123,6 @@ class TrainConfig:
             )
 
 
-#: Parameter names in their fixed initialization/serialization order.
-PARAM_NAMES = ("w_in", "b_in", "lstm_wx", "lstm_wh", "lstm_b", "w_out", "b_out")
-
-
 @dataclass(frozen=True)
 class LstmModel:
     """All learnable parameters plus normalization stats and sizes.
@@ -151,8 +142,8 @@ class LstmModel:
     norm: NormStats
 
     def __post_init__(self):
-        for name, arr in self.params().items():
-            expected = param_shapes(self.cfg)[name]
+        for name, expected in param_shapes(self.cfg).items():
+            arr = getattr(self, name)
             if arr.shape != expected:
                 raise ContractViolation(f"{name} has shape {arr.shape}, expected {expected}")
             if not np.all(np.isfinite(arr)):
@@ -164,13 +155,11 @@ class LstmModel:
             )
 
     def params(self) -> Dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
-
-    def with_params(self, params: Dict[str, np.ndarray]) -> "LstmModel":
-        return replace(self, **params)
+        return {name: getattr(self, name) for name in param_shapes(self.cfg)}
 
 
 def param_shapes(cfg: NetConfig) -> Dict[str, Tuple[int, ...]]:
+    """Each parameter's shape, in the fixed initialization/serialization order."""
     f, h, k = cfg.features, cfg.hidden, cfg.m_max + 1
     return {
         "w_in": (h, f),
@@ -185,7 +174,7 @@ def param_shapes(cfg: NetConfig) -> Dict[str, Tuple[int, ...]]:
 
 def _param_views(flat: np.ndarray, cfg: NetConfig) -> Dict[str, np.ndarray]:
     """Named reshape views of one flat vector that holds every parameter
-    (or gradient, or RMSprop entry) in ``PARAM_NAMES`` order."""
+    (or gradient, or RMSprop entry) in :func:`param_shapes` order."""
     views = {}
     start = 0
     for name, shape in param_shapes(cfg).items():
@@ -552,7 +541,7 @@ def _batch_loss_and_grads(
     model: LstmModel, batch: Sequence[EncodedStack]
 ) -> Tuple[float, np.ndarray]:
     """Mean per-sequence loss over the batch and its exact gradients, flat in
-    ``PARAM_NAMES`` order (:func:`_param_views` names them).
+    :func:`param_shapes` order (:func:`_param_views` names them).
 
     A sequence's loss is the summed squared error between its output rows
     and its one-hot truth rows, over all m_max + 1 columns. Each stack of
@@ -696,10 +685,7 @@ def load_model(path) -> LstmModel:
             f"unsupported model format version {version!r}, expected {MODEL_FORMAT_VERSION}"
         )
     try:
-        net_doc = doc["net_config"]
-        if isinstance(net_doc, dict):  # older files record "d", checked by the shapes below
-            net_doc.pop("d", None)
-        cfg = read_config("net_config", net_doc, NetConfig, required=True)
+        cfg = read_config("net_config", doc["net_config"], NetConfig, required=True)
         norm = NormStats(
             np.asarray(doc["norm_stats"]["min"], dtype=float),
             np.asarray(doc["norm_stats"]["max"], dtype=float),

@@ -277,18 +277,9 @@ def _check_tracks(x: np.ndarray, p: np.ndarray, lead: Tuple[int, ...], ids) -> N
     p = p.reshape(-1, 4, 4)
     pt = p.swapaxes(1, 2)
     # Each rule is one whole-array test; the failing row is found only after.
-    finite = np.isfinite(p).all()
-    # Exact symmetry passes at once; otherwise allclose's rule, without its
-    # non-finite handling, which only non-finite p needs.
-    if (p == pt).all():
-        symmetric = True
-    elif finite:
-        symmetric = (np.abs(p - pt) <= 1e-8 + 1e-5 * np.abs(pt)).all()
-    else:
-        symmetric = np.allclose(p, pt, atol=1e-8)
-    if not symmetric:
+    if not ((p == pt).all() or np.allclose(p, pt, atol=1e-8)):
         raise ContractViolation("covariance must be symmetric")
-    if not (finite and np.isfinite(x).all()):
+    if not (np.isfinite(p).all() and np.isfinite(x).all()):
         bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=(1, 2)))
         raise NumericalError(f"track {ids[int(np.argmax(bad))]}: non-finite state or covariance")
     if len(p):

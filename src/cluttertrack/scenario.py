@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -168,10 +168,12 @@ def seeded_variants(base: ScenarioConfig, count: int) -> List[ScenarioConfig]:
 # leaves k, x, y and origin empty, so the scan count survives the file.
 # Labelling of an empty scan is taken from the file: it reads back with
 # origins=() unless some measurement row has an empty origin, then None.
-# truth.csv columns: scan, target, x, vx, y, vy. Floats are written as
+# truth.csv columns: scan, target, x, vx, y, vy. Scans, measurements and
+# targets are numbered 0..n-1, each once. write_csv, the one CSV writer (of
+# loss_curve.csv, tracks.csv and the bench reports too), writes floats as
 # repr(float(v)), the same text under numpy 1 and 2, so files round-trip
 # exactly. Malformed rows, non-finite numbers included, raise ConfigError
-# naming the file and line.
+# naming the file and line, a missing or repeated index the file and scan.
 # ---------------------------------------------------------------------------
 
 SCANS_CSV_HEADER = ["scan", "k", "x", "y", "origin"]
@@ -190,16 +192,25 @@ def _finite(text: str) -> float:
     return value
 
 
-def write_scans_csv(scans: Sequence[Scan], path) -> None:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """``header``, then ``rows``, in the default ``csv`` dialect; Python and
+    numpy floats as ``repr(float(v))``, anything else as ``str(v)``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SCANS_CSV_HEADER)
-        for scan in scans:
-            if scan.num_measurements == 0:
-                writer.writerow([scan.k] + _EMPTY_SCAN_FIELDS)
-            for i, z in enumerate(scan.measurements):
-                origin = "" if scan.origins is None else str(scan.origins[i])
-                writer.writerow([scan.k, i, repr(float(z[0])), repr(float(z[1])), origin])
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows
+        )
+
+
+def write_scans_csv(scans: Sequence[Scan], path) -> None:
+    rows = []
+    for scan in scans:
+        if scan.num_measurements == 0:
+            rows.append([scan.k] + _EMPTY_SCAN_FIELDS)
+        for i, z in enumerate(scan.measurements):
+            rows.append([scan.k, i, z[0], z[1], "" if scan.origins is None else scan.origins[i]])
+    write_csv(path, SCANS_CSV_HEADER, rows)
 
 
 def read_scans_csv(path) -> List[Scan]:
@@ -224,8 +235,12 @@ def read_scans_csv(path) -> List[Scan]:
                 raise _malformed(path, reader.line_num, row, e) from None
             labeled_file = labeled_file and origin is not None
     scans = []
-    for k in sorted(by_scan):
+    for k in range(len(by_scan)):
+        if k not in by_scan:
+            raise ConfigError(f"{path}: scans must run 0..{len(by_scan) - 1}; scan {k} has no rows")
         rows = sorted(by_scan[k], key=lambda r: r[0])
+        if [r[0] for r in rows] != list(range(len(rows))):
+            raise ConfigError(f"{path}: scan {k}: measurements must run 0..{len(rows) - 1}, each once")
         meas = np.array([r[1:3] for r in rows]).reshape(len(rows), 2)
         labels = [r[3] for r in rows]
         if not rows:
@@ -241,12 +256,9 @@ def read_scans_csv(path) -> List[Scan]:
 
 
 def write_truth_csv(truth: GroundTruth, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_CSV_HEADER)
-        for k in range(truth.config.num_scans):
-            for j in range(truth.config.num_targets):
-                writer.writerow([k, j] + [repr(float(v)) for v in truth.states[k, j]])
+    cfg = truth.config
+    rows = ([k, j, *truth.states[k, j]] for k in range(cfg.num_scans) for j in range(cfg.num_targets))
+    write_csv(path, TRUTH_CSV_HEADER, rows)
 
 
 def read_truth_states(path) -> np.ndarray:
@@ -261,14 +273,20 @@ def read_truth_states(path) -> np.ndarray:
             try:
                 if len(row) != len(TRUTH_CSV_HEADER):
                     raise IndexError(f"{len(row)} fields, expected {len(TRUTH_CSV_HEADER)}")
-                entries[(int(row[0]), int(row[1]))] = [_finite(v) for v in row[2:6]]
+                key = (int(row[0]), int(row[1]))
+                if min(key) < 0:
+                    raise ValueError("negative scan or target index")
+                state = [_finite(v) for v in row[2:6]]
             except (ValueError, IndexError) as e:
                 raise _malformed(path, reader.line_num, row, e) from None
+            if key in entries:
+                raise ConfigError(f"{path}, line {reader.line_num}: repeated scan {key[0]}, target {key[1]}")
+            entries[key] = state
     if not entries:
         raise ConfigError("truth.csv contains no states")
     num_scans = max(k for k, _ in entries) + 1
     num_targets = max(j for _, j in entries) + 1
-    out = np.zeros((num_scans, num_targets, 4))
-    for (k, j), state in entries.items():
-        out[k, j] = state
-    return out
+    for key in np.ndindex(num_scans, num_targets):
+        if key not in entries:
+            raise ConfigError(f"{path}: no state for scan {key[0]}, target {key[1]}")
+    return np.array([entries[key] for key in sorted(entries)]).reshape(num_scans, num_targets, 4)

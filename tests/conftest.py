@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cluttertrack.deepda import NormStats
 from cluttertrack.domain import ScenarioConfig, Track, TrackSet, five_crossing_targets
 
 
@@ -35,3 +36,8 @@ def make_set(tracks):
         np.array([t.state for t in tracks]).reshape(-1, 4),
         np.array([t.covariance for t in tracks]).reshape(-1, 4, 4),
     )
+
+
+def identity_norm(features: int) -> NormStats:
+    """Stats that leave features unchanged ((x - 0) / (1 - 0))."""
+    return NormStats(np.zeros(features), np.ones(features))

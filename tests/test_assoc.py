@@ -354,23 +354,28 @@ def test_jpda_rows_sum_to_one_random():
         assert np.allclose(probs.rows.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_jpda_event_guard_raises():
+def test_jpda_event_guard_raises(monkeypatch):
     # Five tracks sharing 25 measurements take 25 updates of 5 x 2^5 states:
     # 4,000 state updates, within a bound of 4,000 and over one of 3,999.
     likelihood = np.full((5, 25), 0.1)
     gates = [set(range(25))] * 5
-    rows = jpda_from_gates(likelihood, gates, 0.9, 0.1, max_events=4_000).rows
+    monkeypatch.setattr(assoc, "MAX_JOINT_EVENTS", 4_000)
+    rows = jpda_from_gates(likelihood, gates, 0.9, 0.1).rows
     assert np.allclose(rows, rows[0], rtol=0.0, atol=1e-15)
     assert np.allclose(rows.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    monkeypatch.setattr(assoc, "MAX_JOINT_EVENTS", 3_999)
     with pytest.raises(ComplexityError, match="split"):
-        jpda_from_gates(likelihood, gates, 0.9, 0.1, max_events=3_999)
+        jpda_from_gates(likelihood, gates, 0.9, 0.1)
 
     # Sixteen tracks on one measurement, walked track by track, keep that
     # measurement open: 16 x 1 x 2 updates, where walking it would take 16 x 17.
     wide = [{0}] * 16
-    jpda_from_gates(np.full((16, 1), 0.1), wide, 0.9, 0.1, max_events=32)
+    monkeypatch.setattr(assoc, "MAX_JOINT_EVENTS", 32)
+    jpda_from_gates(np.full((16, 1), 0.1), wide, 0.9, 0.1)
+    monkeypatch.setattr(assoc, "MAX_JOINT_EVENTS", 31)
     with pytest.raises(ComplexityError, match="split"):
-        jpda_from_gates(np.full((16, 1), 0.1), wide, 0.9, 0.1, max_events=31)
+        jpda_from_gates(np.full((16, 1), 0.1), wide, 0.9, 0.1)
+    monkeypatch.undo()
 
     # Twenty would need 2^20 states: refused at the default bound, at once
     # and before any state array exists.
@@ -476,7 +481,7 @@ def test_jpda_from_gates_matches_measurement_subset_reference():
     assert 0 < failures < 80  # p_d = 1 leaves some clusters with no feasible event
 
 
-def test_jpda_from_gates_long_chain_matches_reference():
+def test_jpda_from_gates_long_chain_matches_reference(monkeypatch):
     # Track j gates measurements j and j + 1: the tracks open and close along
     # the chain, so the state never holds more than two of the 24.
     rng = np.random.default_rng(24)
@@ -490,9 +495,11 @@ def test_jpda_from_gates_long_chain_matches_reference():
     # Walking the tracks, each keeps measurements j and j + 1 open, so 2 x 2^2
     # updates; the first and last keep one open (1 x 2): 180 in all. Walking
     # the 23 shared measurements would take 23 x 2 x 2^2 = 184.
-    jpda_from_gates(likelihood, gates, 0.9, 0.3, max_events=180)
+    monkeypatch.setattr(assoc, "MAX_JOINT_EVENTS", 180)
+    jpda_from_gates(likelihood, gates, 0.9, 0.3)
+    monkeypatch.setattr(assoc, "MAX_JOINT_EVENTS", 179)
     with pytest.raises(ComplexityError):
-        jpda_from_gates(likelihood, gates, 0.9, 0.3, max_events=179)
+        jpda_from_gates(likelihood, gates, 0.9, 0.3)
 
 
 @pytest.mark.parametrize("n, m", [(16, 1), (15, 3), (12, 6), (30, 4)])

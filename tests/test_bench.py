@@ -22,7 +22,6 @@ from cluttertrack.deepda import (
     LstmModel,
     NetConfig,
     TrainConfig,
-    identity_norm,
     init_model,
     save_model,
     train,
@@ -30,6 +29,8 @@ from cluttertrack.deepda import (
 from cluttertrack.domain import ConfigError, ContractViolation, five_crossing_targets
 from cluttertrack.metrics import OspaParams
 from cluttertrack.scenario import generate_scans, generate_truth, make_training_set, seeded_variants
+
+from conftest import identity_norm
 
 ACCURACY_COLUMNS = ("ospa_mean", "ospa_std", "stti_mean", "stti_std")
 

@@ -7,9 +7,11 @@ import pytest
 
 from cluttertrack import cli
 from cluttertrack.cli import main
-from cluttertrack.deepda import NetConfig, identity_norm, init_model, save_model
+from cluttertrack.deepda import NetConfig, init_model, save_model
 from cluttertrack.domain import Region, ScenarioConfig, five_crossing_targets
 from cluttertrack.scenario import generate_scans, generate_truth
+
+from conftest import identity_norm
 
 
 def _simulate_then_track(tmp_path, config, method="ha"):
@@ -64,6 +66,27 @@ def test_track_malformed_truth_exits_with_config_code(tmp_path, capsys):
     argv = ["track", str(scans_path), "--truth", str(truth_path), "--method", "ha"]
     assert main(argv + ["--out", str(out)]) == 2
     assert "truth.csv, line 2" in capsys.readouterr().err
+
+
+# Without scan 2 but with a scan 20, scans.csv still holds 20 scans; it used
+# to be tracked, scan 3 scored against truth epoch 2.
+@pytest.mark.parametrize(
+    "name, drop, extra, message",
+    [
+        ("truth.csv", "3,4,", [], "truth.csv: no state for scan 3, target 4"),
+        ("scans.csv", "2,", ["20,0,5.0,11.0,-1"], "scans.csv: scans must run 0..19; scan 2 has no rows"),
+    ],
+)
+def test_track_csv_with_a_missing_row_exits_with_config_code(tmp_path, capsys, name, drop, extra, message):
+    code, out = _simulate_then_track(tmp_path, five_crossing_targets())
+    assert code == 0
+    path = tmp_path / "sim" / name
+    lines = [line for line in path.read_text().splitlines() if not line.startswith(drop)]
+    path.write_text("\n".join(lines + extra) + "\n")
+    sim = tmp_path / "sim"
+    argv = ["track", str(sim / "scans.csv"), "--truth", str(sim / "truth.csv"), "--method", "ha"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"{sim / message}" in capsys.readouterr().err
 
 
 def _train_config(tmp_path, train):

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from cluttertrack.deepda import (
     LstmModel,
     NetConfig,
     NormStats,
-    PARAM_NAMES,
     TrainConfig,
     _ForwardCache,
     _batch_loss_and_grads,
@@ -21,7 +20,6 @@ from cluttertrack.deepda import (
     encode_groups,
     fit_norm_stats,
     forward_scan,
-    identity_norm,
     init_model,
     init_model_detectors,
     load_model,
@@ -43,7 +41,7 @@ from cluttertrack.domain import (
 )
 from cluttertrack.scenario import make_training_set, seeded_variants
 
-from conftest import make_set, make_track
+from conftest import identity_norm, make_set, make_track
 from oracles import numeric_gradients, reference_backward, reference_forward, reference_sigmoid
 
 
@@ -299,7 +297,7 @@ def test_forward_core_matches_per_gate_reference(t, b):
     cfg = small_cfg(m_max=6, hidden=8, seed=3)
     model = init_model(cfg, identity_norm(cfg.features))
     # wider weights: gate pre-activations of both signs, some saturated
-    model = model.with_params({n: 3.0 * p for n, p in model.params().items()})
+    model = replace(model, **{n: 3.0 * p for n, p in model.params().items()})
     rng = np.random.default_rng(10 * b + t)
     truth = np.zeros((b, t, cfg.m_max + 1))
     x = np.empty((b, t, cfg.features))
@@ -341,7 +339,7 @@ def benchmark_size_model_and_data():
     cfg = NetConfig(m_max=42, hidden=64)
     norm = fit_norm_stats(ds, cfg)
     model = init_model_detectors(cfg, norm, 2.0 * offset_scale_from_dataset(ds))
-    model = model.with_params({"lstm_wh": init_model(cfg, norm).lstm_wh})
+    model = replace(model, lstm_wh=init_model(cfg, norm).lstm_wh)
     return model, ds
 
 
@@ -517,7 +515,7 @@ def test_rmsprop_step_has_the_bits_of_the_per_parameter_formula():
 def test_learning_rates_slow_the_body_only():
     cfg = small_cfg()
     rates = _param_views(_learning_rates(cfg, 0.01), cfg)
-    assert list(rates) == list(PARAM_NAMES)
+    assert list(rates) == list(param_shapes(cfg))
     for name, r in rates.items():
         assert np.all(r == (0.01 if name in ("w_out", "b_out") else 0.01 * 1e-3)), name
 
@@ -706,29 +704,17 @@ def test_load_rejects_inconsistent_m_max(tmp_path):
         load_model(path)
 
 
-def test_load_accepts_files_that_record_d_2(tmp_path):
-    # Files written before NetConfig lost its ``d`` field hold "d": 2.
+def test_load_refuses_a_version_2_file_naming_d(tmp_path):
+    # NetConfig lost its ``d`` field before the format became version 2, so
+    # no version-2 file records it; one that does is refused, 2 or not.
     cfg = small_cfg(seed=7)
-    model = init_model(cfg, NormStats(np.full(cfg.features, -2.0), np.full(cfg.features, 2.0)))
     path = tmp_path / "model.json"
-    save_model(model, path)
+    save_model(init_model(cfg, identity_norm(cfg.features)), path)
     doc = json.loads(path.read_text())
-    assert "d" not in doc["net_config"]
+    assert doc["version"] == 2 and "d" not in doc["net_config"]
     doc["net_config"] = {"d": 2, **doc["net_config"]}
     path.write_text(json.dumps(doc))
-    restored = load_model(path)
-    assert restored.cfg == cfg
-    scan = Scan(k=0, measurements=np.array([[0.4, -0.4], [1.0, 1.0], [-1.5, 0.5]]))
-    tracks = make_set([make_track(0), make_track(1, state=(1.0, 0.0, 1.0, 0.0))])
-    assert np.array_equal(forward_scan(restored, tracks, scan)[0].rows, forward_scan(model, tracks, scan)[0].rows)
-
-    # A file shaped for 1-D measurements has half the input width.
-    f1 = cfg.m_max
-    doc["net_config"]["d"] = 1
-    doc["parameters"]["w_in"] = [0.0] * (cfg.hidden * f1)
-    doc["norm_stats"] = {"min": [0.0] * f1, "max": [1.0] * f1}
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match="w_in"):
+    with pytest.raises(ModelFormatError, match="unknown fields \\['d'\\]"):
         load_model(path)
 
 

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from cluttertrack.deepda import NetConfig, encode_groups, fit_norm_stats, identity_norm
+from cluttertrack.deepda import NetConfig, encode_groups, fit_norm_stats
 from cluttertrack.domain import (
     CLUTTER,
     CapacityError,
@@ -25,6 +25,7 @@ from cluttertrack.scenario import (
     write_truth_csv,
 )
 
+from conftest import identity_norm
 from oracles import scenario_by_loops
 
 
@@ -348,4 +349,57 @@ def test_read_scans_rejects_scan_with_mixed_labels(tmp_path):
     path = tmp_path / "scans.csv"
     path.write_text(",".join(SCANS_CSV_HEADER) + "\n0,0,1.0,2.0,-1\n0,1,3.0,4.0,\n")
     with pytest.raises(ConfigError, match="scan 0 mixes labeled and unlabeled rows"):
+        read_scans_csv(path)
+
+
+def _simulated_csv_lines(tmp_path, reference_config):
+    truth = generate_truth(reference_config)
+    truth_path, scans_path = tmp_path / "truth.csv", tmp_path / "scans.csv"
+    write_truth_csv(truth, truth_path)
+    write_scans_csv(generate_scans(truth, 0), scans_path)
+    return truth_path, truth_path.read_text().splitlines(), scans_path, scans_path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("target", [0, 4])
+def test_read_truth_rejects_a_missing_state(tmp_path, reference_config, target):
+    path, lines, _, _ = _simulated_csv_lines(tmp_path, reference_config)
+    dropped = [line for line in lines if not line.startswith(f"3,{target},")]
+    assert len(dropped) == len(lines) - 1
+    path.write_text("\n".join(dropped) + "\n")
+    with pytest.raises(ConfigError, match=rf"truth\.csv: no state for scan 3, target {target}$"):
+        read_truth_states(path)
+
+
+def test_read_truth_rejects_a_repeated_state(tmp_path, reference_config):
+    path, lines, _, _ = _simulated_csv_lines(tmp_path, reference_config)
+    # A second (2, 1) row used to overwrite the first one silently.
+    path.write_text("\n".join(lines + ["2,1,0.0,0.0,0.0,0.0"]) + "\n")
+    with pytest.raises(ConfigError, match=rf"truth\.csv, line {len(lines) + 1}: repeated scan 2, target 1$"):
+        read_truth_states(path)
+
+
+def test_read_truth_rejects_a_negative_index(tmp_path, reference_config):
+    path, lines, _, _ = _simulated_csv_lines(tmp_path, reference_config)
+    path.write_text("\n".join(lines + ["-1,0,5.0,1.0,11.0,0.4"]) + "\n")
+    with pytest.raises(ConfigError, match=rf"truth\.csv, line {len(lines) + 1}: .*negative"):
+        read_truth_states(path)
+
+
+def test_read_scans_rejects_a_gap_in_the_scan_indices(tmp_path, reference_config):
+    # Without scan 2 but with a scan 20 the file still holds 20 scans, and
+    # scan 3 used to be scored against truth epoch 2.
+    _, _, path, lines = _simulated_csv_lines(tmp_path, reference_config)
+    kept = [line for line in lines if not line.startswith("2,")] + ["20,0,5.0,11.0,-1"]
+    path.write_text("\n".join(kept) + "\n")
+    with pytest.raises(ConfigError, match=r"scans\.csv: scans must run 0\.\.19; scan 2 has no rows"):
+        read_scans_csv(path)
+
+
+@pytest.mark.parametrize("k", ["0", "33", "-1"])
+def test_read_scans_rejects_a_repeated_or_misnumbered_measurement(tmp_path, reference_config, k):
+    # A repeated row used to give scan 0 one measurement more.
+    _, _, path, lines = _simulated_csv_lines(tmp_path, reference_config)
+    assert sum(line.startswith("0,") for line in lines) == 32
+    path.write_text("\n".join(lines + [f"0,{k},1.0,2.0,-1"]) + "\n")
+    with pytest.raises(ConfigError, match=r"scans\.csv: scan 0: measurements must run 0\.\.32, each once"):
         read_scans_csv(path)
