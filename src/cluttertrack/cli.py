@@ -153,12 +153,22 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_track(args) -> int:
+    csv_input = args.input.endswith(".csv")
+    # A flag for the other kind of input would be ignored: refuse it.
+    if csv_input:
+        kind, other = "scenario config", {"--seed": args.seed}
+    else:
+        kind = "scans.csv"
+        other = {"--truth": args.truth, "--dt": args.dt, "--pd": args.pd, "--elambda": args.elambda}
+    for flag, value in other.items():
+        if value is not None:
+            raise ConfigError(f"{flag} applies to {kind} input only, not to {args.input}")
     if args.method == "deepda" and not args.model:
         raise ConfigError("method deepda requires --model")
     model = load_model(args.model) if args.model else None
     op = OspaParams(c=args.ospa_c, p=args.ospa_p)
 
-    if args.input.endswith(".csv"):
+    if csv_input:
         if not args.truth:
             raise ConfigError("tracking a scans.csv needs --truth truth.csv")
         scans = read_scans_csv(args.input)
@@ -319,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="model.json for deepda")
     p.add_argument("--truth", default=None, help="truth.csv (required with scans.csv input)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument(
+        "--seed", type=int, default=None, help="override the config seed (scenario config input)"
+    )
     p.add_argument("--dt", type=float, help=f"csv input scan interval (default {FilterParams.dt})")
     p.add_argument(
         "--pd", type=float, default=None,

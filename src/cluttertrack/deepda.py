@@ -3,8 +3,13 @@ per-target association probability rows.
 
 For every target, the input is the sequence of (predicted measurement -
 measurement) offsets laid out in fixed slots, min-max normalized; unused
-slots carry the pad sentinel (normalized value 1, the far corner). The
-network runs once per target in track-set row order within a scan,
+slots carry the pad sentinel (normalized value 1, the far corner). One
+function, :func:`_slots`, lays the slots out and one, :func:`_normalise`,
+turns them into features, for tracking and training alike. Training
+encodes its set once, into one stack padded to the longest sequence, and
+reads the norm stats and the detector scale off that stack.
+
+The network runs once per target in track-set row order within a scan,
 carrying hidden state across targets, and resets between scans. The output
 row holds one probability per measurement slot plus a trailing miss
 probability: each column has its own sigmoid, and the sigmoids of the valid
@@ -270,47 +275,48 @@ def init_model_detectors(
     )
 
 
-def offset_scale_from_dataset(dataset: TrainingSet) -> np.ndarray:
-    """Std in x and in y of the prediction offset of labeled own measurements."""
-    diffs = []
-    for g in dataset.groups:
-        for t, label in enumerate(g.labels):
-            if label >= 0:
-                diffs.append(g.pred_meas[t] - g.measurements[label])
-    if not diffs:
-        return np.full(2, 1.0)
-    return np.asarray(np.std(np.array(diffs), axis=0))
-
-
 # ---------------------------------------------------------------------------
 # Input construction
 # ---------------------------------------------------------------------------
 
 
-def build_features(
-    pred_meas: np.ndarray, measurements: np.ndarray, cfg: NetConfig, norm: NormStats
-) -> np.ndarray:
-    """Normalized offset features for a batch of targets against one scan.
+def _slots(pred_meas: np.ndarray, measurements: np.ndarray, m_max: int) -> np.ndarray:
+    """Slot layout of a batch of targets against one scan.
 
     ``pred_meas`` is (T, 2); returns (T, 2 * m_max) with slot s holding the
-    (prediction - measurement_s) offset min-max normalized as (x - min) /
-    (max - min), 0 where max == min, and padded slots set to the sentinel
-    value 1. Raises :class:`CapacityError` for more than m_max measurements.
+    (prediction - measurement_s) offset in x and y, and NaN, the empty mark,
+    in every slot past the scan's m measurements. Raises
+    :class:`CapacityError` for more than m_max measurements.
     """
     preds = np.asarray(pred_meas, dtype=float).reshape(-1, 2)
     meas = np.asarray(measurements, dtype=float).reshape(-1, 2)
     m = meas.shape[0]
-    if m > cfg.m_max:
-        raise CapacityError(f"scan has {m} measurements, capacity is m_max={cfg.m_max}")
-    t = preds.shape[0]
-    out = np.ones((t, cfg.features))
-    if m:
-        raw = (preds[:, None, :] - meas[None, :, :]).reshape(t, m * 2)
-        width = m * 2
-        span = norm.max[:width] - norm.min[:width]
-        safe = np.where(span > 0, span, 1.0)
-        out[:, :width] = np.where(span > 0, (raw - norm.min[:width]) / safe, 0.0)
-    return out
+    if m > m_max:
+        raise CapacityError(f"scan has {m} measurements, capacity is m_max={m_max}")
+    slots = np.full((preds.shape[0], m_max, 2), np.nan)
+    slots[:, :m] = preds[:, None, :] - meas[None, :, :]
+    return slots.reshape(preds.shape[0], 2 * m_max)
+
+
+def _normalise(x: np.ndarray, norm: NormStats) -> np.ndarray:
+    """Slots (..., 2 * m_max) made features in place, and returned: each
+    offset min-max normalized as (x - min) / (max - min), 0 where
+    max == min, and each empty slot set to the sentinel value 1."""
+    empty = np.isnan(x)
+    span = norm.max - norm.min
+    x -= norm.min
+    x /= np.where(span > 0, span, 1.0)
+    x[..., span == 0] = 0.0
+    x[empty] = 1.0
+    return x
+
+
+def build_features(
+    pred_meas: np.ndarray, measurements: np.ndarray, cfg: NetConfig, norm: NormStats
+) -> np.ndarray:
+    """Normalized offset features (T, 2 * m_max) for a batch of targets
+    against one scan: :func:`_slots` made features by :func:`_normalise`."""
+    return _normalise(_slots(pred_meas, measurements, cfg.m_max), norm)
 
 
 def output_mask(cfg: NetConfig, num_measurements: int) -> np.ndarray:
@@ -481,84 +487,80 @@ def forward_scan(
 
 @dataclass(frozen=True)
 class EncodedStack:
-    """Scan sequences of one length T encoded for the network and stacked:
-    inputs, one-hot truth rows over m_max slots plus a trailing miss, and
-    output masks."""
+    """Scan sequences encoded for the network and stacked, each padded at
+    its end to the longest length T: inputs, one-hot truth rows over m_max
+    slots plus a trailing miss, output masks, and step masks that are False
+    on padding steps. A padding step's input is all sentinel and its truth
+    row all zero."""
 
     inputs: np.ndarray  # (N, T, features)
     truth: np.ndarray  # (N, T, m_max + 1)
     mask: np.ndarray  # (N, m_max + 1) bool
+    steps: np.ndarray  # (N, T) bool
 
     def take(self, rows: np.ndarray) -> "EncodedStack":
         """The sequences at ``rows``, in that order."""
-        return EncodedStack(self.inputs[rows], self.truth[rows], self.mask[rows])
+        return EncodedStack(self.inputs[rows], self.truth[rows], self.mask[rows], self.steps[rows])
 
 
 def encode_groups(
-    groups: Sequence[ScanSequence], cfg: NetConfig, norm: NormStats
-) -> Dict[int, EncodedStack]:
-    """Every scan sequence encoded once, written straight into one stack per
-    sequence length T (ascending keys); within a stack the sequences keep
-    their order in ``groups``."""
-    lengths = [len(g.labels) for g in groups]
-    stacks = {}
-    for t in sorted(set(lengths)):
-        members = [g for g, n in zip(groups, lengths) if n == t]
-        inputs = np.empty((len(members), t, cfg.features))
-        truth = np.zeros((len(members), t, cfg.m_max + 1))
-        mask = np.empty((len(members), cfg.m_max + 1), dtype=bool)
-        for row, g in enumerate(members):
-            inputs[row] = build_features(g.pred_meas, g.measurements, cfg, norm)
-            labels = np.asarray(g.labels, dtype=int)
-            truth[row, np.arange(t), np.where(labels >= 0, labels, cfg.m_max)] = 1.0
-            mask[row] = output_mask(cfg, g.measurements.shape[0])
-        stacks[t] = EncodedStack(inputs, truth, mask)
-    return stacks
+    groups: Sequence[ScanSequence], cfg: NetConfig
+) -> Tuple[EncodedStack, NormStats, np.ndarray]:
+    """Every scan sequence encoded once, in the order of ``groups``, into
+    one stack; returns it with the stats it is normalized by and the offset
+    scale, both read off its slots before they are normalized.
+
+    The stats are each feature's min and max over the filled slots (0 and 0
+    for a slot no scan fills). The offset scale is the std in x and in y of
+    the offset of each detected target's own measurement, (1, 1) when no
+    target is detected. Raises :class:`CapacityError` for a scan of more
+    than m_max measurements.
+    """
+    n, t_max = len(groups), max(len(g.labels) for g in groups)
+    bounds = np.empty((2, cfg.features))  # before the stack, which it outlives (see train)
+    inputs = np.full((n, t_max, cfg.features), np.nan)
+    labels = np.full((n, t_max), -1)
+    steps = np.zeros((n, t_max), dtype=bool)
+    mask = np.empty((n, cfg.m_max + 1), dtype=bool)
+    for row, g in enumerate(groups):
+        t = len(g.labels)
+        inputs[row, :t] = _slots(g.pred_meas, g.measurements, cfg.m_max)
+        labels[row, :t] = g.labels
+        steps[row, :t] = True
+        mask[row] = output_mask(cfg, g.measurements.shape[0])
+
+    seq, step = np.nonzero(labels >= 0)
+    own = inputs.reshape(n, t_max, cfg.m_max, 2)[seq, step, labels[seq, step]]
+    scale = np.std(own, axis=0) if len(own) else np.full(2, 1.0)
+    flat = inputs.reshape(-1, cfg.features)
+    low = np.fmin.reduce(flat, axis=0, out=bounds[0])
+    high = np.fmax.reduce(flat, axis=0, out=bounds[1])
+    never = np.isnan(low)
+    low[never] = high[never] = 0.0
+    norm = NormStats(low, high)
+
+    truth = np.zeros((n, t_max, cfg.m_max + 1))
+    truth[steps, np.where(labels >= 0, labels, cfg.m_max)[steps]] = 1.0
+    return EncodedStack(_normalise(inputs, norm), truth, mask, steps), norm, scale
 
 
-def fit_norm_stats(dataset: TrainingSet, cfg: NetConfig) -> NormStats:
-    """Per-feature min/max over all valid (unpadded) training inputs."""
-    if dataset.m_max > cfg.m_max:
-        raise CapacityError(
-            f"dataset needs m_max >= {dataset.m_max}, network has {cfg.m_max}"
-        )
-    slot_min = np.full((cfg.m_max, 2), np.inf)
-    slot_max = np.full((cfg.m_max, 2), -np.inf)
-    for g in dataset.groups:
-        m = g.measurements.shape[0]
-        if m == 0:
-            continue
-        diffs = g.pred_meas[:, None, :] - g.measurements[None, :, :]
-        slot_min[:m] = np.minimum(slot_min[:m], diffs.min(axis=0))
-        slot_max[:m] = np.maximum(slot_max[:m], diffs.max(axis=0))
-    never = ~np.isfinite(slot_min)
-    slot_min[never] = 0.0
-    slot_max[never] = 0.0
-    return NormStats(slot_min.reshape(-1), slot_max.reshape(-1))
-
-
-def _batch_loss_and_grads(
-    model: LstmModel, batch: Sequence[EncodedStack]
-) -> Tuple[float, np.ndarray]:
+def _batch_loss_and_grads(model: LstmModel, batch: EncodedStack) -> Tuple[float, np.ndarray]:
     """Mean per-sequence loss over the batch and its exact gradients, flat in
-    :func:`param_shapes` order (:func:`_param_views` names them).
+    :func:`param_shapes` order (:func:`_param_views` names them), from one
+    forward and one backward pass.
 
     A sequence's loss is the summed squared error between its output rows
-    and its one-hot truth rows, over all m_max + 1 columns. Each stack of
-    the batch is one forward and backward pass, run in the given order;
-    :func:`train` passes one stack per sequence length, by ascending length.
+    and its one-hot truth rows, over all m_max + 1 columns of its own
+    steps: the error on a padding step is zeroed, so it adds neither loss
+    nor gradient.
     """
-    if not batch:
+    n = batch.inputs.shape[0]
+    if not n:
         raise ContractViolation("batch must be non-empty")
-    total = sum(enc.inputs.shape[0] for enc in batch)
-    grads = np.zeros(_param_count(model.cfg))
-    loss_sum = 0.0
-    for enc in batch:
-        cache = _forward_core(model, enc.inputs, enc.mask)
-        diff = cache.beta - enc.truth
-        loss_sum += float(np.sum(diff * diff))
-        grads += _backward_core(model, cache, (2.0 / total) * diff)
-    return loss_sum / total, grads
+    cache = _forward_core(model, batch.inputs, batch.mask)
+    diff = cache.beta - batch.truth
+    diff[~batch.steps] = 0.0
+    return float(np.sum(diff * diff)) / n, _backward_core(model, cache, (2.0 / n) * diff)
 
 
 def rmsprop_step(theta: np.ndarray, grads: np.ndarray, v: np.ndarray, rate: np.ndarray) -> None:
@@ -593,36 +595,34 @@ def train(
 ) -> Tuple[LstmModel, List[float]]:
     """Fit the network on a training set; returns the model and loss curve.
 
-    Normalization stats come from the training inputs, and parameters start
-    from :func:`init_model_detectors`. The scan sequences are encoded once,
-    into one stack per sequence length. Each epoch visits them in a seeded
-    shuffled order in mini-batches; a batch gathers its sequences from the
-    stacks, by ascending length and in shuffled order within a length, and
-    takes one RMSprop step, the output read at ``train_cfg.lr`` and
-    everything else at ``_BODY_LR_SCALE`` times it. Parameters, gradients
-    and RMSprop state are each one flat vector; the model's arrays are views
-    of the parameter vector, which the steps update in place. The loss curve
-    holds the mean per-sequence loss of each epoch.
+    The scan sequences are encoded once, into one stack by
+    :func:`encode_groups`, whose stats and offset scale start the model
+    from :func:`init_model_detectors`. Each epoch visits the sequences in a
+    seeded shuffled order in mini-batches; a batch takes its sequences from
+    the stack in that order and takes one RMSprop step, the output read at
+    ``train_cfg.lr`` and everything else at ``_BODY_LR_SCALE`` times it.
+    Parameters, gradients and RMSprop state are each one flat vector; the
+    model's arrays are views of the parameter vector, which the steps update
+    in place. The loss curve holds the mean per-sequence loss of each epoch.
     Deterministic given the config seeds.
     """
     if len(dataset) == 0:
         raise ContractViolation("training set is empty")
-    norm = fit_norm_stats(dataset, net_cfg)
+    # The parameters and the norm stats outlive the stack, so they are
+    # allocated before it: above it on the heap, they kept its freed memory
+    # resident, and a process that trains, then tracks, peaked 5-8% higher.
+    theta = np.empty(_param_count(net_cfg))
+    stack, norm, offset_scale = encode_groups(dataset.groups, net_cfg)
     # Detector widths cover both the training offsets (pure measurement
     # noise: predictions come from exact truth) and the extra filter
     # prediction error present at inference.
-    start_model = init_model_detectors(net_cfg, norm, 2.0 * offset_scale_from_dataset(dataset))
-    theta = np.concatenate([p.reshape(-1) for p in start_model.params().values()])
+    start_model = init_model_detectors(net_cfg, norm, 2.0 * offset_scale)
+    np.concatenate([p.reshape(-1) for p in start_model.params().values()], out=theta)
     model = LstmModel(cfg=net_cfg, norm=norm, **_param_views(theta, net_cfg))
     v = np.zeros_like(theta)
     rates = _learning_rates(net_cfg, train_cfg.lr)
 
-    stacks = encode_groups(dataset.groups, net_cfg, norm)
     n = len(dataset)
-    lengths = np.array([len(g.labels) for g in dataset.groups])
-    rows = np.empty(n, dtype=np.intp)  # each sequence's row in its length's stack
-    for t in stacks:
-        rows[lengths == t] = np.arange(stacks[t].inputs.shape[0])
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(train_cfg.seed)))
     curve: List[float] = []
     for epoch in range(train_cfg.epochs):
@@ -630,13 +630,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, train_cfg.batch):
             picked = order[start : start + train_cfg.batch]
-            picked_lengths = lengths[picked]
-            batch = []
-            for t, stack in stacks.items():
-                chosen = picked[picked_lengths == t]
-                if len(chosen):
-                    batch.append(stack.take(rows[chosen]))
-            batch_loss, grads = _batch_loss_and_grads(model, batch)
+            batch_loss, grads = _batch_loss_and_grads(model, stack.take(picked))
             if not np.isfinite(batch_loss):
                 raise NumericalError(f"training diverged at epoch {epoch}")
             rmsprop_step(theta, grads, v, rates)

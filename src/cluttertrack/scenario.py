@@ -165,7 +165,8 @@ def seeded_variants(base: ScenarioConfig, count: int) -> List[ScenarioConfig]:
 # CSV export/import. scans.csv columns: scan (scan index), k (measurement
 # index within the scan), x, y, origin (-1 = clutter, empty = unlabeled).
 # A scan without measurements is one row that carries its scan index and
-# leaves k, x, y and origin empty, so the scan count survives the file.
+# leaves k, x, y and origin empty, so the scan count survives the file; that
+# row is then the scan's only row.
 # Labelling of an empty scan is taken from the file: it reads back with
 # origins=() unless some measurement row has an empty origin, then None.
 # truth.csv columns: scan, target, x, vx, y, vy. Scans, measurements and
@@ -228,6 +229,7 @@ def read_scans_csv(path) -> List[Scan]:
                     raise IndexError(f"{len(row)} fields, expected {len(SCANS_CSV_HEADER)}")
                 rows = by_scan.setdefault(int(row[0]), [])
                 if row[1:] == _EMPTY_SCAN_FIELDS:
+                    rows.append(None)  # the empty-scan row
                     continue
                 origin = None if row[4] == "" else int(row[4])
                 rows.append((int(row[1]), _finite(row[2]), _finite(row[3]), origin))
@@ -238,7 +240,9 @@ def read_scans_csv(path) -> List[Scan]:
     for k in range(len(by_scan)):
         if k not in by_scan:
             raise ConfigError(f"{path}: scans must run 0..{len(by_scan) - 1}; scan {k} has no rows")
-        rows = sorted(by_scan[k], key=lambda r: r[0])
+        if None in by_scan[k] and len(by_scan[k]) > 1:
+            raise ConfigError(f"{path}: scan {k}: an empty-scan row must be the scan's only row")
+        rows = sorted((r for r in by_scan[k] if r is not None), key=lambda r: r[0])
         if [r[0] for r in rows] != list(range(len(rows))):
             raise ConfigError(f"{path}: scan {k}: measurements must run 0..{len(rows) - 1}, each once")
         meas = np.array([r[1:3] for r in rows]).reshape(len(rows), 2)

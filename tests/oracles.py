@@ -579,3 +579,64 @@ def scenario_by_loops(config, seed):
         labels = tuple(origins.index(j) if j in origins else -1 for j in range(config.num_targets))
         groups.append(((states[k - 1] @ f.T)[:, [0, 2]], measurements, labels))
     return states, scans, groups
+
+
+# ---------------------------------------------------------------------------
+# DeepDA training-set encoding, group by group: the per-group loops that the
+# single stacked pass of ``cluttertrack.deepda.encode_groups`` replaced, kept
+# unchanged as its bit-for-bit reference.
+# ---------------------------------------------------------------------------
+
+
+def norm_stats_by_groups(groups, m_max):
+    """Per-feature (min, max) over every group's filled slots, merged group
+    by group; 0 and 0 for a slot no scan fills."""
+    slot_min = np.full((m_max, 2), np.inf)
+    slot_max = np.full((m_max, 2), -np.inf)
+    for g in groups:
+        m = g.measurements.shape[0]
+        if m == 0:
+            continue
+        diffs = g.pred_meas[:, None, :] - g.measurements[None, :, :]
+        slot_min[:m] = np.minimum(slot_min[:m], diffs.min(axis=0))
+        slot_max[:m] = np.maximum(slot_max[:m], diffs.max(axis=0))
+    never = ~np.isfinite(slot_min)
+    slot_min[never] = 0.0
+    slot_max[never] = 0.0
+    return slot_min.reshape(-1), slot_max.reshape(-1)
+
+
+def offset_scale_by_groups(groups):
+    """Std in x and in y of the prediction offset of labeled own
+    measurements, collected group by group and target by target."""
+    diffs = []
+    for g in groups:
+        for t, label in enumerate(g.labels):
+            if label >= 0:
+                diffs.append(g.pred_meas[t] - g.measurements[label])
+    if not diffs:
+        return np.full(2, 1.0)
+    return np.asarray(np.std(np.array(diffs), axis=0))
+
+
+def features_of_group(pred_meas, measurements, m_max, norm_min, norm_max):
+    """One group's (T, 2 * m_max) features: the filled slots' offsets
+    normalized over the scan's width, every other slot 1."""
+    t, m = pred_meas.shape[0], measurements.shape[0]
+    out = np.ones((t, 2 * m_max))
+    if m:
+        raw = (pred_meas[:, None, :] - measurements[None, :, :]).reshape(t, m * 2)
+        width = m * 2
+        span = norm_max[:width] - norm_min[:width]
+        safe = np.where(span > 0, span, 1.0)
+        out[:, :width] = np.where(span > 0, (raw - norm_min[:width]) / safe, 0.0)
+    return out
+
+
+def truth_rows_of_group(labels, m_max):
+    """One-hot (T, m_max + 1) rows: the own measurement's slot, or the
+    trailing miss column for an undetected target."""
+    rows = np.zeros((len(labels), m_max + 1))
+    for t, label in enumerate(labels):
+        rows[t, label if label >= 0 else m_max] = 1.0
+    return rows

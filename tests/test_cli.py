@@ -125,6 +125,24 @@ def test_train_rejects_unknown_field(tmp_path, capsys):
         assert f"{section}: unknown fields ['{field}']" in capsys.readouterr().err
 
 
+def test_train_on_a_scenarios_list_of_mixed_target_counts(tmp_path, capsys):
+    # A 2-target and a 3-target scenario give scan sequences of two lengths.
+    states = ((5.0, 1.0, 11.0, 0.4), (5.0, 1.0, 15.0, 0.0), (5.0, 1.0, 19.0, -0.4))
+    two = ScenarioConfig(num_targets=2, initial_states=states[:2], num_scans=5, e_lambda=5.0)
+    three = replace(two, num_targets=3, initial_states=states, seed=1)
+    path = tmp_path / "train.json"
+    doc = {"scenarios": [two.to_dict(), three.to_dict()], "net": {"hidden": 4}, "train": {"epochs": 2}}
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "model"
+    assert main(["train", str(path), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert '"scenarios": 2' in printed and '"scan_sequences": 8' in printed
+    curve = (out / "loss_curve.csv").read_text().splitlines()
+    assert curve[0] == "epoch,mean_loss" and len(curve) == 3
+    assert main(["inspect-model", str(out / "model.json")]) == 0
+    assert "net config: NetConfig(" in capsys.readouterr().out
+
+
 REFERENCE = five_crossing_targets().to_dict()
 BENCH = {"base": REFERENCE, "n_runs": 1, "methods": ["ha"]}
 TRAIN = {"base": REFERENCE, "variants": 2, "net": {"hidden": 4}, "train": {"epochs": 1}}
@@ -325,3 +343,40 @@ def test_out_naming_a_file_exits_with_config_code_before_any_work(
     assert main(argv + ["--out", str(afile)]) == 2
     assert f"error: cannot create output directory {afile}" in capsys.readouterr().err
     assert afile.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value, csv_input",
+    [
+        ("--truth", "truth.csv", False),
+        ("--dt", "0.5", False),
+        ("--pd", "0.9", False),
+        ("--elambda", "20", False),
+        ("--seed", "3", True),
+    ],
+)
+def test_track_refuses_a_flag_its_input_would_ignore_before_any_work(
+    tmp_path, capsys, monkeypatch, flag, value, csv_input
+):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(five_crossing_targets().to_dict()))
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(scenario), "--out", str(sim)]) == 0
+    capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for name in ("load_model", "read_scans_csv", "read_truth_states", "generate_truth", "track_scans"):
+        monkeypatch.setattr(cli, name, no_work)
+    if csv_input:
+        argv = ["track", str(sim / "scans.csv"), "--truth", str(sim / "truth.csv")]
+        where = "scenario config"
+    else:
+        argv = ["track", str(scenario)]
+        where = "scans.csv"
+    out = tmp_path / "out"
+    assert main(argv + ["--method", "ha", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} applies to {where} input only, not to {argv[1]}\n"
+    assert not out.exists()

@@ -18,12 +18,10 @@ from cluttertrack.deepda import (
     _sigmoid,
     build_features,
     encode_groups,
-    fit_norm_stats,
     forward_scan,
     init_model,
     init_model_detectors,
     load_model,
-    offset_scale_from_dataset,
     output_mask,
     param_shapes,
     rmsprop_step,
@@ -39,10 +37,19 @@ from cluttertrack.domain import (
     ScenarioConfig,
     five_crossing_targets,
 )
-from cluttertrack.scenario import make_training_set, seeded_variants
+from cluttertrack.scenario import ScanSequence, TrainingSet, make_training_set, seeded_variants
 
 from conftest import identity_norm, make_set, make_track
-from oracles import numeric_gradients, reference_backward, reference_forward, reference_sigmoid
+from oracles import (
+    features_of_group,
+    norm_stats_by_groups,
+    numeric_gradients,
+    offset_scale_by_groups,
+    reference_backward,
+    reference_forward,
+    reference_sigmoid,
+    truth_rows_of_group,
+)
 
 
 def small_cfg(**kw):
@@ -62,12 +69,30 @@ def random_batch(cfg, rng, groups=2, targets=2):
             choice = int(rng.integers(0, m + 1))
             truth[g, t, cfg.m_max if choice == m else choice] = 1.0
         mask[g] = output_mask(cfg, m)
-    return EncodedStack(inputs, truth, mask)
+    return EncodedStack(inputs, truth, mask, np.ones((groups, targets), dtype=bool))
 
 
 def sequences(stack):
     """Each sequence of a stack as a stack of one."""
     return [stack.take([i]) for i in range(stack.inputs.shape[0])]
+
+
+def padded(*stacks):
+    """Stacks of any lengths as one stack, in order, each sequence padded at
+    its end to the longest length as encode_groups pads: sentinel inputs, an
+    all-zero truth row, a False step mask."""
+    t = max(s.inputs.shape[1] for s in stacks)
+
+    def pad(a, fill):
+        width = [(0, 0), (0, t - a.shape[1])] + [(0, 0)] * (a.ndim - 2)
+        return np.pad(a, width, constant_values=fill)
+
+    return EncodedStack(
+        np.concatenate([pad(s.inputs, 1.0) for s in stacks]),
+        np.concatenate([pad(s.truth, 0.0) for s in stacks]),
+        np.concatenate([s.mask for s in stacks]),
+        np.concatenate([pad(s.steps, False) for s in stacks]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +345,8 @@ def test_forward_core_matches_per_gate_reference(t, b):
 
     diff = ref.beta - truth
     ref_grads = reference_backward(model, x, mask, (2.0 / b) * diff)
-    batch_loss, flat = _batch_loss_and_grads(model, [EncodedStack(x, truth, mask)])
+    steps = np.ones((b, t), dtype=bool)
+    batch_loss, flat = _batch_loss_and_grads(model, EncodedStack(x, truth, mask, steps))
     grads = _param_views(flat, cfg)
     assert_same(batch_loss, float(np.sum(diff * diff)) / b, exact)
     assert grads.keys() == ref_grads.keys()
@@ -334,17 +360,18 @@ def test_forward_core_matches_per_gate_reference(t, b):
 def benchmark_size_model_and_data():
     """The benchmark's network size (m_max 42, hidden 64) on five crossing
     targets at lambda 20, detector-initialized from the data as ``train``
-    does, with a nonzero recurrent weight so the steps interact."""
+    does, with a nonzero recurrent weight so the steps interact; returns the
+    model, the training set and its encoded stack."""
     ds = make_training_set(seeded_variants(five_crossing_targets(seed=4242), 2))
     cfg = NetConfig(m_max=42, hidden=64)
-    norm = fit_norm_stats(ds, cfg)
-    model = init_model_detectors(cfg, norm, 2.0 * offset_scale_from_dataset(ds))
+    stack, norm, scale = encode_groups(ds.groups, cfg)
+    model = init_model_detectors(cfg, norm, 2.0 * scale)
     model = replace(model, lstm_wh=init_model(cfg, norm).lstm_wh)
-    return model, ds
+    return model, ds, stack
 
 
 def test_forward_at_benchmark_size_matches_per_step_reference():
-    model, ds = benchmark_size_model_and_data()
+    model, ds, _ = benchmark_size_model_and_data()
     for group in ds.groups[:8]:
         tracks = make_set([make_track(j, (x, 0.0, y, 0.0)) for j, (x, y) in enumerate(group.pred_meas)])
         scan = Scan(k=0, measurements=group.measurements)
@@ -362,14 +389,14 @@ def test_forward_at_benchmark_size_matches_per_step_reference():
 def test_batch_gradients_at_benchmark_size_equal_reference_bits():
     # Training batches hold 32 sequences, where the hoisted products give
     # the per-step bits exactly; the benchmark's final loss relies on it.
-    model, ds = benchmark_size_model_and_data()
-    stacks = encode_groups(ds.groups[:32], model.cfg, model.norm)
-    assert list(stacks) == [5] and stacks[5].inputs.shape == (32, 5, 84)
-    x, mask = stacks[5].inputs, stacks[5].mask
+    model, ds, stack = benchmark_size_model_and_data()
+    batch = stack.take(np.arange(32))
+    assert batch.inputs.shape == (32, 5, 84) and batch.steps.all()
+    x, mask = batch.inputs, batch.mask
     ref = reference_cache(model, x, mask)
-    diff = ref.beta - stacks[5].truth
+    diff = ref.beta - batch.truth
     ref_grads = reference_backward(model, x, mask, (2.0 / 32) * diff)
-    batch_loss, flat = _batch_loss_and_grads(model, [stacks[5]])
+    batch_loss, flat = _batch_loss_and_grads(model, batch)
     grads = _param_views(flat, model.cfg)
     assert batch_loss == float(np.sum(diff * diff)) / 32
     for name in ref_grads:
@@ -390,22 +417,23 @@ def test_loss_examples():
     one_hot = np.zeros((2, cfg.m_max + 1))
     one_hot[0, 0] = one_hot[1, cfg.m_max] = 1.0
     inputs = np.zeros((1, 2, cfg.features))
-    one_meas = EncodedStack(inputs[:, :1], one_hot[None, :1], output_mask(cfg, 1)[None])
-    three_meas = EncodedStack(inputs, one_hot[None], output_mask(cfg, 3)[None])
-    assert _batch_loss_and_grads(model, [one_meas])[0] == 0.5
-    assert _batch_loss_and_grads(model, [three_meas])[0] == 1.5
-    assert _batch_loss_and_grads(model, [one_meas, three_meas])[0] == 1.0
+    steps = np.ones((1, 2), dtype=bool)
+    one_meas = EncodedStack(inputs[:, :1], one_hot[None, :1], output_mask(cfg, 1)[None], steps[:, :1])
+    three_meas = EncodedStack(inputs, one_hot[None], output_mask(cfg, 3)[None], steps)
+    assert _batch_loss_and_grads(model, one_meas)[0] == 0.5
+    assert _batch_loss_and_grads(model, three_meas)[0] == 1.5
+    assert _batch_loss_and_grads(model, padded(one_meas, three_meas))[0] == 1.0
     own_rows = np.tile(np.where(output_mask(cfg, 3), 0.25, 0.0), (1, 2, 1))
-    assert _batch_loss_and_grads(model, [EncodedStack(inputs, own_rows, three_meas.mask)])[0] == 0.0
+    assert _batch_loss_and_grads(model, EncodedStack(inputs, own_rows, three_meas.mask, steps))[0] == 0.0
 
 
 def test_loss_matches_elementwise_recomputation():
     cfg = small_cfg(m_max=4, seed=3)
     model = init_model(cfg, identity_norm(cfg.features))
     rng = np.random.default_rng(3)
-    # Sequences of different lengths take separate forward passes.
+    # Sequences of different lengths share one stack, padded to the longest.
     batch = [random_batch(cfg, rng, groups=3, targets=2), random_batch(cfg, rng, groups=2, targets=3)]
-    got, _ = _batch_loss_and_grads(model, batch)
+    got, _ = _batch_loss_and_grads(model, padded(*batch))
     expected = 0.0
     for enc in sequences(batch[0]) + sequences(batch[1]):
         rows = _forward_core(model, enc.inputs, enc.mask).beta[0]
@@ -429,14 +457,14 @@ def test_backward_zero_at_exact_truth():
     stack = random_batch(cfg, rng)
     # replace truth by the model's own output: loss 0, exactly zero gradients
     cache = _forward_core(model, stack.inputs, stack.mask)
-    _, grads = _batch_loss_and_grads(model, [EncodedStack(stack.inputs, cache.beta, stack.mask)])
+    _, grads = _batch_loss_and_grads(model, replace(stack, truth=cache.beta))
     assert np.max(np.abs(grads)) < 1e-6
 
 
 def test_backward_matches_finite_differences():
     cfg = small_cfg(seed=6)
     model = init_model(cfg, identity_norm(cfg.features))
-    batch = [random_batch(cfg, np.random.default_rng(1))]
+    batch = random_batch(cfg, np.random.default_rng(1))
     loss_fn = lambda: _batch_loss_and_grads(model, batch)[0]
     analytic = _param_views(_batch_loss_and_grads(model, batch)[1], cfg)
     numeric = numeric_gradients(loss_fn, model, step=1e-5)
@@ -454,7 +482,8 @@ def test_backward_padded_output_weights_zero_grad():
     truth = np.zeros((1, 2, cfg.m_max + 1))
     truth[..., 0] = 1.0
     mask = output_mask(cfg, 1)[None]  # slots 1..3 padded
-    _, flat = _batch_loss_and_grads(model, [EncodedStack(inputs, truth, mask)])
+    steps = np.ones((1, 2), dtype=bool)
+    _, flat = _batch_loss_and_grads(model, EncodedStack(inputs, truth, mask, steps))
     grads = _param_views(flat, cfg)
     assert np.all(grads["w_out"][1:4, :] == 0.0)
     assert np.all(grads["b_out"][1:4] == 0.0)
@@ -583,8 +612,8 @@ def test_train_default_recipe_loss_curve_is_pinned():
     np.testing.assert_allclose(curve, expected, rtol=1e-9, atol=0.0)
 
 
-def mixed_length_dataset():
-    # Two- and three-target scenarios: batches of 8 mix sequence lengths.
+def mixed_length_dataset_configs():
+    """A two- and a three-target scenario."""
     two = ScenarioConfig(
         num_targets=2,
         initial_states=((6.0, 1.0, 10.0, 0.0), (6.0, 1.0, 18.0, 0.0)),
@@ -601,6 +630,12 @@ def mixed_length_dataset():
         num_scans=6,
         seed=7,
     )
+    return two, three
+
+
+def mixed_length_dataset():
+    # Two- and three-target scenarios: batches of 8 mix sequence lengths.
+    two, three = mixed_length_dataset_configs()
     return make_training_set(seeded_variants(two, 2) + seeded_variants(three, 2))
 
 
@@ -616,23 +651,100 @@ def test_train_mixed_length_loss_curve_is_pinned():
     np.testing.assert_allclose(curve, expected, rtol=1e-9, atol=0.0)
 
 
-def test_encode_groups_stacks_by_length_in_group_order():
+def test_encode_groups_stacks_every_sequence_in_group_order():
     ds = mixed_length_dataset()
     cfg = NetConfig(m_max=ds.m_max)
-    norm = fit_norm_stats(ds, cfg)
-    stacks = encode_groups(ds.groups, cfg, norm)
-    assert list(stacks) == [2, 3]
-    rows = {2: 0, 3: 0}
-    for g in ds.groups:
+    stack, norm, _ = encode_groups(ds.groups, cfg)
+    assert stack.inputs.shape == (len(ds), 3, cfg.features)
+    for row, g in enumerate(ds.groups):
         t = len(g.labels)
-        stack, row = stacks[t], rows[t]
-        rows[t] += 1
-        np.testing.assert_array_equal(stack.inputs[row], build_features(g.pred_meas, g.measurements, cfg, norm))
+        np.testing.assert_array_equal(stack.inputs[row, :t], build_features(g.pred_meas, g.measurements, cfg, norm))
         np.testing.assert_array_equal(stack.mask[row], output_mask(cfg, g.measurements.shape[0]))
         hot = [label if label >= 0 else cfg.m_max for label in g.labels]
         assert stack.truth[row].sum() == t
         assert np.all(stack.truth[row][np.arange(t), hot] == 1.0)
-    assert rows == {t: stacks[t].inputs.shape[0] for t in stacks}
+        # A padding step is all sentinel, has no truth and is masked out.
+        assert stack.steps[row].tolist() == [True] * t + [False] * (3 - t)
+        assert np.all(stack.inputs[row, t:] == 1.0)
+        assert not stack.truth[row, t:].any()
+
+
+def hand_made_dataset():
+    """Three groups of 2, 1 and 3 targets over scans of 2, 0 and 1
+    measurements, at random offsets."""
+    rng = np.random.default_rng(8)
+    shapes = [(2, 2, (1, -1)), (1, 0, (-1,)), (3, 1, (-1, 0, -1))]
+    groups = tuple(
+        ScanSequence(rng.normal(size=(t, 2)) * 7.3, rng.normal(size=(m, 2)) * 3.1, labels)
+        for t, m, labels in shapes
+    )
+    return TrainingSet(groups, m_max=2)
+
+
+def no_detection_dataset():
+    """Targets never detected: every label is the miss, so no offset exists
+    to fit the detector scale on."""
+    cfg = replace(mixed_length_dataset_configs()[0], p_d=1e-9)
+    ds = make_training_set([cfg])
+    assert all(label == -1 for g in ds.groups for label in g.labels)
+    return ds
+
+
+@pytest.mark.parametrize(
+    "make, spare",
+    [
+        (lambda: mixed_length_dataset(), 0),
+        (lambda: mixed_length_dataset(), 3),  # three slots no scan fills
+        (hand_made_dataset, 1),
+        (no_detection_dataset, 0),
+    ],
+    ids=["mixed-length", "never-filled-slots", "hand-made", "no-detection"],
+)
+def test_encode_groups_has_the_bits_of_the_per_group_loops(make, spare):
+    ds = make()
+    cfg = NetConfig(m_max=ds.m_max + spare)
+    stack, norm, scale = encode_groups(ds.groups, cfg)
+    low, high = norm_stats_by_groups(ds.groups, cfg.m_max)
+    np.testing.assert_array_equal(norm.min, low)
+    np.testing.assert_array_equal(norm.max, high)
+    np.testing.assert_array_equal(scale, offset_scale_by_groups(ds.groups))
+    if spare:
+        assert np.all(norm.min[-2 * spare :] == 0.0) and np.all(norm.max[-2 * spare :] == 0.0)
+    if not any(label >= 0 for g in ds.groups for label in g.labels):
+        assert scale.tolist() == [1.0, 1.0]
+    for row, g in enumerate(ds.groups):
+        t = len(g.labels)
+        want = features_of_group(g.pred_meas, g.measurements, cfg.m_max, low, high)
+        np.testing.assert_array_equal(stack.inputs[row, :t], want)
+        np.testing.assert_array_equal(stack.truth[row, :t], truth_rows_of_group(g.labels, cfg.m_max))
+
+
+def test_padding_leaves_a_sequence_as_it_is_alone():
+    # A 2-target sequence stacked with a 3-target one is padded by a step;
+    # its rows, loss and gradient are those it has in a stack of its own.
+    ds = mixed_length_dataset()
+    two = next(g for g in ds.groups if len(g.labels) == 2)
+    three = next(g for g in ds.groups if len(g.labels) == 3)
+    cfg = NetConfig(m_max=ds.m_max, hidden=8, seed=3)
+    stack, norm, _ = encode_groups([two, three], cfg)
+    model = init_model(cfg, norm)
+    model = replace(model, **{n: 3.0 * p for n, p in model.params().items()})
+    assert stack.steps.tolist() == [[True, True, False], [True, True, True]]
+    alone_two = EncodedStack(stack.inputs[:1, :2], stack.truth[:1, :2], stack.mask[:1], stack.steps[:1, :2])
+    alone_three = stack.take([1])
+
+    rows = _forward_core(model, stack.inputs, stack.mask).beta[0, :2]
+    alone_rows = _forward_core(model, alone_two.inputs, alone_two.mask).beta[0]
+    np.testing.assert_allclose(rows, alone_rows, rtol=0, atol=1e-12)
+    loss_two, grads_two = _batch_loss_and_grads(model, alone_two)
+    loss_padded, grads_padded = _batch_loss_and_grads(model, stack.take([0]))
+    assert loss_padded == pytest.approx(loss_two, rel=0, abs=1e-12)
+    np.testing.assert_allclose(grads_padded, grads_two, rtol=0, atol=1e-12)
+    # The pair's loss and gradient are the mean of the two alone.
+    loss_three, grads_three = _batch_loss_and_grads(model, alone_three)
+    loss_pair, grads_pair = _batch_loss_and_grads(model, stack)
+    assert loss_pair == pytest.approx((loss_two + loss_three) / 2, rel=0, abs=1e-12)
+    np.testing.assert_allclose(grads_pair, (grads_two + grads_three) / 2, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("lr", [0.0, float("nan"), float("inf")])

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from cluttertrack.deepda import NetConfig, encode_groups, fit_norm_stats
+from cluttertrack.deepda import NetConfig, encode_groups
 from cluttertrack.domain import (
     CLUTTER,
     CapacityError,
@@ -25,7 +25,6 @@ from cluttertrack.scenario import (
     write_truth_csv,
 )
 
-from conftest import identity_norm
 from oracles import scenario_by_loops
 
 
@@ -208,8 +207,8 @@ def test_simulation_has_the_bits_of_the_loop_reference(config, seed):
 def truth_rows(ds, group, m_max=None):
     """The one-hot rows the network is trained on, over m_max slots (default
     ds.m_max) plus a miss."""
-    cfg = NetConfig(m_max=m_max or ds.m_max)
-    return encode_groups([group], cfg, identity_norm(cfg.features))[len(group.labels)].truth[0]
+    stack, _, _ = encode_groups([group], NetConfig(m_max=m_max or ds.m_max))
+    return stack.truth[0]
 
 
 def test_training_set_one_hot_layout(clean_config):
@@ -217,7 +216,7 @@ def test_training_set_one_hot_layout(clean_config):
     # No clutter and no misses: every scan holds one measurement per target.
     assert ds.m_max == 5
     # A network with a slot to spare takes the set, and pads that slot.
-    fit_norm_stats(ds, NetConfig(m_max=6))
+    encode_groups(ds.groups, NetConfig(m_max=6))
     group = ds.groups[0]
     rows = truth_rows(ds, group, m_max=6)
     assert rows.shape == (5, 7)
@@ -244,8 +243,10 @@ def test_training_set_miss_row():
 
 def test_training_set_capacity_guard(reference_config):
     ds = make_training_set([reference_config])
-    with pytest.raises(CapacityError, match=f"dataset needs m_max >= {ds.m_max}, network has 3"):
-        fit_norm_stats(ds, NetConfig(m_max=3))
+    # The first scan over the network's capacity names its size.
+    first = next(g.measurements.shape[0] for g in ds.groups if g.measurements.shape[0] > 3)
+    with pytest.raises(CapacityError, match=f"^scan has {first} measurements, capacity is m_max=3$"):
+        encode_groups(ds.groups, NetConfig(m_max=3))
 
 
 def test_training_set_group_count(reference_config):
@@ -349,6 +350,25 @@ def test_read_scans_rejects_scan_with_mixed_labels(tmp_path):
     path = tmp_path / "scans.csv"
     path.write_text(",".join(SCANS_CSV_HEADER) + "\n0,0,1.0,2.0,-1\n0,1,3.0,4.0,\n")
     with pytest.raises(ConfigError, match="scan 0 mixes labeled and unlabeled rows"):
+        read_scans_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["0,,,,", "0,0,1.0,2.0,-1"],
+        ["0,0,1.0,2.0,-1", "0,,,,"],
+        ["0,,,,", "0,,,,"],
+    ],
+    ids=["empty-row-first", "empty-row-last", "repeated-empty-row"],
+)
+def test_read_scans_rejects_an_empty_scan_row_beside_other_rows(tmp_path, rows):
+    # Such a scan used to read back as one measurement, or as empty.
+    path = tmp_path / "scans.csv"
+    # Scan 1 is a well-formed empty scan.
+    path.write_text("\n".join([",".join(SCANS_CSV_HEADER), "1,,,,", *rows]) + "\n")
+    message = r"scans\.csv: scan 0: an empty-scan row must be the scan's only row$"
+    with pytest.raises(ConfigError, match=message):
         read_scans_csv(path)
 
 
