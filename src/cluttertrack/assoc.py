@@ -28,9 +28,10 @@ from .domain import (
 )
 from .kalman import FilterParams, innovations
 
-#: Guard on the JPDA state updates per gating cluster: open members x subsets
-#: kept, summed over the steps of the walk :func:`jpda_from_gates` takes
-#: (5 tracks sharing 25 measurements take 4,000).
+#: Guard on the JPDA state updates per gating cluster: open members x
+#: 2^open, summed over the steps of the walk :func:`jpda_from_gates` takes
+#: (5 tracks sharing 25 measurements take 4,000). One step with 16 members
+#: open takes 16 x 2^16, over the guard, so no walk holds more than 15.
 MAX_JOINT_EVENTS = 1_000_000
 
 
@@ -109,31 +110,6 @@ def _clusters(
     return out
 
 
-@lru_cache(maxsize=1024)
-def _subsets(bits: int, most: int) -> int:
-    """How many subsets of ``bits`` state bits have at most ``most`` set."""
-    return sum(math.comb(bits, k) for k in range(most + 1))
-
-
-def _states(bits: int, most: int) -> np.ndarray:
-    """The subsets of ``bits`` state bits with at most ``most`` set, as
-    ascending bitmasks (Python integers past 62 bits)."""
-    states = np.zeros(1, dtype=np.int64 if bits < 63 else object)
-    sizes = np.zeros(1, dtype=np.int64)
-    for b in range(bits):
-        grow = sizes < most
-        states = np.concatenate([states, states[grow] | (1 << b)])
-        sizes = np.concatenate([sizes, sizes[grow] + 1])
-    return states
-
-
-def _locate(states: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Where each of ``wanted`` sits in ascending ``states``, or len(states),
-    the trailing zero of a state vector, where it is absent."""
-    at = np.minimum(np.searchsorted(states, wanted), len(states) - 1)
-    return np.where(states[at] == wanted, at, len(states))
-
-
 #: Open columns up to which a walk's index arrays are cached.
 _CACHED_OPEN = 6
 
@@ -141,7 +117,8 @@ _CACHED_OPEN = 6
 def _reused_when_small(build):
     """``build`` with its index arrays kept for reuse up to ``_CACHED_OPEN``
     open columns, at most 64 states and 7 kB an entry, so the cache stays
-    under 8 MB; larger ones are built per call. The arrays are read-only,
+    under 8 MB; larger ones, of at most 2^15 states under
+    :data:`MAX_JOINT_EVENTS`, are built per call. The arrays are read-only,
     since every caller shares them."""
     cached = lru_cache(maxsize=1024)(build)
 
@@ -154,59 +131,51 @@ def _reused_when_small(build):
 
 @_reused_when_small
 def _take_indices(
-    open_count: int,
-    opened_before: int,
-    positions: Tuple[int, ...],
-    most_before: int,
-    most_after: int,
+    open_count: int, opened_before: int, positions: Tuple[int, ...]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Gather indices for a walked row that links the open columns on state
     bits ``positions``, where bits ``opened_before`` and up open on it.
 
-    A state vector over b bits with at most k set holds the sums of those
-    subsets (:func:`_states`) and a trailing zero. Row r of ``forward``, over
-    the states after the step, reads the states before it: column 0 is the
-    same state (the row pairs with nothing), column k > 0 the state it pairs
-    with the column on bit ``positions[k - 1]`` from; a state that cannot
-    occur before the step, or a move that cannot be made, reads the trailing
-    zero. ``backward`` is the transpose: row r, over the states before the
-    step, reads the states after it.
+    A state vector over b bits holds the sum of every subset at the index
+    its bitmask reads, then a trailing zero at 2^b. Row r of ``forward``,
+    over the states after the step, reads the states before it: column 0 is
+    the same state (the row pairs with nothing), column k > 0 the state it
+    pairs with the column on bit ``positions[k - 1]`` from; a state that
+    cannot occur before the step, or a move that cannot be made, reads the
+    trailing zero. ``backward`` is the transpose: row r, over the states
+    before the step, reads the states after it.
     """
-    before = _states(opened_before, most_before)
-    after = _states(open_count, most_after)
-    bits = np.array([1 << p for p in positions], dtype=after.dtype)
-    a, b = after[:, None], before[:, None]
-    forward = _locate(before, np.hstack([a, np.where(a & bits, a ^ bits, -1)]))
-    backward = _locate(after, np.hstack([b, np.where(b & bits, -1, b | bits)]))
-    forward = np.vstack([forward, np.full(len(bits) + 1, len(before))])
-    backward = np.vstack([backward, np.full(len(bits) + 1, len(after))])
+    before, after = 1 << opened_before, 1 << open_count
+    bits = 1 << np.array(positions)
+    a, b = np.arange(after)[:, None], np.arange(before)[:, None]
+    # An index of 2^opened_before or more holds a bit that opens on this row,
+    # which no state before it holds: it reads the trailing zero.
+    forward = np.minimum(np.hstack([a, np.where(a & bits, a ^ bits, before)]), before)
+    backward = np.hstack([b, np.where(b & bits, after, b | bits)])
+    forward = np.vstack([forward, np.full(len(bits) + 1, before)])
+    backward = np.vstack([backward, np.full(len(bits) + 1, after)])
     forward.setflags(write=False)
     backward.setflags(write=False)
     return forward, backward
 
 
 @_reused_when_small
-def _close_indices(
-    open_count: int, position: int, most_before: int, most_after: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def _close_indices(open_count: int, position: int) -> Tuple[np.ndarray, np.ndarray]:
     """Gather indices that drop state bit ``position`` from the states of
-    ``open_count`` bits, at most ``most_before`` set before and
-    ``most_after`` after, each vector carrying a trailing zero.
+    ``open_count`` bits, each vector carrying a trailing zero.
 
     ``keep[r]`` holds the two states that state r after the drop stands for
     (the bit clear, then set); ``reopen[r]`` addresses state r before it, with
     the bit removed, in the pair [vector for the bit set, vector for it
     clear], trailing zeros included.
     """
-    inside = _states(open_count, most_before)
-    outside = _states(open_count - 1, most_after)
+    inside, outside = 1 << open_count, 1 << (open_count - 1)
     low = (1 << position) - 1
-    clear = ((outside & ~low) << 1) | (outside & low)
-    keep = _locate(inside, np.column_stack([clear, clear | (1 << position)]))
-    keep = np.vstack([keep, [len(inside), len(inside)]])
-    removed = _locate(outside, ((inside >> 1) & ~low) | (inside & low))
-    reopen = np.where(inside & (1 << position), removed, len(outside) + 1 + removed)
-    reopen = np.append(reopen, len(outside))
+    r, s = np.arange(outside), np.arange(inside)
+    clear = ((r & ~low) << 1) | (r & low)
+    keep = np.vstack([np.column_stack([clear, clear | (1 << position)]), [inside, inside]])
+    removed = ((s >> 1) & ~low) | (s & low)
+    reopen = np.append(np.where(s & (1 << position), removed, outside + 1 + removed), outside)
     keep.setflags(write=False)
     reopen.setflags(write=False)
     return keep, reopen
@@ -214,16 +183,13 @@ def _close_indices(
 
 def _schedule(
     links: Sequence[Sequence[int]],
-) -> Tuple[List[List[int]], List[List[int]], List[int], int]:
+) -> Tuple[List[List[int]], List[List[int]], int]:
     """Plan a walk over rows 0, 1, ... where row t may pair with the columns
     ``links[t]``.
 
-    Returns (opening, closing, most, updates): the columns whose first /
-    last link is row t; the most open columns paired after row t, which past
-    ``_CACHED_OPEN`` open columns is the rows walked, so that only those
-    subsets are kept (up to it, all 2^open are, so that one set of index
-    arrays serves every row); and the state updates of the walk, open
-    columns x states kept summed over the rows. Allocates no state.
+    Returns (opening, closing, updates): the columns whose first / last
+    link is row t, and the state updates of the walk, open columns x 2^open
+    summed over the rows. Allocates no state.
     """
     opening: List[List[int]] = [[] for _ in links]
     closing: List[List[int]] = [[] for _ in links]
@@ -231,14 +197,12 @@ def _schedule(
         opening[t].append(c)
     for c, t in {c: t for t, cols in enumerate(links) for c in cols}.items():
         closing[t].append(c)
-    most: List[int] = []
     updates, open_count = 0, 0
     for t in range(len(links)):
         open_count += len(opening[t])
-        most.append(open_count if open_count <= _CACHED_OPEN else min(open_count, t + 1))
-        updates += open_count * _subsets(open_count, most[t])
+        updates += open_count << open_count
         open_count -= len(closing[t])
-    return opening, closing, most, updates
+    return opening, closing, updates
 
 
 def _walk(
@@ -246,7 +210,7 @@ def _walk(
     weights: Sequence[Sequence[float]],
     skip: Sequence[float],
     factor: Dict[int, float],
-    plan: Tuple[List[List[int]], List[List[int]], List[int], int],
+    plan: Tuple[List[List[int]], List[List[int]], int],
 ) -> Tuple[List[Dict[int, float]], List[float], Dict[int, float]]:
     """Exact forward-backward pass over the one-to-one pairings of rows with
     columns, on the walk ``plan`` (:func:`_schedule`) of ``links``.
@@ -260,19 +224,18 @@ def _walk(
     ``factor``.
 
     The state after row t is the subset of the open columns already paired,
-    at most ``most[t]`` of them; the sums over those subsets are one vector,
-    and each row updates it with one gather and one matrix-vector product.
-    A column opens at its first row and closes after its last one, folding
-    its factor in as it closes.
+    and the sums over all those subsets are one vector indexed by the
+    subset's bitmask; each row updates it with one gather and one
+    matrix-vector product. A column opens at its first row and closes after
+    its last one, folding its factor in as it closes.
     """
-    opening, closing, most, _ = plan
+    opening, closing, _ = plan
     # Forward: alpha[r] sums the weights of the pairings of the rows so far
-    # in which state r is the set of open columns paired; opened[p] is the
-    # column on state bit p, and at most `paired` bits are set. Every state
-    # vector ends in a zero, which the gathers read where a move is impossible.
+    # in which bitmask r is the set of open columns paired; opened[p] is the
+    # column on state bit p. Every state vector ends in a zero, which the
+    # gathers read where a move is impossible.
     alpha = np.array([1.0, 0.0])
     opened: List[int] = []
-    paired = 0
     steps = []
     for t, cols in enumerate(links):
         before = len(opened)
@@ -280,15 +243,12 @@ def _walk(
         # Sorted by state bit, so one set of index arrays serves every order.
         ranked = sorted(zip(map(opened.index, cols), cols, weights[t]))
         positions, takers, row_weights = zip(*ranked)
-        forward, backward = _take_indices(len(opened), before, positions, paired, most[t])
-        paired = most[t]
+        forward, backward = _take_indices(len(opened), before, positions)
         w = np.array([skip[t], *row_weights])
         steps.append(("row", t, takers, alpha, backward, w))
         alpha = alpha[forward] @ w
         for c in closing[t]:
-            kept = min(paired, len(opened) - 1)
-            keep, reopen = _close_indices(len(opened), opened.index(c), paired, kept)
-            paired = kept
+            keep, reopen = _close_indices(len(opened), opened.index(c))
             split = alpha[keep]
             steps.append(("close", c, split[:, 0], reopen))
             alpha = split @ np.array([factor[c], 1.0])
@@ -338,18 +298,17 @@ def jpda_from_gates(
     measurements that two or more tracks gate. A measurement only one track
     gates folds into that track's end factor: 1 - p_d plus its weights on
     such measurements. The pass walks the shared measurements in index order,
-    over the subsets of the open tracks already assigned. A cluster of more
-    than 6 tracks may instead walk its tracks in index order, over the
-    subsets of the open shared measurements already taken, when that takes
-    fewer state updates. Past 6 open members, a subset holds no more of them
-    than the steps walked. Members open at their first step and close after
+    over every subset of the open tracks already assigned. A cluster of more
+    than 6 tracks may instead walk its tracks in index order, over every
+    subset of the open shared measurements already taken, when that takes
+    fewer state updates. Members open at their first step and close after
     their last, so a chain of tracks keeps a state of two, and many tracks
     on one measurement, walked track by track, a state of one.
 
     Raises :class:`ComplexityError` when a cluster needs more than
-    :data:`MAX_JOINT_EVENTS` state updates (open members x subsets kept,
-    summed over the steps of the walk taken), before any state is allocated;
-    split the scan into smaller clusters first.
+    :data:`MAX_JOINT_EVENTS` state updates (open members x 2^open, summed
+    over the steps of the walk taken), before any state is allocated; split
+    the scan into smaller clusters first.
     """
     n, m = likelihood.shape
     if len(gates) != n:
@@ -385,8 +344,8 @@ def jpda_from_gates(
             if len(tracks_c) > _CACHED_OPEN:
                 by_track = [[i for i in sorted(gates[j]) if len(owners[i]) > 1] for j in tracks_c]
                 walks.append((by_track, _schedule(by_track)))
-            links, plan = min(walks, key=lambda walk: walk[1][3])
-            if plan[3] > MAX_JOINT_EVENTS:
+            links, plan = min(walks, key=lambda walk: walk[1][2])
+            if plan[2] > MAX_JOINT_EVENTS:
                 raise ComplexityError(
                     f"more than {MAX_JOINT_EVENTS} state updates in a cluster of {len(tracks_c)} "
                     f"tracks and {len(meas_c)} measurements; split the cluster first"

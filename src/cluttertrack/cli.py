@@ -109,8 +109,8 @@ def _cmd_simulate(args) -> int:
 @dataclass(frozen=True)
 class _TrainFile:
     """A train config: the training scenarios, given as a list or as
-    ``variants`` seeded copies of ``base`` (the list wins), and the network
-    and training-loop settings."""
+    ``variants`` seeded copies of ``base`` (not both), and the network and
+    training-loop settings."""
 
     scenarios: Optional[Tuple[ScenarioConfig, ...]] = None
     base: Optional[ScenarioConfig] = None
@@ -126,6 +126,9 @@ class _TrainFile:
 def _cmd_train(args) -> int:
     doc = _load_json(args.config)
     spec = read_config("train", doc, _TrainFile)
+    for name in ("base", "variants"):
+        if spec.scenarios is not None and name in doc:
+            raise ConfigError(f"train.{name}: does not apply when 'scenarios' lists the scenarios")
     configs = seeded_variants(spec.base, spec.variants) if spec.scenarios is None else spec.scenarios
     _make_out_dir(args.out)
     dataset = make_training_set(configs)

@@ -368,7 +368,7 @@ def test_jpda_event_guard_raises(monkeypatch):
         jpda_from_gates(likelihood, gates, 0.9, 0.1)
 
     # Sixteen tracks on one measurement, walked track by track, keep that
-    # measurement open: 16 x 1 x 2 updates, where walking it would take 16 x 17.
+    # measurement open: 16 x 1 x 2 updates, where walking it would take 16 x 2^16.
     wide = [{0}] * 16
     monkeypatch.setattr(assoc, "MAX_JOINT_EVENTS", 32)
     jpda_from_gates(np.full((16, 1), 0.1), wide, 0.9, 0.1)
@@ -502,11 +502,12 @@ def test_jpda_from_gates_long_chain_matches_reference(monkeypatch):
         jpda_from_gates(likelihood, gates, 0.9, 0.3)
 
 
-@pytest.mark.parametrize("n, m", [(16, 1), (15, 3), (12, 6), (30, 4)])
+@pytest.mark.parametrize("n, m", [(16, 1), (15, 3), (12, 6), (30, 4), (10, 10)])
 def test_jpda_from_gates_many_tracks_sharing_few_measurements_match_reference(n, m):
     # Every track gates every measurement, so walking the measurements would
-    # hold all n tracks open (16 x 2^16 updates for 16 on one, were every
-    # subset kept); walking the tracks holds the m measurements.
+    # hold all n tracks open (16 x 2^16 updates for 16 on one); walking the
+    # tracks holds the m measurements. Ten on ten open all ten members at the
+    # first step of either walk, on index arrays built for the call.
     rng = np.random.default_rng(n * 100 + m)
     likelihood = rng.random((n, m)) * 2.0
     gates = [set(range(m))] * n
@@ -516,17 +517,52 @@ def test_jpda_from_gates_many_tracks_sharing_few_measurements_match_reference(n,
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
-def test_jpda_from_gates_state_wider_than_a_machine_word_matches_reference():
+def test_jpda_from_gates_state_wider_than_a_machine_word_is_refused():
     # Seventy tracks gate measurement 0, and two of them share 65 more:
-    # walking the measurements opens all seventy at the first, so the state
-    # needs more bits than an int64 holds.
+    # walking the measurements opens all seventy at the first, and walking
+    # the tracks opens the 66 shared measurements at the first, so either
+    # walk needs 2^66 states or more. Refused at once, before any state
+    # array exists.
     rng = np.random.default_rng(70)
     gates = [{0} for _ in range(70)]
     gates[0] = gates[1] = set(range(66))
     likelihood = rng.random((70, 66)) * 2.0
-    got = jpda_from_gates(likelihood, gates, 0.9, 0.3).rows
-    expected = jpda_measurement_subset_dp(likelihood, gates, 0.9, 0.3).rows
-    assert np.max(np.abs(got - expected)) < 1e-12
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ComplexityError, match="split"):
+            jpda_from_gates(likelihood, gates, 0.9, 0.3)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20
+
+
+def test_jpda_from_gates_member_closing_among_many_open_matches_reference(monkeypatch):
+    # Track 3 gates measurements 0 and 1, the seven others all ten. Walking
+    # the measurements opens the eight tracks at measurement 0 and closes
+    # track 3 after measurement 1, while all eight are open, on index arrays
+    # built for the call; walking the tracks would hold all ten measurements
+    # open.
+    rng = np.random.default_rng(810)
+    likelihood = rng.random((8, 10)) * 2.0
+    gates = [set(range(10))] * 8
+    gates[3] = {0, 1}
+    closes = []
+    close = assoc._close_indices
+
+    def recording(open_count, position):
+        closes.append(open_count)
+        return close(open_count, position)
+
+    monkeypatch.setattr(assoc, "_close_indices", recording)
+    for p_d in (0.6, 0.9, 1.0):
+        got = jpda_from_gates(likelihood, gates, p_d, 0.3).rows
+        expected = jpda_measurement_subset_dp(likelihood, gates, p_d, 0.3).rows
+        assert np.max(np.abs(got - expected)) < 1e-12
+    assert closes[0] == 8
 
 
 def test_jpda_from_gates_random_wide_clusters_match_reference():

@@ -172,6 +172,9 @@ TRAIN = {"base": REFERENCE, "variants": 2, "net": {"hidden": 4}, "train": {"epoc
         ("train", {**TRAIN, "scenarios": 5}, "train.scenarios"),
         ("simulate", {**REFERENCE, "num_targets": 5.7}, "scenario.num_targets"),
         ("simulate", {**REFERENCE, "num_targets": True}, "scenario.num_targets"),
+        # A scenarios list names every training scenario, so either would be ignored.
+        ("train", {"scenarios": [REFERENCE], "base": REFERENCE}, "train.base"),
+        ("train", {"scenarios": [REFERENCE], "variants": 7}, "train.variants"),
     ],
 )
 def test_malformed_config_exits_with_config_code_naming_the_field(
@@ -182,6 +185,7 @@ def test_malformed_config_exits_with_config_code_naming_the_field(
     assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()  # refused before any work
 
 
 def test_track_with_non_finite_model_exits_with_config_code(tmp_path, capsys):
