@@ -307,8 +307,8 @@ class BenchReport:
     meta: Dict = field(default_factory=dict)
 
 
-#: The grid's DeepDA model in a worker process, set once by ``_init_worker``
-#: so that episode payloads do not carry it.
+#: The grid's DeepDA model in the process that runs its episodes, set by
+#: ``_init_worker`` so that episode payloads do not carry it.
 _worker_model: Optional[LstmModel] = None
 
 
@@ -317,11 +317,14 @@ def _init_worker(model: Optional[LstmModel]) -> None:
     _worker_model = model
 
 
-def _episode_job(payload, model: Optional[LstmModel] = None) -> Tuple[float, int, float]:
+def _episode_job(payload):
+    """One grid episode's (OSPA, STTI, time), or the :class:`ToolkitError`
+    it raised; any other exception is a fault in the program and propagates."""
     config, method, seed, ospa_params = payload
-    if model is None:
-        model = _worker_model
-    result = run_episode(config, method, model=model, seed=seed, ospa_params=ospa_params)
+    try:
+        result = run_episode(config, method, _worker_model, seed, ospa_params)
+    except ToolkitError as e:
+        return e
     return result.ospa_mean, result.stti, result.time_mean_s
 
 
@@ -354,17 +357,21 @@ def run_grid(spec: BenchSpec, jobs: int = 1, raw_log=None) -> BenchReport:
     """Run every (method, p_d, e_lambda) cell for n_runs episodes.
 
     Episode seeds depend only on the grid seed, the (p_d, e_lambda) cell and
-    the run index, so all methods see identical measurement draws and
-    parallel execution reproduces the serial accuracy columns (OSPA and STTI
-    mean and std) exactly; ``time_mean_s`` is a wall time and varies with
-    the load. Each worker process receives the DeepDA model once. A failing
-    episode marks its whole cell failed (NaN row); every failing episode is
-    recorded in ``meta["errors"]`` with its method, cell, run, seed tuple
-    and error text, which names the scan it failed on.
+    the run index, so all methods see identical measurement draws. Every
+    episode runs through ``_episode_job``, mapped in this process for
+    ``jobs`` 1 or over ``jobs`` worker processes, so both give the same
+    accuracy columns (OSPA and STTI mean and std) exactly; ``time_mean_s``
+    is a wall time and varies with the load. ``jobs`` below 1 raises
+    :class:`ConfigError`. An episode that raises a :class:`ToolkitError`
+    marks its whole cell failed (NaN row) and is recorded in
+    ``meta["errors"]`` with its method, cell, run, seed tuple and error
+    text, which names the scan it failed on; any other exception propagates.
 
     ``raw_log`` is opened before the first episode, so a path that cannot be
     written raises :class:`ConfigError` before any work is done.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if raw_log is not None:
         try:
             open(raw_log, "w").close()
@@ -372,63 +379,55 @@ def run_grid(spec: BenchSpec, jobs: int = 1, raw_log=None) -> BenchReport:
             raise ConfigError(f"cannot write raw log {raw_log}: {e}") from None
     model = load_model(spec.model_path) if "deepda" in spec.methods else None
     cells = [
-        (method, pi, ei)
+        (method, (spec.seed, pi, ei), replace(spec.base, p_d=p_d, e_lambda=e_lambda))
         for method in spec.methods
-        for pi in range(len(spec.pd_values))
-        for ei in range(len(spec.elambda_values))
+        for pi, p_d in enumerate(spec.pd_values)
+        for ei, e_lambda in enumerate(spec.elambda_values)
     ]
-    payloads = []
-    for method, pi, ei in cells:
-        config = replace(
-            spec.base, p_d=spec.pd_values[pi], e_lambda=spec.elambda_values[ei]
-        )
-        for run in range(spec.n_runs):
-            payloads.append((config, method, (spec.seed, pi, ei, run), spec.ospa))
+    payloads = [
+        (config, method, (*key, run), spec.ospa)
+        for method, key, config in cells
+        for run in range(spec.n_runs)
+    ]
+    if jobs == 1:
+        _init_worker(model)
+        try:
+            outcomes = list(map(_episode_job, payloads))
+        finally:
+            _init_worker(None)
+    else:
+        with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(model,)) as pool:
+            outcomes = list(pool.map(_episode_job, payloads))
 
     meta = _report_meta(spec)
-    outcomes: List = []
-    if jobs <= 1:
-        for payload in payloads:
-            try:
-                outcomes.append(_episode_job(payload, model))
-            except Exception as e:
-                outcomes.append(e)
-    else:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(model,)
-        ) as pool:
-            futures = [pool.submit(_episode_job, p) for p in payloads]
-            for fut in futures:
-                exc = fut.exception()
-                outcomes.append(exc if exc is not None else fut.result())
-
     rows: List[BenchRow] = []
     raw_rows: List[RawEpisodeRow] = []
-    for idx, (method, pi, ei) in enumerate(cells):
-        p_d, e_lambda = spec.pd_values[pi], spec.elambda_values[ei]
-        cell = outcomes[idx * spec.n_runs : (idx + 1) * spec.n_runs]
-        failures = [(run, o) for run, o in enumerate(cell) if isinstance(o, Exception)]
-        if failures:
-            meta["errors"] += [
-                {
-                    "method": method,
-                    "p_d": p_d,
-                    "e_lambda": e_lambda,
-                    "run": run,
-                    "seed": [spec.seed, pi, ei, run],
-                    "error": f"{type(e).__name__}: {e}",
-                }
-                for run, e in failures
-            ]
-            rows.append(
-                BenchRow(method, p_d, e_lambda, *(float("nan"),) * 5)
-            )
+    for idx, (method, key, config) in enumerate(cells):
+        p_d, e_lambda = config.p_d, config.e_lambda
+        done: List[RawEpisodeRow] = []
+        errors: List[Dict] = []
+        for run, o in enumerate(outcomes[idx * spec.n_runs : (idx + 1) * spec.n_runs]):
+            if isinstance(o, ToolkitError):
+                errors.append(
+                    {
+                        "method": method,
+                        "p_d": p_d,
+                        "e_lambda": e_lambda,
+                        "run": run,
+                        "seed": [*key, run],
+                        "error": f"{type(o).__name__}: {o}",
+                    }
+                )
+            else:
+                done.append(RawEpisodeRow(method, p_d, e_lambda, run, *o))
+        meta["errors"] += errors
+        if errors:
+            rows.append(BenchRow(method, p_d, e_lambda, *(float("nan"),) * 5))
             continue
-        ospas = np.array([o[0] for o in cell])
-        sttis = np.array([o[1] for o in cell], dtype=float)
-        times = np.array([o[2] for o in cell])
-        for run, o in enumerate(cell):
-            raw_rows.append(RawEpisodeRow(method, p_d, e_lambda, run, o[0], int(o[1]), o[2]))
+        raw_rows += done
+        ospas = np.array([r.ospa for r in done])
+        sttis = np.array([r.stti for r in done], dtype=float)
+        times = np.array([r.time_s for r in done])
         rows.append(
             BenchRow(
                 method,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .assoc import GateParams
-from .bench import BenchSpec, emit_report, make_engine, run_grid, track_scans
+from .bench import METHODS, BenchSpec, emit_report, make_engine, run_grid, track_scans
 from .deepda import (
     MODEL_FORMAT_VERSION,
     NetConfig,
@@ -251,6 +251,8 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     spec = BenchSpec.from_dict(_load_json(args.config))
     _announce(
         "bench",
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="run one tracking episode")
     p.add_argument("input", help="scenario config JSON or scans.csv")
-    p.add_argument("--method", choices=["ha", "jpda", "deepda"], required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--model", default=None, help="model.json for deepda")
     p.add_argument("--truth", default=None, help="truth.csv (required with scans.csv input)")
     p.add_argument("--out", default=".", help="output directory")

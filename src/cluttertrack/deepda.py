@@ -347,12 +347,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class _ForwardCache:
-    __slots__ = ("x", "xp", "mask", "steps", "hs", "cs", "u", "s", "beta")
+    __slots__ = ("x", "xp", "steps", "hs", "cs", "u", "s", "beta")
 
-    def __init__(self, x, xp, mask, steps, hs, cs, u, s, beta):
+    def __init__(self, x, xp, steps, hs, cs, u, s, beta):
         self.x = x
         self.xp = xp
-        self.mask = mask
         self.steps = steps  # per step (gi, gf, gg, go, tanh(c))
         self.hs = hs  # (B, T, hidden) states after each step
         self.cs = cs  # (B, T, hidden) cells after each step
@@ -399,7 +398,7 @@ def _forward_core(model: LstmModel, x: np.ndarray, mask: np.ndarray) -> _Forward
     if not np.all(np.isfinite(beta)):
         bad = int(np.argwhere(~np.isfinite(beta))[0][0])
         raise NumericalError(f"non-finite activations in forward pass (sequence {bad})")
-    return _ForwardCache(x, xp, mask, steps, hs, cs, u, s, beta)
+    return _ForwardCache(x, xp, steps, hs, cs, u, s, beta)
 
 
 def _backward_core(model: LstmModel, cache: _ForwardCache, dbeta: np.ndarray) -> np.ndarray:

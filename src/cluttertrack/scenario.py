@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -119,29 +119,23 @@ class TrainingSet:
         return len(self.groups)
 
 
-def make_training_set(
-    configs: Sequence[ScenarioConfig],
-    seeds: Optional[Sequence[Seed]] = None,
-) -> TrainingSet:
+def make_training_set(configs: Sequence[ScenarioConfig]) -> TrainingSet:
     """Simulate every config and emit per-scan association samples.
 
     For each scan k >= 1 and each target: the target's truth at k-1
     propagated one step, the scan's measurements, and the one-hot truth row
-    (its measurement's index, or the miss column when undetected). The
-    set's ``m_max`` is its largest scan's measurement count, at least 1.
+    (its measurement's index, or the miss column when undetected). Each
+    config is simulated with its own seed. The set's ``m_max`` is its
+    largest scan's measurement count, at least 1.
     """
     if not configs:
         raise ConfigError("make_training_set needs at least one scenario config")
-    if seeds is None:
-        seeds = [c.seed for c in configs]
-    if len(seeds) != len(configs):
-        raise ConfigError(f"{len(seeds)} seeds for {len(configs)} configs")
 
     groups: List[ScanSequence] = []
     m_max = 0
-    for cfg, seed in zip(configs, seeds):
+    for cfg in configs:
         truth = generate_truth(cfg)
-        scans = generate_scans(truth, seed)
+        scans = generate_scans(truth, cfg.seed)
         pred_meas = (truth.states[:-1] @ transition_matrix(cfg.dt).T)[:, :, [0, 2]]
         for scan, pred in zip(scans[1:], pred_meas):
             m_max = max(m_max, scan.num_measurements)

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import pickle
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from cluttertrack.deepda import (
     NetConfig,
     TrainConfig,
     init_model,
+    load_model,
     save_model,
     train,
 )
@@ -94,21 +96,31 @@ def test_parallel_grid_reproduces_serial_accuracy_columns(model_path):
 
 
 def test_deepda_payload_does_not_carry_the_model(model_path, monkeypatch):
-    seen = []
-    original = bench._episode_job
+    payloads, models = [], []
+    job, episode = bench._episode_job, bench.run_episode
 
-    def recording_job(payload, model=None):
-        seen.append((payload, model))
-        return original(payload, model)
+    def recording_job(payload):
+        payloads.append(payload)
+        return job(payload)
+
+    def recording_episode(config, method, model, *args):
+        models.append(model)
+        return episode(config, method, model, *args)
 
     monkeypatch.setattr(bench, "_episode_job", recording_job)
+    monkeypatch.setattr(bench, "run_episode", recording_episode)
     report = run_grid(_spec(model_path, ("deepda",)), jobs=1)
     assert report.meta["errors"] == []
-    assert len(seen) == 2
-    for payload, model in seen:
-        assert isinstance(model, LstmModel)
+    assert len(payloads) == len(models) == 2
+    loaded = load_model(model_path)
+    for payload, model in zip(payloads, models):
         assert not any(isinstance(part, LstmModel) for part in payload)
-        assert len(pickle.dumps(payload)) < len(pickle.dumps(model))
+        assert len(pickle.dumps(payload)) < len(pickle.dumps(loaded))
+        assert isinstance(model, LstmModel)
+        for name, value in loaded.params().items():
+            np.testing.assert_array_equal(model.params()[name], value)
+    # The serial grid set the model in this process only while it ran.
+    assert bench._worker_model is None
 
 
 def test_every_failing_episode_is_recorded_with_its_context(tmp_path):
@@ -116,19 +128,43 @@ def test_every_failing_episode_is_recorded_with_its_context(tmp_path):
     cfg = NetConfig(m_max=1, hidden=4)
     path = tmp_path / "tiny.json"
     save_model(init_model(cfg, identity_norm(cfg.features)), path)
-    report = run_grid(_spec(str(path), ("ha", "deepda")), jobs=1)
-    ha, deepda = report.rows
+    serial, parallel = (run_grid(_spec(str(path), ("ha", "deepda")), jobs=jobs) for jobs in (1, 2))
+    ha, deepda = serial.rows
     assert ha.method == "ha" and not math.isnan(ha.ospa_mean)
     assert deepda.method == "deepda"
     assert all(math.isnan(getattr(deepda, col)) for col in ACCURACY_COLUMNS)
-    errors = report.meta["errors"]
+    errors = serial.meta["errors"]
     assert [(e["method"], e["p_d"], e["e_lambda"], e["run"], e["seed"]) for e in errors] == [
         ("deepda", 0.9, 20.0, 0, [3, 0, 0, 0]),
         ("deepda", 0.9, 20.0, 1, [3, 0, 0, 1]),
     ]
     for e in errors:
         assert e["error"].startswith("CapacityError: scan 1: scan has ")
-    assert json.loads(json.dumps(report.meta))["errors"] == errors
+    assert json.loads(json.dumps(serial.meta))["errors"] == errors
+    assert parallel.meta["errors"] == errors
+
+
+# Workers inherit the patched engine only when they are forked.
+FAULT_JOBS = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
+
+
+@pytest.mark.parametrize("jobs", FAULT_JOBS)
+def test_a_fault_in_the_program_propagates_instead_of_failing_the_cell(monkeypatch, jobs):
+    def broken(self, tracks, scan):
+        raise TypeError("a bug in the program")
+
+    monkeypatch.setattr(bench.HaEngine, "associate", broken)
+    with pytest.raises(TypeError, match="a bug in the program"):
+        run_grid(_spec(None, ("ha",)), jobs=jobs)
+    assert bench._worker_model is None
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_grid_refuses_fewer_than_one_job_before_any_work(tmp_path, jobs):
+    raw = tmp_path / "raw.csv"
+    with pytest.raises(ConfigError, match=f"^jobs must be >= 1, got {jobs}$"):
+        run_grid(_spec(None, ("ha",)), jobs=jobs, raw_log=raw)
+    assert not raw.exists()
 
 
 @pytest.fixture(scope="module")

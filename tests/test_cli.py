@@ -317,6 +317,17 @@ def test_track_single_scan_scenario_exits_2_and_writes_no_metrics(tmp_path, caps
     assert not (out / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_bench_refuses_fewer_than_one_job_before_creating_out(tmp_path, capsys, jobs):
+    bench_spec = tmp_path / "bench.json"
+    doc = {"base": five_crossing_targets().to_dict(), "n_runs": 1, "methods": ["ha"]}
+    bench_spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["bench", str(bench_spec), "--jobs", jobs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "train", "track", "bench"])
 def test_out_naming_a_file_exits_with_config_code_before_any_work(
     tmp_path, capsys, monkeypatch, command

@@ -292,7 +292,7 @@ def reference_cache(model, x, mask):
     def trace(field):
         return np.stack([step[field] for step in steps], axis=1)
 
-    return _ForwardCache(x, xp, mask, gates, trace(8), trace(6), trace(9), trace(10), beta)
+    return _ForwardCache(x, xp, gates, trace(8), trace(6), trace(9), trace(10), beta)
 
 
 def assert_same(got, ref, exact, atol=0.0):
