@@ -460,7 +460,9 @@ def write_raw_log(rows: Sequence[RawEpisodeRow], path) -> None:
 def emit_report(report: BenchReport, out_dir) -> Dict[str, str]:
     """Write report.csv, report.json and the plot-data CSVs
     ospa_vs_elambda.csv and ospa_vs_pd.csv into ``out_dir`` (created if
-    missing); returns their paths keyed "csv", "json" and by file name."""
+    missing); returns their paths keyed "csv", "json" and by file name.
+    A failed cell's NaN columns read ``nan`` in the CSV files and ``null``
+    in report.json, which is strict JSON."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {"csv": os.path.join(out_dir, "report.csv")}
     write_csv(paths["csv"], [f.name for f in fields(BenchRow)], map(astuple, report.rows))
@@ -471,7 +473,7 @@ def emit_report(report: BenchReport, out_dir) -> Dict[str, str]:
         write_csv(paths[name], columns, ([getattr(r, c) for c in columns] for r in ordered))
 
     paths["json"] = os.path.join(out_dir, "report.json")
-    doc = {"meta": report.meta, "rows": [asdict(r) for r in report.rows]}
+    rows = [{k: None if v != v else v for k, v in asdict(r).items()} for r in report.rows]  # NaN != NaN
     with open(paths["json"], "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump({"meta": report.meta, "rows": rows}, fh, indent=2, allow_nan=False)
     return paths

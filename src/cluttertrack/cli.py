@@ -6,7 +6,7 @@ emitted artifacts are self-describing. Exit codes: 0 success, 2 bad usage
 or configuration, 3 numerical failure. A failure prints one line to stderr,
 ``error: <message>``. For a config file the message starts with the field
 at fault, under the file's section ``scenario``, ``bench`` or ``train`` and
-its nested sections, as in ``error: bench.ospa.c: could not convert ...``.
+its nested sections, as in ``error: bench.ospa.c: expected a number, got '10'``.
 """
 
 from __future__ import annotations
@@ -180,6 +180,13 @@ def _cmd_track(args) -> int:
             raise ConfigError(
                 f"{len(scans)} scans but {truth_states.shape[0]} truth epochs"
             )
+        num_targets = truth_states.shape[1]
+        for scan in scans:
+            if scan.origins and max(scan.origins) >= num_targets:
+                raise ConfigError(
+                    f"{args.input}: scan {scan.k}: target id {max(scan.origins)}, "
+                    f"but {args.truth} has {num_targets} targets"
+                )
         # The filter needs the scan interval and JPDA the scenario's p_d and
         # clutter density, which the CSV files do not record: take p_d, the
         # clutter rate and dt from flags or the reference values, and the
@@ -189,7 +196,7 @@ def _cmd_track(args) -> int:
         low = np.minimum(points.min(axis=0), [DEFAULT_REGION.xmin, DEFAULT_REGION.ymin])
         high = np.maximum(points.max(axis=0), [DEFAULT_REGION.xmax, DEFAULT_REGION.ymax])
         config = ScenarioConfig(
-            num_targets=truth_states.shape[1],
+            num_targets=num_targets,
             initial_states=tuple(tuple(s) for s in truth_states[0]),
             dt=params.dt,
             num_scans=truth_states.shape[0],

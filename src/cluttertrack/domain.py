@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from typing import ClassVar, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Union
+from typing import ClassVar, Dict, FrozenSet, Iterator, Mapping, NamedTuple, Optional, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -56,10 +56,11 @@ def read_config(section: str, doc, cls, required: bool = False):
 
     Unknown keys are refused, and so are missing ones: a field with no
     default, and every field if ``required`` or ``cls.every_field_required``.
-    Values take their field's type: ``float``, ``int`` (a JSON integer, or
-    a number with an integral value such as 5.0; not a fraction or a
-    boolean), ``str``, ``Optional[X]``, tuples from JSON lists, and config
-    dataclasses, read by this function as section ``section.field``.
+    Values take their field's type: ``float`` (a JSON number, not a
+    boolean or a string), ``int`` (a JSON integer, or a number with an
+    integral value such as 5.0; not a fraction or a boolean), ``str``,
+    ``Optional[X]``, tuples from JSON lists, and config dataclasses, read by
+    this function as section ``section.field``.
     """
     if not isinstance(doc, Mapping):
         raise ConfigError(f"{section}: expected a JSON object, got {type(doc).__name__}")
@@ -104,9 +105,11 @@ def _convert(path: str, value, tp):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return value
+    if tp is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
         return tp(value)
-    except (TypeError, ValueError, OverflowError) as e:
+    except OverflowError as e:
         raise ConfigError(f"{path}: {e}") from None
 
 
@@ -259,42 +262,19 @@ class Scan:
         return self.measurements.shape[0]
 
 
-def _check_tracks(x: np.ndarray, p: np.ndarray, lead: Tuple[int, ...], ids) -> None:
-    """The track checks, in order, for states of shape ``lead + (4,)`` and
-    covariances of shape ``lead + (4, 4)``; ``ids[row]`` names a row.
-
-    Shapes, then symmetry to ``np.allclose(p, p.T, atol=1e-8)`` (NaN fails
-    it; an exactly symmetric ``p``, which the filter always makes, passes
-    without the tolerance test), raise ``ContractViolation``; a non-finite
-    state or covariance raises ``NumericalError``; a smallest eigenvalue
-    below -1e-9 raises ``ContractViolation``.
-    """
-    if x.shape != lead + (4,):
-        raise ContractViolation(f"state must have 4 entries, shape (4,) per track; got shape {x.shape}")
-    if p.shape != lead + (4, 4):
-        raise ContractViolation(f"covariance must be 4x4 per track, got shape {p.shape}")
-    x = x.reshape(-1, 4)
-    p = p.reshape(-1, 4, 4)
-    pt = p.swapaxes(1, 2)
-    # Each rule is one whole-array test; the failing row is found only after.
-    if not ((p == pt).all() or np.allclose(p, pt, atol=1e-8)):
-        raise ContractViolation("covariance must be symmetric")
-    if not (np.isfinite(p).all() and np.isfinite(x).all()):
-        bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=(1, 2)))
-        raise NumericalError(f"track {ids[int(np.argmax(bad))]}: non-finite state or covariance")
-    if len(p):
-        lowest = np.linalg.eigvalsh(p)[:, 0]  # eigenvalues come in ascending order
-        if lowest.min() < -1e-9:
-            raise ContractViolation(f"track {ids[int(np.argmax(lowest < -1e-9))]}: covariance is not PSD")
-
-
 @dataclass(frozen=True)
 class TrackSet:
     """Every target's filtered state estimate, one row per track.
 
     ``x[j]`` is track j's state (x, vx, y, vy) and ``p[j]`` its 4x4
-    symmetric PSD covariance; a track's id is its row. Checked on
-    construction as :class:`Track` is, and never written in place.
+    symmetric PSD covariance; a track's id is its row. Never written in
+    place. Checked on construction, in this order: shapes, then symmetry to
+    ``np.allclose(p, p.T, atol=1e-8)`` (NaN fails it; an exactly symmetric
+    ``p``, which the filter always makes, passes without the tolerance
+    test), raise ``ContractViolation``; a non-finite state or covariance
+    raises ``NumericalError``; a smallest eigenvalue below -1e-9 raises
+    ``ContractViolation``. A row error names the first failing row as
+    "track j".
     """
 
     x: np.ndarray
@@ -303,7 +283,21 @@ class TrackSet:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         p = np.asarray(self.p, dtype=float)
-        _check_tracks(x, p, x.shape[:1], range(len(x)))
+        if x.shape != x.shape[:1] + (4,):
+            raise ContractViolation(f"state must have 4 entries, shape (4,) per track; got shape {x.shape}")
+        if p.shape != x.shape[:1] + (4, 4):
+            raise ContractViolation(f"covariance must be 4x4 per track, got shape {p.shape}")
+        pt = p.swapaxes(1, 2)
+        # Each rule is one whole-array test; the failing row is found only after.
+        if not ((p == pt).all() or np.allclose(p, pt, atol=1e-8)):
+            raise ContractViolation("covariance must be symmetric")
+        if not (np.isfinite(p).all() and np.isfinite(x).all()):
+            bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=(1, 2)))
+            raise NumericalError(f"track {int(np.argmax(bad))}: non-finite state or covariance")
+        if len(p):
+            lowest = np.linalg.eigvalsh(p)[:, 0]  # eigenvalues come in ascending order
+            if lowest.min() < -1e-9:
+                raise ContractViolation(f"track {int(np.argmax(lowest < -1e-9))}: covariance is not PSD")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
 
@@ -319,24 +313,13 @@ class TrackSet:
         return self.x[:, ::2]
 
 
-@dataclass(frozen=True)
-class Track:
-    """One target's filtered state estimate: one row of a :class:`TrackSet`.
-
-    State is (x, vx, y, vy) of shape (4,); covariance is 4x4 symmetric
-    PSD. Checked by the same rules as a :class:`TrackSet`.
-    """
+class Track(NamedTuple):
+    """One row of a :class:`TrackSet`, unchecked: its id, its state (4,)
+    and its 4x4 covariance."""
 
     id: int
     state: np.ndarray
     covariance: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.state, dtype=float)
-        p = np.asarray(self.covariance, dtype=float)
-        _check_tracks(x, p, (), [self.id])
-        object.__setattr__(self, "state", x)
-        object.__setattr__(self, "covariance", p)
 
 
 @dataclass(frozen=True)

@@ -167,8 +167,9 @@ def seeded_variants(base: ScenarioConfig, count: int) -> List[ScenarioConfig]:
 # targets are numbered 0..n-1, each once. write_csv, the one CSV writer (of
 # loss_curve.csv, tracks.csv and the bench reports too), writes floats as
 # repr(float(v)), the same text under numpy 1 and 2, so files round-trip
-# exactly. Malformed rows, non-finite numbers included, raise ConfigError
-# naming the file and line, a missing or repeated index the file and scan.
+# exactly. Malformed rows, non-finite numbers and origins below -1 included,
+# raise ConfigError naming the file and line, a missing or repeated index or
+# a target id on two measurements the file and scan.
 # ---------------------------------------------------------------------------
 
 SCANS_CSV_HEADER = ["scan", "k", "x", "y", "origin"]
@@ -226,6 +227,8 @@ def read_scans_csv(path) -> List[Scan]:
                     rows.append(None)  # the empty-scan row
                     continue
                 origin = None if row[4] == "" else int(row[4])
+                if origin is not None and origin < CLUTTER:
+                    raise ValueError(f"origin {origin} is below {CLUTTER}")
                 rows.append((int(row[1]), _finite(row[2]), _finite(row[3]), origin))
             except (ValueError, IndexError) as e:
                 raise _malformed(path, reader.line_num, row, e) from None
@@ -249,7 +252,10 @@ def read_scans_csv(path) -> List[Scan]:
             raise ConfigError(f"{path}: scan {k} mixes labeled and unlabeled rows")
         else:
             origins = tuple(labels)
-        scans.append(Scan(k=k, measurements=meas, origins=origins))
+        try:
+            scans.append(Scan(k=k, measurements=meas, origins=origins))
+        except ContractViolation as e:
+            raise ConfigError(f"{path}: scan {k}: {e}") from None
     return scans
 
 

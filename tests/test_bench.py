@@ -282,11 +282,11 @@ def test_report_files_match_golden_text(tmp_path):
       "method": "deepda",
       "p_d": 0.9,
       "e_lambda": 26.0,
-      "ospa_mean": NaN,
-      "ospa_std": NaN,
-      "stti_mean": NaN,
-      "stti_std": NaN,
-      "time_mean_s": NaN
+      "ospa_mean": null,
+      "ospa_std": null,
+      "stti_mean": null,
+      "stti_std": null,
+      "time_mean_s": null
     },
     {
       "method": "jpda",

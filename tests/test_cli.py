@@ -89,6 +89,33 @@ def test_track_csv_with_a_missing_row_exits_with_config_code(tmp_path, capsys, n
     assert f"{sim / message}" in capsys.readouterr().err
 
 
+# Target 2 relabelled: 9 and -3 name no target of the five and used to be
+# scored (exit 0), 1 repeats a label in scan 0 and named neither file nor scan.
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("9", "{scans}: scan 0: target id 9, but {truth} has 5 targets\n"),
+        ("-3", "{scans}, line {line}: malformed row "),
+        ("1", "{scans}: scan 0: a target id appears on more than one measurement\n"),
+    ],
+    ids=["beyond-the-truth", "below-clutter", "repeated"],
+)
+def test_track_csv_refuses_a_wrong_target_label(tmp_path, capsys, label, message):
+    code, _ = _simulate_then_track(tmp_path, five_crossing_targets())
+    assert code == 0
+    capsys.readouterr()
+    sim = tmp_path / "sim"
+    scans, truth = sim / "scans.csv", sim / "truth.csv"
+    lines = [line[:-1] + label if line.endswith(",2") else line for line in scans.read_text().splitlines()]
+    scans.write_text("\n".join(lines) + "\n")
+    line = 1 + next(i for i, text in enumerate(lines) if text.endswith("," + label))
+    argv = ["track", str(scans), "--truth", str(truth), "--method", "ha"]
+    assert main(argv + ["--out", str(tmp_path / "refused")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(scans=scans, truth=truth, line=line)), err
+    assert err.count("\n") == 1 and not (tmp_path / "refused").exists()
+
+
 def _train_config(tmp_path, train):
     doc = {
         "base": five_crossing_targets().to_dict(),
@@ -175,6 +202,15 @@ TRAIN = {"base": REFERENCE, "variants": 2, "net": {"hidden": 4}, "train": {"epoc
         # A scenarios list names every training scenario, so either would be ignored.
         ("train", {"scenarios": [REFERENCE], "base": REFERENCE}, "train.base"),
         ("train", {"scenarios": [REFERENCE], "variants": 7}, "train.variants"),
+        # A float field takes a JSON number only; these used to read as 1.0, 10.0, 5.0 and 1.0.
+        ("simulate", {**REFERENCE, "p_d": True}, "scenario.p_d"),
+        ("bench", {**BENCH, "ospa": {"c": "10"}}, "bench.ospa.c"),
+        (
+            "simulate",
+            {**REFERENCE, "initial_states": [["5", 1.0, 11.0, 0.4]] + REFERENCE["initial_states"][1:]},
+            "scenario.initial_states[0][0]",
+        ),
+        ("train", {**TRAIN, "train": {"lr": True}}, "train.train.lr"),
     ],
 )
 def test_malformed_config_exits_with_config_code_naming_the_field(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from cluttertrack.domain import (
     Region,
     Scan,
     ScenarioConfig,
-    Track,
     TrackSet,
     assign_with_misses,
     five_crossing_targets,
@@ -94,6 +94,17 @@ def test_config_int_fields_take_integral_numbers_only(reference_config):
             ScenarioConfig.from_dict(doc)
 
 
+def test_config_float_fields_take_numbers_only(reference_config):
+    doc = reference_config.to_dict()
+    doc["p_d"] = 1
+    cfg = ScenarioConfig.from_dict(doc)
+    assert cfg.p_d == 1.0 and type(cfg.p_d) is float
+    for value in (True, False, "0.5", None, [0.5]):
+        doc["p_d"] = value
+        with pytest.raises(ConfigError, match=rf"^scenario.p_d: expected a number, got {re.escape(repr(value))}$"):
+            ScenarioConfig.from_dict(doc)
+
+
 def test_config_region_must_contain_targets(reference_config):
     doc = reference_config.to_dict()
     doc["region"] = {"xmin": 6.0, "xmax": 30.0, "ymin": 8.0, "ymax": 22.0}
@@ -115,7 +126,7 @@ def test_reference_scenario_shape():
 
 
 # ---------------------------------------------------------------------------
-# Scan / Track
+# Scan
 # ---------------------------------------------------------------------------
 
 
@@ -136,97 +147,8 @@ def test_scan_empty():
     assert scan.num_measurements == 0
 
 
-def test_track_requires_psd_covariance():
-    bad = np.diag([1.0, 1.0, 1.0, -0.5])
-    with pytest.raises(ContractViolation):
-        Track(0, np.zeros(4), bad)
-
-
-def test_track_requires_symmetry():
-    p = np.eye(4)
-    p[0, 1] = 0.5
-    with pytest.raises(ContractViolation):
-        Track(0, np.zeros(4), p)
-
-
-def _spd_with_offdiagonal(upper, lower):
-    p = 10.0 * np.eye(4)
-    p[0, 1], p[1, 0] = upper, lower
-    return p
-
-
-@pytest.mark.parametrize(
-    "p, ok",
-    [
-        (_spd_with_offdiagonal(2.0, 2.0 * (1.0 + 1e-6)), True),
-        (_spd_with_offdiagonal(2.0, 2.0 * (1.0 + 5e-6)), True),
-        (_spd_with_offdiagonal(2.0, 2.0 * (1.0 + 5e-5)), False),
-        (_spd_with_offdiagonal(2.0, 2.0 * (1.0 + 1e-3)), False),
-        (_spd_with_offdiagonal(0.0, 5e-9), True),
-        (_spd_with_offdiagonal(0.0, 2e-8), False),
-    ],
-)
-def test_track_symmetry_tolerance(p, ok):
-    # allclose's rule: |p - p.T| <= 1e-8 + 1e-5 |p.T| elementwise.
-    if ok:
-        Track(0, np.zeros(4), p)
-    else:
-        with pytest.raises(ContractViolation, match="symmetric"):
-            Track(0, np.zeros(4), p)
-
-
-def test_track_non_finite_inputs():
-    nan_cov = np.eye(4)
-    nan_cov[2, 2] = np.nan
-    with pytest.raises(ContractViolation, match="symmetric"):
-        Track(0, np.zeros(4), nan_cov)
-    one_sided_inf = np.eye(4)
-    one_sided_inf[0, 1] = np.inf
-    with pytest.raises(ContractViolation, match="symmetric"):
-        Track(0, np.zeros(4), one_sided_inf)
-    for i, j in ((1, 1), (0, 3)):
-        inf_cov = np.eye(4)
-        inf_cov[i, j] = inf_cov[j, i] = np.inf
-        with pytest.raises(NumericalError, match="track 7: non-finite"):
-            Track(7, np.zeros(4), inf_cov)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(NumericalError, match="track 7: non-finite"):
-            Track(7, np.array([0.0, bad, 0.0, 0.0]), np.eye(4))
-
-
-@pytest.mark.parametrize("lowest, ok", [(-1e-10, True), (0.0, True), (-1e-8, False)])
-def test_track_psd_tolerance(lowest, ok):
-    p = np.diag([1.0, 2.0, 3.0, lowest])
-    if ok:
-        Track(0, np.zeros(4), p)
-    else:
-        with pytest.raises(ContractViolation, match="track 0: covariance is not PSD"):
-            Track(0, np.zeros(4), p)
-
-
-@pytest.mark.parametrize(
-    "state, cov, msg",
-    [
-        (np.zeros(3), np.eye(4), "state must have 4 entries"),
-        (np.zeros(5), np.eye(4), "state must have 4 entries"),
-        (np.zeros(4), np.eye(3), "covariance must be 4x4"),
-        (np.zeros(4), np.eye(4).reshape(2, 8), "covariance must be 4x4"),
-        (np.zeros((2, 2)), np.eye(4), "state must have 4 entries"),  # 4 entries, wrong shape
-    ],
-)
-def test_track_shape_errors(state, cov, msg):
-    with pytest.raises(ContractViolation, match=msg):
-        Track(0, state, cov)
-
-
-def test_track_normalises_inputs():
-    t = Track(0, [1, 2, 3, 4], np.eye(4, dtype=int).tolist())
-    assert t.state.dtype == float and t.covariance.dtype == float
-    np.testing.assert_array_equal(t.state, [1.0, 2.0, 3.0, 4.0])
-
-
 # ---------------------------------------------------------------------------
-# TrackSet: the same checks, with the failing row named
+# TrackSet: its checks, with the failing row named
 # ---------------------------------------------------------------------------
 
 
@@ -238,6 +160,12 @@ def _set_with_row(state, cov, n=3, row=1):
     return x, p
 
 
+def _spd_with_offdiagonal(upper, lower):
+    p = 10.0 * np.eye(4)
+    p[0, 1], p[1, 0] = upper, lower
+    return p
+
+
 @pytest.mark.parametrize(
     "x, p, msg",
     [
@@ -247,6 +175,12 @@ def _set_with_row(state, cov, n=3, row=1):
         (np.zeros((3, 4)), np.stack([np.eye(4)] * 2), "covariance must be 4x4"),
         (np.zeros((3, 4)), np.stack([np.eye(3)] * 3), "covariance must be 4x4"),
         (np.zeros((3, 4)), np.eye(4), "covariance must be 4x4"),
+        # One-row sets.
+        (np.zeros((1, 3)), np.eye(4)[None], "state must have 4 entries"),
+        (np.zeros((1, 5)), np.eye(4)[None], "state must have 4 entries"),
+        (np.zeros((1, 4)), np.eye(3)[None], "covariance must be 4x4"),
+        (np.zeros((1, 4)), np.eye(4).reshape(1, 2, 8), "covariance must be 4x4"),
+        (np.zeros((1, 2, 2)), np.eye(4)[None], "state must have 4 entries"),  # 4 entries, wrong shape
     ],
 )
 def test_track_set_shape_errors(x, p, msg):
@@ -261,9 +195,12 @@ def test_track_set_shape_errors(x, p, msg):
         (_spd_with_offdiagonal(2.0, 2.0 * (1.0 + 5e-5)), False),
         (_spd_with_offdiagonal(0.0, 5e-9), True),
         (_spd_with_offdiagonal(0.0, 2e-8), False),
+        (_spd_with_offdiagonal(2.0, 2.0 * (1.0 + 1e-6)), True),
+        (_spd_with_offdiagonal(2.0, 2.0 * (1.0 + 1e-3)), False),
     ],
 )
 def test_track_set_symmetry_tolerance(p, ok):
+    # allclose's rule: |p - p.T| <= 1e-8 + 1e-5 |p.T| elementwise.
     x, ps = _set_with_row(np.zeros(4), p)
     if ok:
         TrackSet(x, ps)
@@ -281,10 +218,11 @@ def test_track_set_non_finite_inputs_name_the_row():
     one_sided_inf[0, 1] = np.inf
     with pytest.raises(ContractViolation, match="symmetric"):
         TrackSet(*_set_with_row(np.zeros(4), one_sided_inf))
-    inf_cov = np.eye(4)
-    inf_cov[0, 3] = inf_cov[3, 0] = np.inf
-    with pytest.raises(NumericalError, match="track 1: non-finite"):
-        TrackSet(*_set_with_row(np.zeros(4), inf_cov))
+    for i, j in ((1, 1), (0, 3)):
+        inf_cov = np.eye(4)
+        inf_cov[i, j] = inf_cov[j, i] = np.inf
+        with pytest.raises(NumericalError, match="track 1: non-finite"):
+            TrackSet(*_set_with_row(np.zeros(4), inf_cov))
     for bad in (np.nan, np.inf):
         with pytest.raises(NumericalError, match="track 2: non-finite"):
             TrackSet(*_set_with_row(np.array([0.0, bad, 0.0, 0.0]), np.eye(4), row=2))
@@ -316,9 +254,10 @@ def test_track_set_checks_name_the_first_failing_row():
 
 
 def test_track_set_rows_and_positions():
-    x = np.arange(12.0).reshape(3, 4)
-    ts = TrackSet(x.tolist(), np.stack([np.eye(4)] * 3))
-    assert len(ts) == 3 and ts.x.dtype == float
+    # Lists of ints are read as float arrays.
+    x = np.arange(12).reshape(3, 4)
+    ts = TrackSet(x.tolist(), np.stack([np.eye(4, dtype=int)] * 3).tolist())
+    assert len(ts) == 3 and ts.x.dtype == float and ts.p.dtype == float
     np.testing.assert_array_equal(ts.positions, x[:, [0, 2]])
     for j, t in enumerate(ts):
         assert t.id == j

@@ -340,6 +340,7 @@ def test_read_truth_rejects_non_finite_number(tmp_path, value):
         "0,,1.0,2.0,",
         "0,1,nan,2.0,-1",
         "0,1,1.0,inf,-1",
+        "0,1,1.0,2.0,-3",
     ],
 )
 def test_read_scans_rejects_malformed_row(tmp_path, row):
@@ -415,6 +416,14 @@ def test_read_scans_rejects_a_gap_in_the_scan_indices(tmp_path, reference_config
     kept = [line for line in lines if not line.startswith("2,")] + ["20,0,5.0,11.0,-1"]
     path.write_text("\n".join(kept) + "\n")
     with pytest.raises(ConfigError, match=r"scans\.csv: scans must run 0\.\.19; scan 2 has no rows"):
+        read_scans_csv(path)
+
+
+def test_read_scans_names_the_file_and_scan_of_a_repeated_target_id(tmp_path):
+    path = tmp_path / "scans.csv"
+    path.write_text(",".join(SCANS_CSV_HEADER) + "\n0,,,,\n1,0,1.0,2.0,3\n1,1,3.0,4.0,3\n")
+    message = r"scans\.csv: scan 1: a target id appears on more than one measurement$"
+    with pytest.raises(ConfigError, match=message):
         read_scans_csv(path)
 
 
