@@ -65,8 +65,10 @@ class HaEngine:
     def associate(self, tracks: TrackSet, scan) -> Assignment:
         # Euclidean cost, gated pairs excluded; a miss costs sqrt(gamma)
         # times the mean innovation standard deviation over tracks and axes.
+        # A measurement so far off that its cost overflows costs inf.
         nu, s, _, d2 = innovations(tracks, scan.measurements, self.params)
-        cost = np.sqrt(nu[:, :, 0] ** 2 + nu[:, :, 1] ** 2)
+        with np.errstate(over="ignore"):
+            cost = np.sqrt(nu[:, :, 0] ** 2 + nu[:, :, 1] ** 2)
         cost[d2 > self.gp.gamma] = np.inf
         miss = float(
             np.sqrt(self.gp.gamma)
@@ -160,9 +162,10 @@ def track_scans(
     prediction. Each scan's rows are checked once, where they are made: a
     weighted engine returns them checked, and the one-hot rows are checked
     when they are wrapped here. Identity switches come from the hard
-    assignment (probability rows are hardened first). Fewer than two scans,
-    the first of which only starts the tracks, raise
-    :class:`ContractViolation`.
+    assignment (probability rows are hardened first). A
+    :class:`ToolkitError` raised while filtering a scan is raised again,
+    with its type, as ``scan k: <message>``. Fewer than two scans, the first
+    of which only starts the tracks, raise :class:`ContractViolation`.
     """
     if len(scans) < 2:
         raise ContractViolation(f"tracking needs at least 2 scans, got {len(scans)}")
@@ -176,21 +179,21 @@ def track_scans(
     states: List[np.ndarray] = []
     for idx in range(1, len(scans)):
         scan = scans[idx]
-        predicted = predict(tracks, params)
         try:
+            predicted = predict(tracks, params)
             out, seconds = timed(lambda: engine.associate(predicted, scan))
+            if engine.mode == "hard":
+                assignment: Assignment = out
+                m = scan.num_measurements
+                rows = np.zeros((n, m + 1))
+                rows[range(n), [assignment.pairs.get(j, m) for j in range(n)]] = 1.0
+                probs = AssocProbabilities(rows)
+            else:
+                probs: AssocProbabilities = out
+                assignment = hard_assignment_from_probs(probs)
+            tracks = update_weighted(predicted, scan, probs, params)
         except ToolkitError as e:
             raise type(e)(f"scan {scan.k}: {e}") from None
-        if engine.mode == "hard":
-            assignment: Assignment = out
-            m = scan.num_measurements
-            rows = np.zeros((n, m + 1))
-            rows[range(n), [assignment.pairs.get(j, m) for j in range(n)]] = 1.0
-            probs = AssocProbabilities(rows)
-        else:
-            probs: AssocProbabilities = out
-            assignment = hard_assignment_from_probs(probs)
-        tracks = update_weighted(predicted, scan, probs, params)
         history.append(assignment)
         scan_times.append(seconds)
         scan_ospa.append(ospa(truth_positions[idx], tracks.positions, ospa_params))
@@ -403,43 +406,28 @@ def run_grid(spec: BenchSpec, jobs: int = 1, raw_log=None) -> BenchReport:
     rows: List[BenchRow] = []
     raw_rows: List[RawEpisodeRow] = []
     for idx, (method, key, config) in enumerate(cells):
-        p_d, e_lambda = config.p_d, config.e_lambda
-        done: List[RawEpisodeRow] = []
-        errors: List[Dict] = []
-        for run, o in enumerate(outcomes[idx * spec.n_runs : (idx + 1) * spec.n_runs]):
-            if isinstance(o, ToolkitError):
-                errors.append(
-                    {
-                        "method": method,
-                        "p_d": p_d,
-                        "e_lambda": e_lambda,
-                        "run": run,
-                        "seed": [*key, run],
-                        "error": f"{type(o).__name__}: {o}",
-                    }
-                )
-            else:
-                done.append(RawEpisodeRow(method, p_d, e_lambda, run, *o))
+        cell = (method, config.p_d, config.e_lambda)
+        runs = outcomes[idx * spec.n_runs : (idx + 1) * spec.n_runs]
+        errors = [
+            {
+                "method": method,
+                "p_d": config.p_d,
+                "e_lambda": config.e_lambda,
+                "run": run,
+                "seed": [*key, run],
+                "error": f"{type(o).__name__}: {o}",
+            }
+            for run, o in enumerate(runs)
+            if isinstance(o, ToolkitError)
+        ]
         meta["errors"] += errors
         if errors:
-            rows.append(BenchRow(method, p_d, e_lambda, *(float("nan"),) * 5))
+            rows.append(BenchRow(*cell, *(float("nan"),) * 5))
             continue
-        raw_rows += done
-        ospas = np.array([r.ospa for r in done])
-        sttis = np.array([r.stti for r in done], dtype=float)
-        times = np.array([r.time_s for r in done])
-        rows.append(
-            BenchRow(
-                method,
-                p_d,
-                e_lambda,
-                float(ospas.mean()),
-                float(ospas.std()),
-                float(sttis.mean()),
-                float(sttis.std()),
-                float(times.mean()),
-            )
-        )
+        raw_rows += [RawEpisodeRow(*cell, run, *o) for run, o in enumerate(runs)]
+        ospas, sttis, times = (np.array(column, dtype=float) for column in zip(*runs))
+        stats = ospas.mean(), ospas.std(), sttis.mean(), sttis.std(), times.mean()
+        rows.append(BenchRow(*cell, *map(float, stats)))
 
     if raw_log is not None:
         write_raw_log(raw_rows, raw_log)

@@ -129,11 +129,21 @@ def _cmd_train(args) -> int:
     for name in ("base", "variants"):
         if spec.scenarios is not None and name in doc:
             raise ConfigError(f"train.{name}: does not apply when 'scenarios' lists the scenarios")
+    if spec.variants < 1:
+        raise ConfigError(f"train.variants: must be >= 1, got {spec.variants}")
     configs = seeded_variants(spec.base, spec.variants) if spec.scenarios is None else spec.scenarios
     _make_out_dir(args.out)
     dataset = make_training_set(configs)
-    # A net section without m_max sizes the network to the largest scan.
-    net_cfg = spec.net if "m_max" in doc.get("net", {}) else replace(spec.net, m_max=dataset.m_max)
+    net_cfg = spec.net
+    if "m_max" not in doc.get("net", {}):  # the network is sized to the largest scan
+        net_cfg = replace(spec.net, m_max=dataset.m_max)
+    elif net_cfg.m_max < dataset.m_max:
+        row = next(i for i, g in enumerate(dataset.groups) if len(g.measurements) > net_cfg.m_max)
+        s, k = [(s, k) for s, c in enumerate(configs) for k in range(1, c.num_scans)][row]
+        raise ConfigError(
+            f"train.net.m_max: training scenario {s} (seed {configs[s].seed}), scan {k} has "
+            f"{len(dataset.groups[row].measurements)} measurements, capacity is m_max={net_cfg.m_max}"
+        )
     _announce(
         "train",
         {

@@ -1,8 +1,13 @@
-"""Core value types shared by the tracking toolkit.
+"""Core types and helpers shared by the tracking toolkit.
 
-Everything here is an immutable value type: instances are safe to copy,
-hash (where applicable) and hand between threads or worker processes.
-Numpy arrays held by these types are treated as read-only by convention.
+The module holds the error types; the frozen dataclasses of configs,
+scans, track sets, cost matrices, assignments and association
+probabilities, which check their fields on construction; ``Track``, an
+unchecked row of a :class:`TrackSet`; :func:`read_config`, which reads a
+config dataclass from a JSON object; and the two hard-assignment helpers,
+:func:`assign_with_misses` and :func:`hard_assignment_from_probs`. The
+frozen types are not deeply immutable: numpy arrays they hold are
+read-only by convention only, and ``Assignment.pairs`` is a plain dict.
 """
 
 from __future__ import annotations

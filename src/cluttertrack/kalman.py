@@ -112,15 +112,19 @@ def innovations(
     Returns ``nu`` (N, M, 2) = z - Hx, the innovation covariances ``S``
     (N, 2, 2) = HPH^T + R, their determinants ``det`` (N,) and the squared
     Mahalanobis distances ``d2`` (N, M) = nu^T S^-1 nu, written with the
-    closed-form inverse of the 2x2 S. Raises :class:`NumericalError` naming
-    the first track whose ``det`` is non-finite or <= 1e-12.
+    closed-form inverse of the 2x2 S. A measurement so far off that its
+    terms overflow gets ``d2`` inf, or NaN where two infinite terms cancel,
+    without a warning; neither passes a gate test ``d2 <= gamma``. Raises
+    :class:`NumericalError` naming the first track whose ``det`` is
+    non-finite or <= 1e-12.
     """
     nu, s, det = _innovation_moments(ts, np.asarray(z, dtype=float).reshape(-1, 2), params)
-    d2 = (
-        s[:, 1, 1, None] * nu[:, :, 0] ** 2
-        - 2.0 * s[:, 0, 1, None] * nu[:, :, 0] * nu[:, :, 1]
-        + s[:, 0, 0, None] * nu[:, :, 1] ** 2
-    ) / det[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = (
+            s[:, 1, 1, None] * nu[:, :, 0] ** 2
+            - 2.0 * s[:, 0, 1, None] * nu[:, :, 0] * nu[:, :, 1]
+            + s[:, 0, 0, None] * nu[:, :, 1] ** 2
+        ) / det[:, None]
     return nu, s, det, d2
 
 
@@ -133,9 +137,12 @@ def update_weighted(ts: TrackSet, scan: Scan, probs: AssocProbabilities, params:
     only their shape, (N, M+1), is checked here; anything but an
     :class:`AssocProbabilities` raises :class:`ContractViolation`. The state
     moves by the combined innovation and the covariance mixes the
-    no-detection and updated covariances plus the spread-of-innovations term. All tracks share one pass: a miss-only row
-    has weights 0, so its track keeps its (symmetric) prediction bit for bit;
-    if no row has measurement mass, the input set itself comes back.
+    no-detection and updated covariances plus the spread-of-innovations
+    term. All tracks share one pass: a miss-only row has weights 0, so its
+    track keeps its (symmetric) prediction bit for bit; if no row has
+    measurement mass, the input set itself comes back. A new state or
+    covariance that is not finite, as when weight on a measurement far off
+    overflows, raises :class:`NumericalError` naming the first such track.
     """
     if not isinstance(probs, AssocProbabilities):
         raise ContractViolation(f"rows must be an AssocProbabilities, got {type(probs).__name__}")
@@ -155,11 +162,14 @@ def update_weighted(ts: TrackSet, scan: Scan, probs: AssocProbabilities, params:
     k = kt.swapaxes(1, 2)
     w = beta[:, None, :m]  # (N, 1, M)
     beta_miss = beta[:, m, None, None]
-    nu_bar = w @ nus  # (N, 1, 2)
-    x = ts.x + (k @ nu_bar.swapaxes(1, 2))[:, :, 0]
-
     ikh = _I4 - k @ H
     p_updated = ikh @ p @ ikh.swapaxes(1, 2) + k @ r @ kt
-    spread_inner = (nus.swapaxes(1, 2) * w) @ nus - nu_bar.swapaxes(1, 2) * nu_bar
-    p_new = beta_miss * p + (1.0 - beta_miss) * p_updated + k @ spread_inner @ kt
-    return TrackSet(x, _symmetrize(p_new))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        nu_bar = w @ nus  # (N, 1, 2)
+        x = ts.x + (k @ nu_bar.swapaxes(1, 2))[:, :, 0]
+        spread_inner = (nus.swapaxes(1, 2) * w) @ nus - nu_bar.swapaxes(1, 2) * nu_bar
+        p_new = _symmetrize(beta_miss * p + (1.0 - beta_miss) * p_updated + k @ spread_inner @ kt)
+    if not (np.isfinite(x).all() and np.isfinite(p_new).all()):
+        bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(p_new).all(axis=(1, 2)))
+        raise NumericalError(f"track {int(np.argmax(bad))}: updated state or covariance is not finite")
+    return TrackSet(x, p_new)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -71,45 +71,33 @@ def ospa(
     return float(((match_cost + (n - m) * c_p) / n) ** (1.0 / params.p))
 
 
-def _claimed_track_ids(
-    assignment_history: Sequence[Assignment], scans: Sequence[Scan]
-) -> Dict[int, List[Optional[int]]]:
-    """Per ground-truth target, the track id claiming it at each scan.
-
-    None where the target was undetected or its measurement unassigned.
-    """
-    if len(assignment_history) != len(scans):
-        raise ContractViolation(
-            f"{len(assignment_history)} assignments for {len(scans)} scans"
-        )
-    targets: set = set()
-    for scan in scans:
-        if scan.origins is None:
-            raise ContractViolation(f"scan {scan.k} carries no origin labels")
-        targets.update(o for o in scan.origins if o != CLUTTER)
-
-    claimed: Dict[int, List[Optional[int]]] = {g: [] for g in sorted(targets)}
-    for assignment, scan in zip(assignment_history, scans):
-        meas_to_track = {i: j for j, i in assignment.pairs.items()}
-        origin_to_meas = {o: i for i, o in enumerate(scan.origins) if o != CLUTTER}
-        for g in claimed:
-            i = origin_to_meas.get(g)
-            claimed[g].append(meas_to_track.get(i) if i is not None else None)
-    return claimed
-
-
 def stti(assignment_history: Sequence[Assignment], scans: Sequence[Scan]) -> int:
     """Switch count of claimed track identities over an episode.
 
     For each ground-truth target, a switch is counted whenever the claiming
     track id differs between the two nearest scans where one is defined;
     scans where the target is undetected or unassigned are skipped. The
-    total over all targets is returned.
+    total over all targets is returned. Raises :class:`ContractViolation`
+    for an assignment count unlike the scan count or a scan without origin
+    labels, before any counting.
     """
+    if len(assignment_history) != len(scans):
+        raise ContractViolation(
+            f"{len(assignment_history)} assignments for {len(scans)} scans"
+        )
+    for scan in scans:
+        if scan.origins is None:
+            raise ContractViolation(f"scan {scan.k} carries no origin labels")
+
+    last: Dict[int, int] = {}  # target -> the track that claimed it last
     switches = 0
-    for seq in _claimed_track_ids(assignment_history, scans).values():
-        defined = [t for t in seq if t is not None]
-        switches += sum(1 for prev, cur in zip(defined, defined[1:]) if prev != cur)
+    for assignment, scan in zip(assignment_history, scans):
+        track_of = {i: j for j, i in assignment.pairs.items()}
+        for i, g in enumerate(scan.origins):
+            j = track_of.get(i)
+            if g != CLUTTER and j is not None:
+                switches += last.setdefault(g, j) != j
+                last[g] = j
     return switches
 
 

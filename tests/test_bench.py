@@ -2,12 +2,14 @@ import json
 import math
 import multiprocessing
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cluttertrack import bench
+from cluttertrack.assoc import GateParams
 from cluttertrack.bench import (
     METHODS,
     BenchReport,
@@ -28,7 +30,14 @@ from cluttertrack.deepda import (
     save_model,
     train,
 )
-from cluttertrack.domain import ConfigError, ContractViolation, five_crossing_targets
+from cluttertrack.domain import (
+    CLUTTER,
+    ConfigError,
+    ContractViolation,
+    Scan,
+    five_crossing_targets,
+)
+from cluttertrack.kalman import FilterParams
 from cluttertrack.metrics import OspaParams
 from cluttertrack.scenario import generate_scans, generate_truth, make_training_set, seeded_variants
 
@@ -144,6 +153,43 @@ def test_every_failing_episode_is_recorded_with_its_context(tmp_path):
     assert parallel.meta["errors"] == errors
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_raw_log_holds_the_runs_of_the_cells_with_no_failed_episode(tmp_path, jobs):
+    # 34 slots: λ 20 runs 2 and 4 reach a scan of 38 and 36 measurements and
+    # fail, runs 0, 1 and 3 (at most 34) finish, and every λ 0 scan fits.
+    cfg = NetConfig(m_max=34, hidden=4)
+    path = tmp_path / "model.json"
+    save_model(init_model(cfg, identity_norm(cfg.features)), path)
+    spec = replace(_spec(str(path), ("ha", "deepda")), elambda_values=(0.0, 20.0), n_runs=5)
+    raw = tmp_path / "raw.csv"
+    report = run_grid(spec, jobs=jobs, raw_log=raw)
+    errors = report.meta["errors"]
+    assert [(e["method"], e["p_d"], e["e_lambda"], e["run"], e["seed"]) for e in errors] == [
+        ("deepda", 0.9, 20.0, 2, [3, 0, 1, 2]),
+        ("deepda", 0.9, 20.0, 4, [3, 0, 1, 4]),
+    ]
+    for e in errors:
+        assert e["error"].startswith("CapacityError: scan ")
+    lines = raw.read_text().splitlines()
+    assert lines[0] == "method,p_d,e_lambda,run,ospa,stti,time_s"
+    raw_rows = [line.split(",") for line in lines[1:]]
+    done = [("ha", 0.0), ("ha", 20.0), ("deepda", 0.0)]
+    assert [tuple(r[:4]) for r in raw_rows] == [
+        (method, "0.9", repr(e_lambda), str(run)) for method, e_lambda in done for run in range(5)
+    ]
+    # Each finished cell's report row summarises exactly its raw rows.
+    for (method, e_lambda), row in zip(done, report.rows):
+        assert (row.method, row.e_lambda) == (method, e_lambda)
+        cell = [r for r in raw_rows if (r[0], float(r[2])) == (method, e_lambda)]
+        ospas = np.array([float(r[4]) for r in cell])
+        sttis = np.array([int(r[5]) for r in cell], dtype=float)
+        assert (row.ospa_mean, row.ospa_std) == (ospas.mean(), ospas.std())
+        assert (row.stti_mean, row.stti_std) == (sttis.mean(), sttis.std())
+    failed = report.rows[3]
+    assert (failed.method, failed.e_lambda) == ("deepda", 20.0)
+    assert all(math.isnan(getattr(failed, col)) for col in ACCURACY_COLUMNS)
+
+
 # Workers inherit the patched engine only when they are forked.
 FAULT_JOBS = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
 
@@ -219,6 +265,37 @@ def test_grid_records_a_one_scan_cell_as_failed():
     assert [e["error"] for e in report.meta["errors"]] == [
         "ContractViolation: tracking needs at least 2 scans, got 1"
     ] * 2
+
+
+def _track_reference(scans, method):
+    """Track ``scans`` of the reference scenario at λ 0 with ``method``."""
+    config = five_crossing_targets(e_lambda=0.0)
+    truth = generate_truth(config)
+    params = FilterParams(dt=config.dt)
+    engine = bench.make_engine(method, config, params, GateParams())
+    return bench.track_scans(
+        truth.states[0], scans, truth.states[:, :, [0, 2]], engine, params, OspaParams()
+    )
+
+
+# Squared, 1e200 overflows to inf; with both axes far, two infinite terms of
+# the Mahalanobis distance can cancel.
+@pytest.mark.parametrize("position", [(1e200, 15.0), (1e200, 1e200), (-1e300, 1e300)])
+@pytest.mark.parametrize("method", ["ha", "jpda"])
+def test_a_far_measurement_is_left_unassigned_without_a_warning(method, position):
+    scans = generate_scans(generate_truth(five_crossing_targets(e_lambda=0.0)), 0)
+    far = scans[:1] + [
+        Scan(s.k, np.vstack([s.measurements, [position]]), s.origins + (CLUTTER,)) for s in scans[1:]
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = _track_reference(far, method)
+    # Every scan's far point is outside every gate: the tracks are those of
+    # the scans without it.
+    reference = _track_reference(scans, method)
+    np.testing.assert_array_equal(run.states, reference.states)
+    assert run.result.scan_ospa == reference.result.scan_ospa
+    assert run.result.stti == reference.result.stti
 
 
 def _crlf(*lines):

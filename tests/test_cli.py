@@ -211,6 +211,8 @@ TRAIN = {"base": REFERENCE, "variants": 2, "net": {"hidden": 4}, "train": {"epoc
             "scenario.initial_states[0][0]",
         ),
         ("train", {**TRAIN, "train": {"lr": True}}, "train.train.lr"),
+        # It used to be refused as "variant count must be >= 1", after --out was made.
+        ("train", {**TRAIN, "variants": 0}, "train.variants"),
     ],
 )
 def test_malformed_config_exits_with_config_code_naming_the_field(
@@ -222,6 +224,26 @@ def test_malformed_config_exits_with_config_code_naming_the_field(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()  # refused before any work
+
+
+def test_train_with_m_max_below_a_training_scan_names_the_field_scenario_and_scan(tmp_path, capsys):
+    config = _train_config(tmp_path, {"epochs": 1})
+    doc = json.loads(Path(config).read_text())
+    Path(config).write_text(json.dumps({**doc, "net": {"hidden": 4, "m_max": 20}}))
+    # The first scan (after scan 0, which only starts the tracks) above 20.
+    base = five_crossing_targets()
+    variant, k, m = next(
+        (v, k, scan.num_measurements)
+        for v in range(2)
+        for k, scan in enumerate(generate_scans(generate_truth(base), base.seed + v))
+        if k and scan.num_measurements > 20
+    )
+    assert main(["train", config, "--out", str(tmp_path / "model")]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: train.net.m_max: training scenario {variant} (seed {base.seed + variant}), "
+        f"scan {k} has {m} measurements, capacity is m_max=20\n"
+    )
 
 
 def test_track_with_non_finite_model_exits_with_config_code(tmp_path, capsys):
@@ -330,6 +352,31 @@ def test_track_numerical_failure_exits_3_and_names_the_scan(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: scan 18:")
+
+
+def test_track_a_far_measurement_exits_0_or_3_naming_the_scan(tmp_path, capsys):
+    # A clutter point 1e200 m off in scan 3: outside every gate of HA and
+    # JPDA, while DeepDA weighs it and its update overflows.
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(five_crossing_targets(e_lambda=0.0).to_dict()))
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(config), "--out", str(sim)]) == 0
+    lines = (sim / "scans.csv").read_text().splitlines()
+    k = sum(line.startswith("3,") for line in lines)
+    (sim / "far.csv").write_text("\n".join(lines + [f"3,{k},1e200,15.0,-1"]) + "\n")
+    cfg = NetConfig(m_max=8, hidden=4)
+    model = tmp_path / "model.json"
+    save_model(init_model(cfg, identity_norm(cfg.features)), model)
+    argv = ["track", str(sim / "far.csv"), "--truth", str(sim / "truth.csv"), "--model", str(model)]
+    argv += ["--pd", "0.9", "--elambda", "0", "--dt", "1"]
+    capsys.readouterr()
+    for method, code in (("ha", 0), ("jpda", 0), ("deepda", 3)):
+        assert main(argv + ["--method", method, "--out", str(tmp_path / method)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: scan 3: track ") and err.count("\n") == 1, err
+        else:
+            assert err == ""
 
 
 def test_train_help_says_how_to_pin_openblas_threads(capsys):

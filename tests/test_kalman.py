@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,33 @@ def test_innovations_singular_covariance_names_the_track():
     scan = Scan(k=0, measurements=np.zeros((1, 2)))
     with pytest.raises(NumericalError, match="track 1: singular innovation covariance"):
         update_weighted(ts, scan, AssocProbabilities(np.array([[0.5, 0.5], [0.5, 0.5]])), params)
+
+
+def test_update_that_overflows_names_the_track_without_a_warning():
+    # Track 1 gives half its weight to a point 1e200 m off; squared, its
+    # innovation overflows. Track 0 takes only the near point.
+    ts = make_set([make_track(0), make_track(1)])
+    scan = Scan(k=0, measurements=np.array([[0.5, 0.0], [1e200, 0.0]]))
+    rows = AssocProbabilities(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]))
+    message = r"^track 1: updated state or covariance is not finite$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=message):
+            update_weighted(ts, scan, rows, FilterParams())
+
+
+def test_far_measurement_gets_an_infinite_distance_without_a_warning():
+    # Squared, 1e200 overflows; with both axes far and correlated axes, two
+    # infinite terms cancel and d2 is NaN. Neither passes a gate.
+    cov = np.eye(4)
+    cov[0, 2] = cov[2, 0] = 0.5
+    ts = make_set([make_track(0, cov=cov)])
+    z = np.array([[1e200, 0.0], [1e200, 1e200], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d2 = innovations(ts, z, FilterParams())[3]
+    assert d2[0, 0] == np.inf and np.isnan(d2[0, 1]) and not (d2[0, :2] <= 1e300).any()
+    assert np.isfinite(d2[0, 2])
 
 
 def test_track_set_iterates_its_rows_as_tracks():
