@@ -165,6 +165,30 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _covering_region(truth_path, initial_positions: np.ndarray, scans_path, scans) -> Region:
+    """The default region grown to cover the initial positions, then every
+    measurement in scan order. The point that makes the region's area
+    overflow raises :class:`ConfigError` naming its file and row."""
+    points = np.concatenate([initial_positions] + [s.measurements for s in scans])
+    low = np.minimum.accumulate(np.vstack([[DEFAULT_REGION.xmin, DEFAULT_REGION.ymin], points]))
+    high = np.maximum.accumulate(np.vstack([[DEFAULT_REGION.xmax, DEFAULT_REGION.ymax], points]))
+    with np.errstate(over="ignore"):
+        span = high - low
+        finite = np.isfinite(span[:, 0] * span[:, 1])
+    if not finite[-1]:
+        i = int(np.argmin(finite)) - 1  # row 0 is the default region's corner
+        x, y = (float(v) for v in points[i])
+        overflow = f"at ({x!r}, {y!r}) makes the area of the region covering the data overflow"
+        if i < len(initial_positions):
+            raise ConfigError(f"{truth_path}: scan 0, target {i}: initial position {overflow}")
+        i -= len(initial_positions)
+        for scan in scans:
+            if i < scan.num_measurements:
+                raise ConfigError(f"{scans_path}: scan {scan.k}: measurement {i} {overflow}")
+            i -= scan.num_measurements
+    return Region(float(low[-1, 0]), float(high[-1, 0]), float(low[-1, 1]), float(high[-1, 1]))
+
+
 def _cmd_track(args) -> int:
     csv_input = args.input.endswith(".csv")
     # A flag for the other kind of input would be ignored: refuse it.
@@ -202,9 +226,6 @@ def _cmd_track(args) -> int:
         # clutter rate and dt from flags or the reference values, and the
         # region from the default one grown to cover the data.
         params = FilterParams() if args.dt is None else FilterParams(dt=args.dt)
-        points = np.concatenate([truth_states[0][:, [0, 2]]] + [s.measurements for s in scans])
-        low = np.minimum(points.min(axis=0), [DEFAULT_REGION.xmin, DEFAULT_REGION.ymin])
-        high = np.maximum(points.max(axis=0), [DEFAULT_REGION.xmax, DEFAULT_REGION.ymax])
         config = ScenarioConfig(
             num_targets=num_targets,
             initial_states=tuple(tuple(s) for s in truth_states[0]),
@@ -212,7 +233,7 @@ def _cmd_track(args) -> int:
             num_scans=truth_states.shape[0],
             p_d=_CSV_DEFAULT_PD if args.pd is None else args.pd,
             e_lambda=_CSV_DEFAULT_ELAMBDA if args.elambda is None else args.elambda,
-            region=Region(float(low[0]), float(high[0]), float(low[1]), float(high[1])),
+            region=_covering_region(args.truth, truth_states[0][:, [0, 2]], args.input, scans),
         )
         if None in (args.pd, args.elambda, args.dt):
             print(

@@ -142,7 +142,9 @@ def update_weighted(ts: TrackSet, scan: Scan, probs: AssocProbabilities, params:
     track keeps its (symmetric) prediction bit for bit; if no row has
     measurement mass, the input set itself comes back. A new state or
     covariance that is not finite, as when weight on a measurement far off
-    overflows, raises :class:`NumericalError` naming the first such track.
+    overflows, raises :class:`NumericalError` naming the first such track;
+    so does a covariance that is not PSD, as when such weight stays finite
+    but rounding leaves the covariance indefinite.
     """
     if not isinstance(probs, AssocProbabilities):
         raise ContractViolation(f"rows must be an AssocProbabilities, got {type(probs).__name__}")
@@ -172,4 +174,7 @@ def update_weighted(ts: TrackSet, scan: Scan, probs: AssocProbabilities, params:
     if not (np.isfinite(x).all() and np.isfinite(p_new).all()):
         bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(p_new).all(axis=(1, 2)))
         raise NumericalError(f"track {int(np.argmax(bad))}: updated state or covariance is not finite")
-    return TrackSet(x, p_new)
+    try:
+        return TrackSet(x, p_new)
+    except ContractViolation as e:  # shapes and symmetry hold by construction: only PSD can fail
+        raise NumericalError(str(e).replace("covariance", "updated covariance")) from None

@@ -6,7 +6,10 @@ the same scans bit for bit, serially or in parallel. Scan k draws only from
 per target (detected if below p_d), ``standard_normal`` (detections, 2)
 noise, the ``poisson`` clutter count, ``random`` (count, 2) clutter as
 low + (high - low) * u, and a ``permutation`` of detections, in target
-order, then clutter.
+order, then clutter. The state words of every scan's ``PCG64`` are
+computed at once: the key k enters ``SeedSequence`` only as its last
+entropy word, so it is mixed into the pool of ``SeedSequence(seed)``, for
+all scans in one pass of uint32 arithmetic (:func:`_scan_states`).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
 
 from .domain import (
     CLUTTER,
@@ -61,8 +65,45 @@ def generate_truth(config: ScenarioConfig) -> GroundTruth:
     return GroundTruth(states, config)
 
 
-def _scan_rng(seed: Seed, k: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
+# The hash constants of numpy's SeedSequence (O'Neill's seed_seq design).
+_M32 = 1 << 32
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+#: generate_state XORs output word i with _HASH_B[i] and multiplies it by _HASH_B[i + 1].
+_HASH_B = np.array([_INIT_B * pow(_MULT_B, i, _M32) % _M32 for i in range(9)], dtype=np.uint32)
+
+
+def _scan_states(seed: Seed, num_scans: int) -> np.ndarray:
+    """(num_scans, 4) uint64 whose row k is
+    ``SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)``.
+
+    With a spawn key, the seed's words are padded with zeros to the pool's
+    four, which hashes them as ``SeedSequence(seed)`` does; so the pool
+    before the key is that one's, and the hash constant has taken 16 steps
+    plus 4 per seed word past the fourth. The key then goes into each pool
+    word by one hashmix and one mix. A negative seed raises numpy's
+    ``ValueError``.
+    """
+    pool = np.random.SeedSequence(seed).pool
+    first = 16 + 4 * max(0, len(_coerce_to_uint32_array(seed)) - 4)
+    hash_a = np.array([_INIT_A * pow(_MULT_A, first + i, _M32) % _M32 for i in range(5)], dtype=np.uint32)
+    hashed = (np.arange(num_scans, dtype=np.uint32)[:, None] ^ hash_a[:4]) * hash_a[1:]
+    hashed ^= hashed >> 16
+    pool = pool * _MIX_L - hashed * _MIX_R
+    pool ^= pool >> 16
+    words = (np.tile(pool, 2) ^ _HASH_B[:8]) * _HASH_B[1:]
+    words ^= words >> 16
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _State(ISeedSequence):
+    """Hands ``PCG64`` the state words :func:`_scan_states` made for it."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def generate_scans(truth: GroundTruth, seed: Seed) -> List[Scan]:
@@ -79,8 +120,8 @@ def generate_scans(truth: GroundTruth, seed: Seed) -> List[Scan]:
     span = np.array([cfg.region.xmax, cfg.region.ymax]) - low
     positions = truth.states[:, :, ::2]
     scans: List[Scan] = []
-    for k in range(cfg.num_scans):
-        rng = _scan_rng(seed, k)
+    for k, words in enumerate(_scan_states(seed, cfg.num_scans)):
+        rng = np.random.Generator(np.random.PCG64(_State(words)))
         detected = rng.random(cfg.num_targets) < cfg.p_d
         ids = detected.nonzero()[0]
         target_meas = positions[k][detected] + rng.standard_normal((len(ids), 2)) * sigma

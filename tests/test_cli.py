@@ -354,29 +354,57 @@ def test_track_numerical_failure_exits_3_and_names_the_scan(tmp_path, capsys):
     assert err.startswith("error: scan 18:")
 
 
-def test_track_a_far_measurement_exits_0_or_3_naming_the_scan(tmp_path, capsys):
-    # A clutter point 1e200 m off in scan 3: outside every gate of HA and
-    # JPDA, while DeepDA weighs it and its update overflows.
+def _track_a_far_measurement(tmp_path, capsys, x, y):
+    """Exit code and standard error of HA, JPDA and DeepDA (an untrained
+    model) tracking the lambda 0 reference simulation with a clutter point
+    at (x, y) appended to scan 3."""
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(five_crossing_targets(e_lambda=0.0).to_dict()))
     sim = tmp_path / "sim"
     assert main(["simulate", str(config), "--out", str(sim)]) == 0
     lines = (sim / "scans.csv").read_text().splitlines()
     k = sum(line.startswith("3,") for line in lines)
-    (sim / "far.csv").write_text("\n".join(lines + [f"3,{k},1e200,15.0,-1"]) + "\n")
+    (sim / "far.csv").write_text("\n".join(lines + [f"3,{k},{x},{y},-1"]) + "\n")
     cfg = NetConfig(m_max=8, hidden=4)
     model = tmp_path / "model.json"
     save_model(init_model(cfg, identity_norm(cfg.features)), model)
     argv = ["track", str(sim / "far.csv"), "--truth", str(sim / "truth.csv"), "--model", str(model)]
     argv += ["--pd", "0.9", "--elambda", "0", "--dt", "1"]
     capsys.readouterr()
-    for method, code in (("ha", 0), ("jpda", 0), ("deepda", 3)):
-        assert main(argv + ["--method", method, "--out", str(tmp_path / method)]) == code
-        err = capsys.readouterr().err
-        if code:
-            assert err.startswith("error: scan 3: track ") and err.count("\n") == 1, err
-        else:
-            assert err == ""
+    results = {}
+    for method in ("ha", "jpda", "deepda"):
+        code = main(argv + ["--method", method, "--out", str(tmp_path / method)])
+        results[method] = code, capsys.readouterr().err
+    return results
+
+
+def test_track_a_far_measurement_exits_0_or_3_naming_the_scan(tmp_path, capsys):
+    # A clutter point 1e200 m off in scan 3: outside every gate of HA and
+    # JPDA, while DeepDA weighs it and its update overflows.
+    results = _track_a_far_measurement(tmp_path, capsys, "1e200", "15.0")
+    assert results["ha"] == results["jpda"] == (0, "")
+    code, err = results["deepda"]
+    assert code == 3
+    assert err.startswith("error: scan 3: track ") and err.count("\n") == 1, err
+
+
+def test_track_an_update_that_loses_psd_exits_3_naming_the_scan(tmp_path, capsys):
+    # At 1e154 m the update stays finite but its covariance comes out
+    # indefinite: a numerical failure, not a broken contract.
+    code, err = _track_a_far_measurement(tmp_path, capsys, "1e154", "15")["deepda"]
+    assert code == 3
+    assert err == "error: scan 3: track 0: updated covariance is not PSD\n"
+
+
+def test_track_a_measurement_that_overflows_the_region_names_the_file_scan_and_row(tmp_path, capsys):
+    # Far off in both axes, the point makes the covering region's area inf.
+    results = _track_a_far_measurement(tmp_path, capsys, "1e200", "1e200")
+    far = tmp_path / "sim" / "far.csv"
+    k = sum(line.startswith("3,") for line in far.read_text().splitlines()) - 1
+    message = f"error: {far}: scan 3: measurement {k} at (1e+200, 1e+200) makes the area of the region "
+    for code, err in results.values():
+        assert code == 2
+        assert err == message + "covering the data overflow\n"
 
 
 def test_train_help_says_how_to_pin_openblas_threads(capsys):

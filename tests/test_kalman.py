@@ -339,6 +339,21 @@ def test_update_that_overflows_names_the_track_without_a_warning():
             update_weighted(ts, scan, rows, FilterParams())
 
 
+def test_update_that_loses_psd_is_a_numerical_failure_naming_the_track():
+    # Half of track 1's weight on a point 1e154 m off: every term stays
+    # finite, but through the x-y correlation the rounding of the huge
+    # spread term leaves the covariance indefinite.
+    cov = np.eye(4)
+    cov[0, 2] = cov[2, 0] = 0.5
+    ts = make_set([make_track(0), make_track(1, cov=cov)])
+    scan = Scan(k=0, measurements=np.array([[0.5, 0.0], [1e154, 15.0]]))
+    rows = AssocProbabilities(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^track 1: updated covariance is not PSD$"):
+            update_weighted(ts, scan, rows, FilterParams())
+
+
 def test_far_measurement_gets_an_infinite_distance_without_a_warning():
     # Squared, 1e200 overflows; with both axes far and correlated axes, two
     # infinite terms cancel and d2 is NaN. Neither passes a gate.

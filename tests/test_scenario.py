@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cluttertrack.deepda import NetConfig, encode_groups
 from cluttertrack.domain import (
@@ -16,6 +18,7 @@ from cluttertrack.domain import (
 from cluttertrack.scenario import (
     SCANS_CSV_HEADER,
     TRUTH_CSV_HEADER,
+    _scan_states,
     generate_scans,
     generate_truth,
     make_training_set,
@@ -191,7 +194,9 @@ def assert_same_bits(a, b):
     [five_crossing_targets(p_d, e_lambda) for p_d in (0.5, 0.9, 1.0) for e_lambda in (0.0, 20.0, 40.0)]
     + [SIGNED_ZERO_SCENARIO],
 )
-@pytest.mark.parametrize("seed", [0, 1, 23, (1907, 3), (4242, 0, 1, 2)])
+@pytest.mark.parametrize(
+    "seed", [0, 1, 23, (1907, 3), (4242, 0, 1, 2), 2**40 + 5, (1, 2, 3, 4, 5), np.int64(9)]
+)
 def test_simulation_has_the_bits_of_the_loop_reference(config, seed):
     states, scans, groups = scenario_by_loops(config, seed)
     assert_same_bits(generate_truth(config).states, states)
@@ -205,6 +210,34 @@ def test_simulation_has_the_bits_of_the_loop_reference(config, seed):
             assert_same_bits(group.pred_meas, pred_meas)
             assert_same_bits(group.measurements, measurements)
             assert group.labels == labels
+
+
+# Int seeds of 1 to 5 words, and tuples of 1 to 6 ints of up to 3 words
+# each: the words past the pool's four are mixed in before the key.
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, 2**160 - 1),
+        st.lists(st.integers(0, 2**70), min_size=1, max_size=6).map(tuple),
+    ),
+    st.integers(1, 40),
+)
+def test_scan_states_are_the_spawned_seed_sequence_words(seed, num_scans):
+    expected = [
+        np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64) for k in range(num_scans)
+    ]
+    states = _scan_states(seed, num_scans)
+    assert states.dtype == np.uint64
+    assert np.array_equal(states, np.array(expected))
+
+
+@pytest.mark.parametrize("seed", [-1, (3, -2)])
+def test_negative_seed_raises_numpys_value_error(reference_config, seed):
+    with pytest.raises(ValueError) as numpys:
+        np.random.SeedSequence(seed)
+    with pytest.raises(ValueError) as ours:
+        generate_scans(generate_truth(reference_config), seed)
+    assert str(ours.value) == str(numpys.value)
 
 
 def truth_rows(ds, group, m_max=None):
