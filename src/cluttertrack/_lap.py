@@ -11,8 +11,11 @@ def solve_lap(cost: Sequence[Sequence[float]]) -> List[int]:
     """Minimum-cost assignment of every row to a distinct column.
 
     Classic O(rows^2 * cols) potentials/augmenting-path formulation for a
-    dense matrix with rows <= cols. All entries must be finite. Deterministic:
-    when several columns tie, the lowest column index is explored first.
+    dense matrix with rows <= cols. An entry may be ``+inf``, a pair that is
+    never made, as long as every row can be given a distinct column of
+    finite cost: then each augmentation stops at a finite column and every
+    potential stays finite. Deterministic: when several columns tie, the
+    lowest column index is explored first.
 
     Leading rows whose first minimum lies in a free column are placed
     directly, as Jonker and Volgenant's initialisation does, in exactly the

@@ -57,20 +57,19 @@ def hungarian(cost: CostMatrix, miss_cost: float) -> Assignment:
     (measurements + tracks) problem with a dummy miss column per track
     suffices, without clutter rows (Crouse, "On implementing 2D rectangular
     assignment algorithms", IEEE TAES 2016). Ties break toward the lowest
-    measurement index. ``+inf`` entries are treated as forbidden pairs.
+    measurement index. A ``+inf`` entry, as gating writes it, is a pair that
+    is never made; it reaches the solver as it is.
     """
-    if not miss_cost > 0:
-        raise ContractViolation(f"miss_cost must be > 0, got {miss_cost}")
+    if not 0 < miss_cost < math.inf:
+        raise ContractViolation(f"miss_cost must be finite and > 0, got {miss_cost}")
     v = cost.values
     n, m = v.shape
-    allowed = np.isfinite(v)
-    finite = v[allowed]
+    finite = v[np.isfinite(v)]
     top = max(float(finite.max()) if finite.size else 0.0, miss_cost)
-    big = (top + 1.0) * (n + 1)
     # Infinitesimal column bias so exact ties resolve toward the lowest
     # measurement index; far below any meaningful cost difference.
     tie = (top + 1.0) * 1e-12 / (m + n + 1)
-    return assign_with_misses(np.where(allowed, v, big), miss_cost, big, tie)
+    return assign_with_misses(v, miss_cost, tie)
 
 
 def gate(d2: np.ndarray, gp: GateParams) -> Set[int]:

@@ -264,8 +264,9 @@ class BenchSpec:
         object.__setattr__(self, "elambda_values", tuple(float(v) for v in elambda_values))
         methods = tuple(m.lower() for m in self.methods)
         object.__setattr__(self, "methods", methods)
-        if self.n_runs < 1:
-            raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
+        for name, low in (("n_runs", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for m in methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}, expected subset of {METHODS}")

@@ -4,9 +4,11 @@ Subcommands: simulate, train, track, bench, inspect-model. Configuration
 comes from JSON files; every resolved setting is printed at startup so
 emitted artifacts are self-describing. Exit codes: 0 success, 2 bad usage
 or configuration, 3 numerical failure. A failure prints one line to stderr,
-``error: <message>``. For a config file the message starts with the field
-at fault, under the file's section ``scenario``, ``bench`` or ``train`` and
-its nested sections, as in ``error: bench.ospa.c: expected a number, got '10'``.
+``error: <message>``. For a config file the message leads with where the
+fault lies, under the file's section ``scenario``, ``bench`` or ``train`` and
+its nested sections: a value of the wrong type with its field, as in
+``error: bench.ospa.c: expected a number, got '10'``, and a value out of
+range with its section, as in ``error: scenario: dt must be > 0, got 0.0``.
 """
 
 from __future__ import annotations
@@ -88,6 +90,8 @@ def _announce(name: str, settings: dict) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     config = ScenarioConfig.from_dict(_load_json(args.config))
     seed = args.seed if args.seed is not None else config.seed
     _announce("simulate", {**config.to_dict(), "effective_seed": seed, "out": args.out})
@@ -200,6 +204,8 @@ def _cmd_track(args) -> int:
     for flag, value in other.items():
         if value is not None:
             raise ConfigError(f"{flag} applies to {kind} input only, not to {args.input}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.method == "deepda" and not args.model:
         raise ConfigError("method deepda requires --model")
     model = load_model(args.model) if args.model else None

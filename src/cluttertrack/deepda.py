@@ -66,10 +66,9 @@ class NetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m_max < 1 or self.hidden < 1:
-            raise ContractViolation(
-                f"m_max, hidden must be >= 1, got {self.m_max}/{self.hidden}"
-            )
+        for name, low in (("m_max", 1), ("hidden", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ContractViolation(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @property
     def features(self) -> int:
@@ -122,10 +121,9 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.lr < np.inf:
             raise ContractViolation(f"lr must be finite and > 0, got {self.lr}")
-        if self.batch < 1 or self.epochs < 1:
-            raise ContractViolation(
-                f"batch and epochs must be >= 1, got {self.batch}/{self.epochs}"
-            )
+        for name, low in (("batch", 1), ("epochs", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ContractViolation(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -190,14 +190,11 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.dt > 0:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
-        if self.num_scans < 1:
-            raise ConfigError(f"num_scans must be >= 1, got {self.num_scans}")
-        if self.sigma_x < 0 or self.sigma_y < 0:
-            raise ConfigError(f"sigma_x/sigma_y must be >= 0, got {self.sigma_x}/{self.sigma_y}")
+        for name, low in (("num_scans", 1), ("sigma_x", 0), ("sigma_y", 0), ("e_lambda", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not (0.0 < self.p_d <= 1.0):
             raise ConfigError(f"p_d must be in (0, 1], got {self.p_d}")
-        if self.e_lambda < 0:
-            raise ConfigError(f"e_lambda must be >= 0, got {self.e_lambda}")
         for j, (x, _, y, _) in enumerate(states):
             if not self.region.contains(x, y):
                 raise ConfigError(
@@ -401,31 +398,27 @@ class AssocProbabilities:
         object.__setattr__(self, "rows", r)
 
     @property
-    def num_tracks(self) -> int:
-        return self.rows.shape[0]
-
-    @property
     def num_measurements(self) -> int:
         return self.rows.shape[1] - 1
 
 
-def assign_with_misses(cost: np.ndarray, miss, big: float, tie: float = 0.0) -> Assignment:
+def assign_with_misses(cost: np.ndarray, miss, tie: float = 0.0) -> Assignment:
     """Optimal one-to-one assignment of the (n, m) ``cost`` where track j may
-    miss instead at ``miss`` (one value or one per track, below ``big``): an
-    n x (m + n) problem whose column m + j is track j's miss and ``big`` for
-    the others. Free measurements cost nothing; pairs costing ``big`` or more
-    are never returned; ``tie`` times the column index is added to order
-    exact ties.
+    miss instead at the finite ``miss`` (one value or one per track): an
+    n x (m + n) problem whose column m + j is track j's miss and ``+inf``
+    for the others. Free measurements cost nothing; a ``+inf`` entry is a
+    pair that is never made; ``tie`` times the column index is added to
+    order exact ties.
 
     Only the measurement columns that can win go to the solver, with all n
     miss columns: a column is kept when some track's entry is at most that
     track's own miss entry, tie bias included. Dropping the others is
     exact: a track holding one does strictly better on its own miss column,
-    which no other track takes below ``big``, so no optimum uses it. The
-    kept columns keep their order and their tie bias.
+    which no other track can take, so no optimum uses it. The kept columns
+    keep their order and their tie bias.
     """
     n, m = cost.shape
-    aug = np.full((n, m + n), big)
+    aug = np.full((n, m + n), np.inf)
     aug[:, :m] = cost
     aug[:, m:][np.diag_indices(n)] = miss
     if tie:
@@ -433,7 +426,7 @@ def assign_with_misses(cost: np.ndarray, miss, big: float, tie: float = 0.0) -> 
     # Each miss column passes the test on its own track's row, so all stay.
     kept = (aug <= aug[:, m:].diagonal()[:, None]).any(axis=0).nonzero()[0]
     cols = kept[solve_lap(aug[:, kept].tolist())].tolist()
-    pairs = {j: c for j, c in enumerate(cols) if c < m and aug[j, c] < big}
+    pairs = {j: c for j, c in enumerate(cols) if c < m}
     missed = frozenset(range(n)) - frozenset(pairs)
     return Assignment(pairs, missed, frozenset(range(m)) - frozenset(pairs.values()))
 
@@ -444,11 +437,10 @@ def hard_assignment_from_probs(probs: AssocProbabilities) -> Assignment:
     Maximizes the summed probability of the chosen option per track (a
     measurement or the miss column), i.e. minimizes sum(1 - beta) on the
     complemented matrix with the miss column replicated per track so a miss
-    is always feasible. A pair of probability 0 is never chosen (the track's
-    own miss is as good), so a measurement outside every gate drops out.
+    is always feasible. A pair of probability 0 costs ``+inf`` and is never
+    made (the track's own miss is as good), so a measurement outside every
+    gate drops out.
     """
     rows = probs.rows
-    m = probs.num_measurements
-    big = 4.0 * (probs.num_tracks + m + 1)  # dominates any feasible total of (1 - beta) terms
-    beta = rows[:, :m]
-    return assign_with_misses(np.where(beta > 0.0, 1.0 - beta, big), 1.0 - rows[:, m], big)
+    beta = rows[:, :-1]
+    return assign_with_misses(np.where(beta > 0.0, 1.0 - beta, np.inf), 1.0 - rows[:, -1])

@@ -121,6 +121,13 @@ def test_hungarian_forbidden_pairs():
     assert a.unassigned_tracks == {1}
 
 
+@pytest.mark.parametrize("miss_cost", [0.0, -1.0, np.inf, np.nan])
+def test_hungarian_refuses_a_miss_cost_that_is_not_finite_and_positive(miss_cost):
+    # An infinite miss cost used to reach the solver and fail inside it.
+    with pytest.raises(ContractViolation, match=f"^miss_cost must be finite and > 0, got {miss_cost}$"):
+        hungarian(CostMatrix(np.array([[1.0, 2.0]])), miss_cost)
+
+
 def test_hungarian_matches_brute_force():
     rng = np.random.default_rng(23)
     for _ in range(200):

@@ -93,6 +93,15 @@ def test_bench_spec_refuses_repeated_grid_values(field, value):
         BenchSpec.from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "field,value,msg", [("n_runs", 0, "n_runs must be >= 1, got 0"), ("seed", -1, "seed must be >= 0, got -1")]
+)
+def test_bench_spec_range_error_names_the_field(field, value, msg):
+    with pytest.raises(ConfigError) as e:
+        BenchSpec.from_dict({"base": five_crossing_targets().to_dict(), field: value})
+    assert str(e.value) == f"bench: {msg}"
+
+
 def test_parallel_grid_reproduces_serial_accuracy_columns(model_path):
     spec = _spec(model_path, ("ha", "jpda", "deepda"))
     serial = run_grid(spec, jobs=1)

@@ -213,6 +213,12 @@ TRAIN = {"base": REFERENCE, "variants": 2, "net": {"hidden": 4}, "train": {"epoc
         ("train", {**TRAIN, "train": {"lr": True}}, "train.train.lr"),
         # It used to be refused as "variant count must be >= 1", after --out was made.
         ("train", {**TRAIN, "variants": 0}, "train.variants"),
+        # A negative seed used to reach numpy's SeedSequence and exit 1 with its traceback.
+        ("simulate", {**REFERENCE, "seed": -1}, "scenario"),
+        ("bench", {**BENCH, "seed": -1}, "bench"),
+        ("train", {**TRAIN, "base": {**REFERENCE, "seed": -1}}, "train.base"),
+        ("train", {**TRAIN, "net": {"hidden": 4, "seed": -1}}, "train.net"),
+        ("train", {**TRAIN, "train": {"epochs": 1, "seed": -1}}, "train.train"),
     ],
 )
 def test_malformed_config_exits_with_config_code_naming_the_field(
@@ -426,6 +432,17 @@ def test_track_single_scan_scenario_exits_2_and_writes_no_metrics(tmp_path, caps
         capsys.readouterr().err
     )
     assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "track"])
+def test_negative_seed_flag_exits_2_before_creating_out(tmp_path, capsys, command):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(five_crossing_targets().to_dict()))
+    argv = [command, str(scenario)] + (["--method", "ha"] if command == "track" else [])
+    out = tmp_path / "out"
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

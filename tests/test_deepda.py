@@ -259,6 +259,23 @@ def test_configs_have_no_dimension_or_clip_field():
     assert small_cfg(m_max=5).features == 10
 
 
+@pytest.mark.parametrize(
+    "cls,field,value,msg",
+    [
+        (NetConfig, "m_max", 0, "m_max must be >= 1, got 0"),
+        (NetConfig, "hidden", 0, "hidden must be >= 1, got 0"),
+        (NetConfig, "seed", -1, "seed must be >= 0, got -1"),
+        (TrainConfig, "batch", 0, "batch must be >= 1, got 0"),
+        (TrainConfig, "epochs", 0, "epochs must be >= 1, got 0"),
+        (TrainConfig, "seed", -1, "seed must be >= 0, got -1"),
+    ],
+)
+def test_config_range_error_names_the_one_field_at_fault(cls, field, value, msg):
+    with pytest.raises(ContractViolation) as e:
+        cls(**{field: value})
+    assert str(e.value) == msg
+
+
 def test_forward_requires_tracks():
     cfg = small_cfg()
     model = init_model(cfg, identity_norm(cfg.features))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -74,6 +75,10 @@ def test_config_rejects_missing_fields(reference_config):
             {"xmin": 4.0, "xmax": float("inf"), "ymin": 8.0, "ymax": 22.0},
             "region must have finite positive area",
         ),
+        # A range error names the one field at fault; seed -1 used to reach numpy.
+        ("sigma_x", -0.1, r"^scenario: sigma_x must be >= 0, got -0\.1$"),
+        ("sigma_y", -0.1, r"^scenario: sigma_y must be >= 0, got -0\.1$"),
+        ("seed", -1, r"^scenario: seed must be >= 0, got -1$"),
     ],
 )
 def test_config_validation_names_field(reference_config, field, value, msg):
@@ -308,7 +313,7 @@ def test_assoc_probabilities_check_order():
 def test_assoc_probabilities_accept_no_tracks():
     for m in (0, 3):
         probs = AssocProbabilities(np.zeros((0, m + 1)))
-        assert probs.num_tracks == 0 and probs.num_measurements == m
+        assert probs.rows.shape[0] == 0 and probs.num_measurements == m
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +359,24 @@ def test_hard_assignment_matches_brute_force():
         achieved += sum(rows[j, m] for j in a.unassigned_tracks)
         assert achieved == pytest.approx(brute_force_max_prob(rows), abs=1e-12)
         assert all(rows[j, i] > 0.0 for j, i in a.pairs.items())  # a miss is as good
+
+
+@pytest.mark.parametrize(
+    "rows,pairs,missed",
+    [
+        # Two tracks at 0.5/0.5 over two measurements: either pairing sums to 1.
+        ([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], {0: 0, 1: 1}, set()),
+        # Measurement 1 has probability 0 for both, and each track ties its
+        # measurement 0 with its miss.
+        ([[0.5, 0.0, 0.5], [0.5, 0.0, 0.5]], {1: 0}, {0}),
+        ([[0.25, 0.0, 0.25, 0.5], [0.25, 0.0, 0.25, 0.5]], {}, {0, 1}),
+    ],
+)
+def test_hard_assignment_breaks_exact_ties_as_pinned(rows, pairs, missed):
+    m = len(rows[0]) - 1
+    a = hard_assignment_from_probs(AssocProbabilities(np.array(rows)))
+    assert a.pairs == pairs and a.unassigned_tracks == missed
+    assert a.unassigned_measurements == set(range(m)) - set(pairs.values())
 
 
 @settings(max_examples=200, deadline=None)
@@ -407,6 +430,25 @@ def test_solve_lap_equals_the_reference_loop_on_tie_heavy_costs():
     assert solve_lap([[0.0, 1.0], [0.0, 3.0]]) == reference_lap([[0.0, 1.0], [0.0, 3.0]]) == [1, 0]
 
 
+def test_solve_lap_with_infinite_entries_equals_brute_force():
+    # Continuous costs have one optimum; +inf entries are pairs never made.
+    rng = np.random.default_rng(2016)
+    cases = 0
+    while cases < 500:
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(n, 8))
+        cost = rng.random((n, m))
+        cost[rng.random((n, m)) < rng.choice([0.2, 0.5, 0.7])] = np.inf
+        best = min(
+            itertools.permutations(range(m), n),
+            key=lambda cols: sum(cost[j, c] for j, c in enumerate(cols)),
+        )
+        if not np.isfinite(cost[range(n), best]).all():
+            continue  # no assignment of finite cost
+        assert solve_lap(cost.tolist()) == list(best), cost
+        cases += 1
+
+
 # ---------------------------------------------------------------------------
 # assign_with_misses
 # ---------------------------------------------------------------------------
@@ -421,7 +463,7 @@ def test_assign_with_misses_solves_only_the_columns_that_can_win(monkeypatch):
 
     monkeypatch.setattr(domain, "solve_lap", recording_lap)
     cost = np.array([[0.2, 0.9, 0.5], [0.8, 0.95, 0.5]])
-    a = assign_with_misses(cost, np.array([0.5, 0.6]), big=10.0)
+    a = assign_with_misses(cost, np.array([0.5, 0.6]))
     # Column 1 loses to both misses; column 2 ties track 0's miss and stays.
     assert widths == [2 + 2]
     assert a.pairs == {0: 0, 1: 2}
@@ -429,10 +471,11 @@ def test_assign_with_misses_solves_only_the_columns_that_can_win(monkeypatch):
 
 
 def full_width_pairs(cost, miss, big, tie):
-    """The pairs of the whole n x (m + n) problem, every column solved."""
+    """The pairs of the whole n x (m + n) problem, every column solved, with
+    each forbidden pair written as the finite ``big`` instead of ``+inf``."""
     n, m = cost.shape
     aug = np.full((n, m + n), big)
-    aug[:, :m] = cost
+    aug[:, :m] = np.where(np.isinf(cost), big, cost)
     aug[:, m:][np.diag_indices(n)] = miss
     aug += tie * np.arange(m + n)
     cols = solve_lap(aug.tolist())
@@ -445,9 +488,8 @@ def test_assign_with_misses_matches_the_full_width_problem(tie):
     rng = np.random.default_rng(11)
     for _ in range(400):
         n, m = int(rng.integers(1, 5)), int(rng.integers(0, 7))
-        big = 10.0
         cost = rng.integers(0, 6, size=(n, m)) / 4.0
-        cost[rng.random((n, m)) < 0.2] = big
+        cost[rng.random((n, m)) < 0.2] = np.inf
         miss = rng.integers(1, 5, size=n) / 4.0
-        got = assign_with_misses(cost, miss, big, tie)
-        assert got.pairs == full_width_pairs(cost, miss, big, tie)
+        got = assign_with_misses(cost, miss, tie)
+        assert got.pairs == full_width_pairs(cost, miss, 10.0, tie)
