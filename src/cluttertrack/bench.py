@@ -12,7 +12,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -246,6 +246,8 @@ class BenchSpec:
 
     ``pd_values``/``elambda_values`` default to the base's p_d/e_lambda. No
     axis is empty or repeats a value: a (method, p_d, e_lambda) cell is a row.
+    Each axis value is checked as the base's p_d or e_lambda, so a value out
+    of range is refused here, as ``pd_values[i]: <message>``.
     """
 
     base: ScenarioConfig
@@ -274,6 +276,12 @@ class BenchSpec:
             values = getattr(self, name)
             if not values or len(set(values)) != len(values):
                 raise ConfigError(f"{name} must be non-empty with no repeats, got {list(values)}")
+        for name, key in (("pd_values", "p_d"), ("elambda_values", "e_lambda")):
+            for i, v in enumerate(getattr(self, name)):
+                try:
+                    replace(self.base, **{key: v})
+                except ConfigError as e:
+                    raise ConfigError(f"{name}[{i}]: {e}") from None
         if "deepda" in methods and not self.model_path:
             raise ConfigError("method deepda requires model_path")
 
@@ -309,6 +317,7 @@ class RawEpisodeRow:
 class BenchReport:
     rows: Tuple[BenchRow, ...]
     meta: Dict = field(default_factory=dict)
+    raw: Tuple[RawEpisodeRow, ...] = ()
 
 
 #: The grid's DeepDA model in the process that runs its episodes, set by
@@ -357,7 +366,7 @@ def _report_meta(spec: BenchSpec) -> Dict:
     }
 
 
-def run_grid(spec: BenchSpec, jobs: int = 1, raw_log=None) -> BenchReport:
+def run_grid(spec: BenchSpec, jobs: int = 1) -> BenchReport:
     """Run every (method, p_d, e_lambda) cell for n_runs episodes.
 
     Episode seeds depend only on the grid seed, the (p_d, e_lambda) cell and
@@ -370,17 +379,10 @@ def run_grid(spec: BenchSpec, jobs: int = 1, raw_log=None) -> BenchReport:
     marks its whole cell failed (NaN row) and is recorded in
     ``meta["errors"]`` with its method, cell, run, seed tuple and error
     text, which names the scan it failed on; any other exception propagates.
-
-    ``raw_log`` is opened before the first episode, so a path that cannot be
-    written raises :class:`ConfigError` before any work is done.
+    The report's ``raw`` rows are the runs of the cells with no failed episode.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if raw_log is not None:
-        try:
-            open(raw_log, "w").close()
-        except OSError as e:
-            raise ConfigError(f"cannot write raw log {raw_log}: {e}") from None
     model = load_model(spec.model_path) if "deepda" in spec.methods else None
     cells = [
         (method, (spec.seed, pi, ei), replace(spec.base, p_d=p_d, e_lambda=e_lambda))
@@ -430,9 +432,7 @@ def run_grid(spec: BenchSpec, jobs: int = 1, raw_log=None) -> BenchReport:
         stats = ospas.mean(), ospas.std(), sttis.mean(), sttis.std(), times.mean()
         rows.append(BenchRow(*cell, *map(float, stats)))
 
-    if raw_log is not None:
-        write_raw_log(raw_rows, raw_log)
-    return BenchReport(tuple(rows), meta)
+    return BenchReport(tuple(rows), meta, tuple(raw_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +442,17 @@ def run_grid(spec: BenchSpec, jobs: int = 1, raw_log=None) -> BenchReport:
 # ---------------------------------------------------------------------------
 
 
-def write_raw_log(rows: Sequence[RawEpisodeRow], path) -> None:
-    write_csv(path, [f.name for f in fields(RawEpisodeRow)], map(astuple, rows))
-
-
 def emit_report(report: BenchReport, out_dir) -> Dict[str, str]:
-    """Write report.csv, report.json and the plot-data CSVs
-    ospa_vs_elambda.csv and ospa_vs_pd.csv into ``out_dir`` (created if
-    missing); returns their paths keyed "csv", "json" and by file name.
-    A failed cell's NaN columns read ``nan`` in the CSV files and ``null``
-    in report.json, which is strict JSON."""
+    """Write report.csv, the per-episode raw.csv, report.json and the
+    plot-data CSVs ospa_vs_elambda.csv and ospa_vs_pd.csv into ``out_dir``
+    (created if missing); returns their paths keyed "csv", "json" and by file
+    name ("raw.csv" and the plot files). A failed cell's NaN columns read
+    ``nan`` in the CSV files and ``null`` in report.json, which is strict
+    JSON; its episodes have no raw.csv rows."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {"csv": os.path.join(out_dir, "report.csv")}
+    paths = {"csv": os.path.join(out_dir, "report.csv"), "raw.csv": os.path.join(out_dir, "raw.csv")}
     write_csv(paths["csv"], [f.name for f in fields(BenchRow)], map(astuple, report.rows))
+    write_csv(paths["raw.csv"], [f.name for f in fields(RawEpisodeRow)], map(astuple, report.raw))
     columns = ["method", "p_d", "e_lambda", "ospa_mean", "ospa_std"]
     for name, key in (("ospa_vs_elambda.csv", "e_lambda"), ("ospa_vs_pd.csv", "p_d")):
         paths[name] = os.path.join(out_dir, name)

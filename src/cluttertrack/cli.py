@@ -9,6 +9,8 @@ fault lies, under the file's section ``scenario``, ``bench`` or ``train`` and
 its nested sections: a value of the wrong type with its field, as in
 ``error: bench.ospa.c: expected a number, got '10'``, and a value out of
 range with its section, as in ``error: scenario: dt must be > 0, got 0.0``.
+A flag's value out of range leads with the flag, as in
+``error: --ospa-c: c must be finite and > 0, got 0.0``.
 """
 
 from __future__ import annotations
@@ -82,6 +84,15 @@ def _make_out_dir(path) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create output directory {path}: {e}") from None
+
+
+def _checked(flag: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose error, a value out of range, is
+    raised again with its type, led by the flag that gave the value."""
+    try:
+        return make(*args, **kwargs)
+    except ToolkitError as e:
+        raise type(e)(f"{flag}: {e}") from None
 
 
 def _announce(name: str, settings: dict) -> None:
@@ -209,7 +220,8 @@ def _cmd_track(args) -> int:
     if args.method == "deepda" and not args.model:
         raise ConfigError("method deepda requires --model")
     model = load_model(args.model) if args.model else None
-    op = OspaParams(c=args.ospa_c, p=args.ospa_p)
+    op = _checked("--ospa-c", OspaParams, c=args.ospa_c, p=1.0)  # c ** 1 cannot overflow
+    op = _checked("--ospa-p", replace, op, p=args.ospa_p)
 
     if csv_input:
         if not args.truth:
@@ -231,16 +243,20 @@ def _cmd_track(args) -> int:
         # clutter density, which the CSV files do not record: take p_d, the
         # clutter rate and dt from flags or the reference values, and the
         # region from the default one grown to cover the data.
-        params = FilterParams() if args.dt is None else FilterParams(dt=args.dt)
+        params = FilterParams() if args.dt is None else _checked("--dt", FilterParams, dt=args.dt)
         config = ScenarioConfig(
             num_targets=num_targets,
             initial_states=tuple(tuple(s) for s in truth_states[0]),
             dt=params.dt,
             num_scans=truth_states.shape[0],
-            p_d=_CSV_DEFAULT_PD if args.pd is None else args.pd,
-            e_lambda=_CSV_DEFAULT_ELAMBDA if args.elambda is None else args.elambda,
+            p_d=_CSV_DEFAULT_PD,
+            e_lambda=_CSV_DEFAULT_ELAMBDA,
             region=_covering_region(args.truth, truth_states[0][:, [0, 2]], args.input, scans),
         )
+        if args.pd is not None:
+            config = _checked("--pd", replace, config, p_d=args.pd)
+        if args.elambda is not None:
+            config = _checked("--elambda", replace, config, e_lambda=args.elambda)
         if None in (args.pd, args.elambda, args.dt):
             print(
                 f"warning: {args.input} does not record the scenario; assuming p_d "
@@ -314,7 +330,7 @@ def _cmd_bench(args) -> int:
         },
     )
     _make_out_dir(args.out)
-    report = run_grid(spec, jobs=args.jobs, raw_log=args.raw_log)
+    report = run_grid(spec, jobs=args.jobs)
     paths = emit_report(report, args.out)
     print(f"{'method':>8} {'p_d':>6} {'e_lambda':>9} {'ospa':>8} {'stti':>7} {'time_s':>9}")
     for row in report.rows:
@@ -398,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="bench spec JSON")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--jobs", type=int, default=1, help="parallel episode workers")
-    p.add_argument("--raw-log", default=None, help="persist per-episode rows to this CSV")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("inspect-model", help="describe a model file")

@@ -397,10 +397,6 @@ class AssocProbabilities:
             )
         object.__setattr__(self, "rows", r)
 
-    @property
-    def num_measurements(self) -> int:
-        return self.rows.shape[1] - 1
-
 
 def assign_with_misses(cost: np.ndarray, miss, tie: float = 0.0) -> Assignment:
     """Optimal one-to-one assignment of the (n, m) ``cost`` where track j may

@@ -19,7 +19,6 @@ from cluttertrack.bench import (
     emit_report,
     run_episode,
     run_grid,
-    write_raw_log,
 )
 from cluttertrack.deepda import (
     LstmModel,
@@ -94,7 +93,16 @@ def test_bench_spec_refuses_repeated_grid_values(field, value):
 
 
 @pytest.mark.parametrize(
-    "field,value,msg", [("n_runs", 0, "n_runs must be >= 1, got 0"), ("seed", -1, "seed must be >= 0, got -1")]
+    "field,value,msg",
+    [
+        ("n_runs", 0, "n_runs must be >= 1, got 0"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        # An axis value is checked as the base's p_d or e_lambda, where the spec is read.
+        ("pd_values", [0.9, 1.5], "pd_values[1]: p_d must be in (0, 1], got 1.5"),
+        ("elambda_values", [-1], "elambda_values[0]: e_lambda must be >= 0, got -1.0"),
+        ("pd_values", [float("nan")], "pd_values[0]: p_d must be in (0, 1], got nan"),
+        ("elambda_values", [0, float("nan")], "elambda_values[1]: e_lambda must be finite, got nan"),
+    ],
 )
 def test_bench_spec_range_error_names_the_field(field, value, msg):
     with pytest.raises(ConfigError) as e:
@@ -170,8 +178,7 @@ def test_raw_log_holds_the_runs_of_the_cells_with_no_failed_episode(tmp_path, jo
     path = tmp_path / "model.json"
     save_model(init_model(cfg, identity_norm(cfg.features)), path)
     spec = replace(_spec(str(path), ("ha", "deepda")), elambda_values=(0.0, 20.0), n_runs=5)
-    raw = tmp_path / "raw.csv"
-    report = run_grid(spec, jobs=jobs, raw_log=raw)
+    report = run_grid(spec, jobs=jobs)
     errors = report.meta["errors"]
     assert [(e["method"], e["p_d"], e["e_lambda"], e["run"], e["seed"]) for e in errors] == [
         ("deepda", 0.9, 20.0, 2, [3, 0, 1, 2]),
@@ -179,7 +186,8 @@ def test_raw_log_holds_the_runs_of_the_cells_with_no_failed_episode(tmp_path, jo
     ]
     for e in errors:
         assert e["error"].startswith("CapacityError: scan ")
-    lines = raw.read_text().splitlines()
+    emit_report(report, tmp_path)
+    lines = (tmp_path / "raw.csv").read_text().splitlines()
     assert lines[0] == "method,p_d,e_lambda,run,ospa,stti,time_s"
     raw_rows = [line.split(",") for line in lines[1:]]
     done = [("ha", 0.0), ("ha", 20.0), ("deepda", 0.0)]
@@ -215,11 +223,9 @@ def test_a_fault_in_the_program_propagates_instead_of_failing_the_cell(monkeypat
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
-def test_grid_refuses_fewer_than_one_job_before_any_work(tmp_path, jobs):
-    raw = tmp_path / "raw.csv"
+def test_grid_refuses_fewer_than_one_job_before_any_work(jobs):
     with pytest.raises(ConfigError, match=f"^jobs must be >= 1, got {jobs}$"):
-        run_grid(_spec(None, ("ha",)), jobs=jobs, raw_log=raw)
-    assert not raw.exists()
+        run_grid(_spec(None, ("ha",)), jobs=jobs)
 
 
 @pytest.fixture(scope="module")
@@ -322,11 +328,16 @@ def test_report_files_match_golden_text(tmp_path):
             BenchRow("jpda", 0.5, 40.0, 0.1 + 0.2, 0.0, 0.0, 0.0, 2e-05),
         ),
         {"seed": 3},
+        (
+            RawEpisodeRow("jpda", 0.9, 26.0, 0, 1.0, 2, 0.0123),
+            RawEpisodeRow("jpda", 0.5, 40.0, 1, 0.1 + 0.2, 0, 2e-05),
+        ),
     )
     paths = emit_report(report, tmp_path / "out")
     out = tmp_path / "out"
     assert {key: str(path) for key, path in paths.items()} == {
         "csv": str(out / "report.csv"),
+        "raw.csv": str(out / "raw.csv"),
         "ospa_vs_elambda.csv": str(out / "ospa_vs_elambda.csv"),
         "ospa_vs_pd.csv": str(out / "ospa_vs_pd.csv"),
         "json": str(out / "report.json"),
@@ -387,15 +398,7 @@ def test_report_files_match_golden_text(tmp_path):
   ]
 }"""
 
-    raw = tmp_path / "raw.csv"
-    write_raw_log(
-        [
-            RawEpisodeRow("jpda", 0.9, 26.0, 0, 1.0, 2, 0.0123),
-            RawEpisodeRow("jpda", 0.5, 40.0, 1, 0.1 + 0.2, 0, 2e-05),
-        ],
-        raw,
-    )
-    assert raw.read_bytes() == _crlf(
+    assert (out / "raw.csv").read_bytes() == _crlf(
         "method,p_d,e_lambda,run,ospa,stti,time_s",
         "jpda,0.9,26.0,0,1.0,2,0.0123",
         "jpda,0.5,40.0,1,0.30000000000000004,0,2e-05",

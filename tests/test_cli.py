@@ -219,6 +219,10 @@ TRAIN = {"base": REFERENCE, "variants": 2, "net": {"hidden": 4}, "train": {"epoc
         ("train", {**TRAIN, "base": {**REFERENCE, "seed": -1}}, "train.base"),
         ("train", {**TRAIN, "net": {"hidden": 4, "seed": -1}}, "train.net"),
         ("train", {**TRAIN, "train": {"epochs": 1, "seed": -1}}, "train.train"),
+        # An axis value out of range used to be refused by run_grid, after --out was made.
+        ("bench", {**BENCH, "pd_values": [0.9, 1.5]}, "bench: pd_values[1]"),
+        ("bench", {**BENCH, "elambda_values": [-1]}, "bench: elambda_values[0]"),
+        ("bench", {**BENCH, "pd_values": [float("nan")]}, "bench: pd_values[0]"),
     ],
 )
 def test_malformed_config_exits_with_config_code_naming_the_field(
@@ -307,20 +311,14 @@ def test_track_csv_outside_the_default_region(tmp_path, capsys):
         assert "Region(xmin=4.0, xmax=30.0, ymin=8.0, ymax=22.0)" not in err
 
 
-def test_bench_raw_log_in_a_new_or_missing_directory(tmp_path, capsys):
+def test_bench_writes_raw_csv_in_a_new_out(tmp_path, capsys):
     doc = {"base": five_crossing_targets().to_dict(), "n_runs": 1, "methods": ["ha"]}
     spec = tmp_path / "bench.json"
     spec.write_text(json.dumps(doc))
-    # --out is created before the grid runs, so the raw log may go inside it.
     out = tmp_path / "new"
-    assert main(["bench", str(spec), "--out", str(out), "--raw-log", str(out / "raw.csv")]) == 0
+    assert main(["bench", str(spec), "--out", str(out)]) == 0
     assert (out / "raw.csv").read_text().startswith("method,p_d,e_lambda,run,ospa,stti,time_s")
-    capsys.readouterr()
-    # A directory nothing creates fails before the first episode.
-    out, raw = tmp_path / "other", tmp_path / "missing" / "raw.csv"
-    assert main(["bench", str(spec), "--out", str(out), "--raw-log", str(raw)]) == 2
-    assert f"error: cannot write raw log {raw}" in capsys.readouterr().err
-    assert not (out / "report.csv").exists()
+    assert f"wrote {out / 'raw.csv'}\n" in capsys.readouterr().out
 
 
 def test_simulate_track_then_bench_with_raw_log(tmp_path):
@@ -334,12 +332,12 @@ def test_simulate_track_then_bench_with_raw_log(tmp_path):
     }
     spec = tmp_path / "bench.json"
     spec.write_text(json.dumps(doc))
-    out, raw = tmp_path / "bench", tmp_path / "raw.csv"
-    assert main(["bench", str(spec), "--out", str(out), "--raw-log", str(raw)]) == 0
+    out = tmp_path / "bench"
+    assert main(["bench", str(spec), "--out", str(out)]) == 0
     assert (out / "report.csv").exists() and (out / "report.json").exists()
     report = json.loads((out / "report.json").read_text())
     assert report["meta"]["errors"] == []
-    lines = raw.read_text().splitlines()
+    lines = (out / "raw.csv").read_text().splitlines()
     assert lines[0] == "method,p_d,e_lambda,run,ospa,stti,time_s"
     keys = sorted(tuple(line.split(",")[i] for i in (0, 3)) for line in lines[1:])
     assert keys == [("ha", "0"), ("ha", "1"), ("jpda", "0"), ("jpda", "1")]
@@ -442,6 +440,29 @@ def test_negative_seed_flag_exits_2_before_creating_out(tmp_path, capsys, comman
     out = tmp_path / "out"
     assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--ospa-c", "0", "c must be finite and > 0, got 0.0"),
+        ("--ospa-p", "0.5", "p must be finite and >= 1, got 0.5"),
+        ("--dt", "0", "dt must be finite and > 0, got 0.0"),
+        ("--pd", "1.5", "p_d must be in (0, 1], got 1.5"),
+        ("--elambda", "-1", "e_lambda must be >= 0, got -1.0"),
+    ],
+)
+def test_track_range_error_leads_with_its_flag_before_creating_out(tmp_path, capsys, flag, value, message):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(five_crossing_targets().to_dict()))
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(scenario), "--out", str(sim)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = ["track", str(sim / "scans.csv"), "--truth", str(sim / "truth.csv"), "--method", "ha"]
+    assert main(argv + [flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: {message}\n"
     assert not out.exists()
 
 

@@ -290,7 +290,7 @@ def test_assoc_probabilities_row_sum_enforced():
     with pytest.raises(ContractViolation):
         AssocProbabilities(np.array([[0.5, 0.4]]))
     ok = AssocProbabilities(np.array([[0.5, 0.5], [0.0, 1.0]]))
-    assert ok.num_measurements == 1
+    assert ok.rows.shape[1] - 1 == 1
 
 
 def test_assoc_probabilities_range_enforced():
@@ -313,7 +313,7 @@ def test_assoc_probabilities_check_order():
 def test_assoc_probabilities_accept_no_tracks():
     for m in (0, 3):
         probs = AssocProbabilities(np.zeros((0, m + 1)))
-        assert probs.rows.shape[0] == 0 and probs.num_measurements == m
+        assert probs.rows.shape[0] == 0 and probs.rows.shape[1] - 1 == m
 
 
 # ---------------------------------------------------------------------------
