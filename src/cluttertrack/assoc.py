@@ -63,12 +63,9 @@ def hungarian(cost: CostMatrix, miss_cost: float) -> Assignment:
     if not 0 < miss_cost < math.inf:
         raise ContractViolation(f"miss_cost must be finite and > 0, got {miss_cost}")
     v = cost.values
-    n, m = v.shape
-    finite = v[np.isfinite(v)]
-    top = max(float(finite.max()) if finite.size else 0.0, miss_cost)
-    # Infinitesimal column bias so exact ties resolve toward the lowest
-    # measurement index; far below any meaningful cost difference.
-    tie = (top + 1.0) * 1e-12 / (m + n + 1)
+    top = max(float(np.maximum.reduce(v[np.isfinite(v)], initial=0.0)), miss_cost)  # entries are >= 0
+    # A column bias far below any cost difference resolves exact ties toward the lowest index.
+    tie = (top + 1.0) * 1e-12 / (sum(v.shape) + 1)  # over the m + n + 1 columns
     return assign_with_misses(v, miss_cost, tie)
 
 

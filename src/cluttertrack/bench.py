@@ -69,11 +69,9 @@ class HaEngine:
         nu, s, _, d2 = innovations(tracks, scan.measurements, self.params)
         with np.errstate(over="ignore"):
             cost = np.sqrt(nu[:, :, 0] ** 2 + nu[:, :, 1] ** 2)
-        cost[d2 > self.gp.gamma] = np.inf
-        miss = float(
-            np.sqrt(self.gp.gamma)
-            * np.mean(np.sqrt(np.stack([s[:, 0, 0], s[:, 1, 1]])))
-        )
+        np.putmask(cost, d2 > self.gp.gamma, np.inf)
+        root_s = np.sqrt(np.concatenate((s[:, 0, 0], s[:, 1, 1])))  # np.mean's sum and divide, unwrapped
+        miss = float(np.sqrt(self.gp.gamma) * (np.add.reduce(root_s) / root_s.size))
         return hungarian(CostMatrix(cost), miss)
 
 
@@ -366,7 +364,7 @@ def _report_meta(spec: BenchSpec) -> Dict:
     }
 
 
-def run_grid(spec: BenchSpec, jobs: int = 1) -> BenchReport:
+def run_grid(spec: BenchSpec, jobs: int = 1, model: Optional[LstmModel] = None) -> BenchReport:
     """Run every (method, p_d, e_lambda) cell for n_runs episodes.
 
     Episode seeds depend only on the grid seed, the (p_d, e_lambda) cell and
@@ -380,10 +378,11 @@ def run_grid(spec: BenchSpec, jobs: int = 1) -> BenchReport:
     ``meta["errors"]`` with its method, cell, run, seed tuple and error
     text, which names the scan it failed on; any other exception propagates.
     The report's ``raw`` rows are the runs of the cells with no failed episode.
+    The DeepDA cells use ``model``, or without it the model at ``spec.model_path``.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    model = load_model(spec.model_path) if "deepda" in spec.methods else None
+    model = model or (load_model(spec.model_path) if "deepda" in spec.methods else None)
     cells = [
         (method, (spec.seed, pi, ei), replace(spec.base, p_d=p_d, e_lambda=e_lambda))
         for method in spec.methods

@@ -329,8 +329,9 @@ def _cmd_bench(args) -> int:
             "out": args.out,
         },
     )
+    model = load_model(spec.model_path) if "deepda" in spec.methods else None
     _make_out_dir(args.out)
-    report = run_grid(spec, jobs=args.jobs)
+    report = run_grid(spec, jobs=args.jobs, model=model)
     paths = emit_report(report, args.out)
     print(f"{'method':>8} {'p_d':>6} {'e_lambda':>9} {'ospa':>8} {'stti':>7} {'time_s':>9}")
     for row in report.rows:

@@ -337,7 +337,7 @@ class CostMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise ContractViolation(f"cost matrix must be 2-D, got shape {v.shape}")
-        if np.any(np.isnan(v)) or np.any(v < 0):
+        if not (v >= 0).all():  # one pass: NaN fails the test as a negative does
             raise ContractViolation("cost matrix entries must be >= 0 and not NaN")
         object.__setattr__(self, "values", v)
 
@@ -359,12 +359,11 @@ class Assignment:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "unassigned_tracks", frozenset(self.unassigned_tracks))
         object.__setattr__(self, "unassigned_measurements", frozenset(self.unassigned_measurements))
-        meas = list(pairs.values())
-        if len(meas) != len(set(meas)):
+        if len(set(pairs.values())) != len(pairs):
             raise ContractViolation("a measurement is assigned to more than one track")
-        if set(pairs) & self.unassigned_tracks:
+        if not self.unassigned_tracks.isdisjoint(pairs):
             raise ContractViolation("a track is both assigned and unassigned")
-        if set(meas) & self.unassigned_measurements:
+        if not self.unassigned_measurements.isdisjoint(pairs.values()):
             raise ContractViolation("a measurement is both assigned and unassigned")
 
 
@@ -416,15 +415,15 @@ def assign_with_misses(cost: np.ndarray, miss, tie: float = 0.0) -> Assignment:
     n, m = cost.shape
     aug = np.full((n, m + n), np.inf)
     aug[:, :m] = cost
-    aug[:, m:][np.diag_indices(n)] = miss
+    aug.reshape(-1)[m :: m + n + 1] = miss  # (j, m + j) for every j: the miss diagonal
     if tie:
         aug += tie * np.arange(m + n)
     # Each miss column passes the test on its own track's row, so all stay.
     kept = (aug <= aug[:, m:].diagonal()[:, None]).any(axis=0).nonzero()[0]
-    cols = kept[solve_lap(aug[:, kept].tolist())].tolist()
-    pairs = {j: c for j, c in enumerate(cols) if c < m}
-    missed = frozenset(range(n)) - frozenset(pairs)
-    return Assignment(pairs, missed, frozenset(range(m)) - frozenset(pairs.values()))
+    cols = kept.tolist()
+    pairs = {j: cols[c] for j, c in enumerate(solve_lap(aug.take(kept, axis=1).tolist())) if cols[c] < m}
+    missed = frozenset(range(n)).difference(pairs)
+    return Assignment(pairs, missed, frozenset(range(m)).difference(pairs.values()))
 
 
 def hard_assignment_from_probs(probs: AssocProbabilities) -> Assignment:

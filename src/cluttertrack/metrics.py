@@ -66,8 +66,9 @@ def ospa(
         return params.c
     diff = a[:, None, :] - b[None, :, :]
     dists = np.sqrt(np.add.reduce(diff * diff, axis=2))  # np.linalg.norm's own sum, without its wrapper
-    d = np.minimum(dists, params.c) ** params.p
-    match_cost = sum(d[j, i] for j, i in enumerate(solve_lap(d.tolist())))
+    rows = (np.minimum(dists, params.c) ** params.p).tolist()
+    # A numpy start keeps sum() from compensating the float terms, as Python 3.12 on does.
+    match_cost = sum((row[i] for row, i in zip(rows, solve_lap(rows))), np.float64(0.0))
     return float(((match_cost + (n - m) * c_p) / n) ** (1.0 / params.p))
 
 

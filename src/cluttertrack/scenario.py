@@ -210,7 +210,7 @@ def seeded_variants(base: ScenarioConfig, count: int) -> List[ScenarioConfig]:
 # repr(float(v)), the same text under numpy 1 and 2, so files round-trip
 # exactly. Malformed rows, non-finite numbers and origins below -1 included,
 # raise ConfigError naming the file and line, a missing or repeated index or
-# a target id on two measurements the file and scan.
+# a target id on two measurements the file and scan, and an unreadable file the reason.
 # ---------------------------------------------------------------------------
 
 SCANS_CSV_HEADER = ["scan", "k", "x", "y", "origin"]
@@ -220,6 +220,19 @@ _EMPTY_SCAN_FIELDS = ["", "", "", ""]
 
 def _malformed(path, line: int, row, e: Exception) -> ConfigError:
     return ConfigError(f"{path}, line {line}: malformed row {row}: {e}")
+
+
+def _read_csv(path, header: Sequence[str], name: str) -> List[Tuple[int, List[str]]]:
+    """(line number, row) of each row below the first, ``header``, of the CSV file ``name`` at ``path``."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first != header:
+                raise ConfigError(f"unexpected {name} header: {first}")
+            return [(reader.line_num, row) for row in reader]
+    except OSError as e:
+        raise ConfigError(f"cannot read {path}: {e}") from None
 
 
 def _finite(text: str) -> float:
@@ -254,26 +267,21 @@ def read_scans_csv(path) -> List[Scan]:
     """Scans from scans.csv in scan-index order, empty scans included."""
     by_scan: dict = {}
     labeled_file = True
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SCANS_CSV_HEADER:
-            raise ConfigError(f"unexpected scans.csv header: {header}")
-        for row in reader:
-            try:
-                if len(row) != len(SCANS_CSV_HEADER):
-                    raise IndexError(f"{len(row)} fields, expected {len(SCANS_CSV_HEADER)}")
-                rows = by_scan.setdefault(int(row[0]), [])
-                if row[1:] == _EMPTY_SCAN_FIELDS:
-                    rows.append(None)  # the empty-scan row
-                    continue
-                origin = None if row[4] == "" else int(row[4])
-                if origin is not None and origin < CLUTTER:
-                    raise ValueError(f"origin {origin} is below {CLUTTER}")
-                rows.append((int(row[1]), _finite(row[2]), _finite(row[3]), origin))
-            except (ValueError, IndexError) as e:
-                raise _malformed(path, reader.line_num, row, e) from None
-            labeled_file = labeled_file and origin is not None
+    for line, row in _read_csv(path, SCANS_CSV_HEADER, "scans.csv"):
+        try:
+            if len(row) != len(SCANS_CSV_HEADER):
+                raise IndexError(f"{len(row)} fields, expected {len(SCANS_CSV_HEADER)}")
+            rows = by_scan.setdefault(int(row[0]), [])
+            if row[1:] == _EMPTY_SCAN_FIELDS:
+                rows.append(None)  # the empty-scan row
+                continue
+            origin = None if row[4] == "" else int(row[4])
+            if origin is not None and origin < CLUTTER:
+                raise ValueError(f"origin {origin} is below {CLUTTER}")
+            rows.append((int(row[1]), _finite(row[2]), _finite(row[3]), origin))
+        except (ValueError, IndexError) as e:
+            raise _malformed(path, line, row, e) from None
+        labeled_file = labeled_file and origin is not None
     scans = []
     for k in range(len(by_scan)):
         if k not in by_scan:
@@ -309,24 +317,19 @@ def write_truth_csv(truth: GroundTruth, path) -> None:
 def read_truth_states(path) -> np.ndarray:
     """True states from truth.csv as a (num_scans, num_targets, 4) array."""
     entries = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRUTH_CSV_HEADER:
-            raise ConfigError(f"unexpected truth.csv header: {header}")
-        for row in reader:
-            try:
-                if len(row) != len(TRUTH_CSV_HEADER):
-                    raise IndexError(f"{len(row)} fields, expected {len(TRUTH_CSV_HEADER)}")
-                key = (int(row[0]), int(row[1]))
-                if min(key) < 0:
-                    raise ValueError("negative scan or target index")
-                state = [_finite(v) for v in row[2:6]]
-            except (ValueError, IndexError) as e:
-                raise _malformed(path, reader.line_num, row, e) from None
-            if key in entries:
-                raise ConfigError(f"{path}, line {reader.line_num}: repeated scan {key[0]}, target {key[1]}")
-            entries[key] = state
+    for line, row in _read_csv(path, TRUTH_CSV_HEADER, "truth.csv"):
+        try:
+            if len(row) != len(TRUTH_CSV_HEADER):
+                raise IndexError(f"{len(row)} fields, expected {len(TRUTH_CSV_HEADER)}")
+            key = (int(row[0]), int(row[1]))
+            if min(key) < 0:
+                raise ValueError("negative scan or target index")
+            state = [_finite(v) for v in row[2:6]]
+        except (ValueError, IndexError) as e:
+            raise _malformed(path, line, row, e) from None
+        if key in entries:
+            raise ConfigError(f"{path}, line {line}: repeated scan {key[0]}, target {key[1]}")
+        entries[key] = state
     if not entries:
         raise ConfigError("truth.csv contains no states")
     num_scans = max(k for k, _ in entries) + 1

@@ -509,6 +509,36 @@ def test_out_naming_a_file_exits_with_config_code_before_any_work(
     assert afile.read_text() == ""
 
 
+@pytest.mark.parametrize("missing", ["scans.csv", "truth.csv", "model_path"])
+def test_a_missing_input_file_exits_2_before_creating_out(tmp_path, capsys, monkeypatch, missing):
+    sim = tmp_path / "sim"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(five_crossing_targets().to_dict()))
+    assert main(["simulate", str(scenario), "--out", str(sim)]) == 0
+    capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input was read")
+
+    for name in ("track_scans", "run_grid"):
+        monkeypatch.setattr(cli, name, no_work)
+    gone = tmp_path / "gone" / ("model.json" if missing == "model_path" else missing)
+    if missing == "model_path":
+        bench_spec = tmp_path / "bench.json"
+        doc = {"base": five_crossing_targets().to_dict(), "n_runs": 1, "methods": ["ha", "deepda"]}
+        bench_spec.write_text(json.dumps({**doc, "model_path": str(gone)}))
+        argv = ["bench", str(bench_spec)]
+    else:
+        inputs = {"scans.csv": sim / "scans.csv", "truth.csv": sim / "truth.csv", missing: gone}
+        argv = ["track", str(inputs["scans.csv"]), "--truth", str(inputs["truth.csv"]), "--method", "ha"]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {'model file ' if missing == 'model_path' else ''}{gone}: ")
+    assert err.count("\n") == 1 and "No such file" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, csv_input",
     [

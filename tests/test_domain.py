@@ -13,6 +13,7 @@ from cluttertrack.domain import (
     AssocProbabilities,
     ConfigError,
     ContractViolation,
+    CostMatrix,
     NumericalError,
     Region,
     Scan,
@@ -286,6 +287,30 @@ def test_assignment_invariants():
         Assignment({0: 1}, frozenset(), frozenset({1}))
 
 
+def test_assignment_checks_run_in_order_with_their_messages():
+    # Each case also breaks every later rule, so only the first check may fire.
+    cases = [
+        (({0: 1, 1: 1}, {0}, {1}), "a measurement is assigned to more than one track"),
+        (({0: 1}, {0}, {1}), "a track is both assigned and unassigned"),
+        (({0: 1}, (), {1}), "a measurement is both assigned and unassigned"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ContractViolation, match=f"^{message}$"):
+            Assignment(*args)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, -1e-300])
+def test_cost_matrix_refuses_nan_and_negative_entries(bad):
+    with pytest.raises(ContractViolation, match=r"^cost matrix entries must be >= 0 and not NaN$"):
+        CostMatrix(np.array([[1.0, bad], [np.inf, 0.0]]))
+
+
+def test_cost_matrix_accepts_zeros_of_either_sign_and_inf():
+    values = np.array([[-0.0, 0.0, np.inf], [2.0, np.inf, -0.0]])
+    np.testing.assert_array_equal(CostMatrix(values).values, values)
+    assert CostMatrix(np.zeros((2, 0))).values.shape == (2, 0)
+
+
 def test_assoc_probabilities_row_sum_enforced():
     with pytest.raises(ContractViolation):
         AssocProbabilities(np.array([[0.5, 0.4]]))
@@ -493,3 +518,17 @@ def test_assign_with_misses_matches_the_full_width_problem(tie):
         miss = rng.integers(1, 5, size=n) / 4.0
         got = assign_with_misses(cost, miss, tie)
         assert got.pairs == full_width_pairs(cost, miss, 10.0, tie)
+    # No tracks, where the miss diagonal is empty, and one miss for every
+    # track given as a scalar, as hungarian passes it.
+    for _ in range(200):
+        n, m = int(rng.integers(0, 5)), int(rng.integers(0, 7))
+        cost = rng.integers(0, 6, size=(n, m)) / 4.0
+        cost[rng.random((n, m)) < 0.2] = np.inf
+        miss = float(rng.integers(1, 5)) / 4.0
+        got = assign_with_misses(cost, miss, tie)
+        pairs = full_width_pairs(cost, miss, 10.0, tie)
+        assert got.pairs == pairs
+        assert got.unassigned_tracks == set(range(n)) - set(pairs)
+        assert got.unassigned_measurements == set(range(m)) - set(pairs.values())
+    empty = assign_with_misses(np.zeros((0, 3)), 1.0, tie)
+    assert (empty.pairs, empty.unassigned_tracks, empty.unassigned_measurements) == ({}, set(), {0, 1, 2})
