@@ -1,9 +1,10 @@
 """Monte Carlo benchmark harness comparing association engines.
 
 Every method runs the same scenarios through the same Kalman filter; only
-the association step differs. Episode seeds are derived from the grid seed
-with explicit spawn keys, so serial and parallel execution produce the
-same accuracy columns and all methods see identical measurement draws.
+the association step differs. The base scenario's seed drives the grid:
+episode seeds are derived from it with explicit spawn keys, so serial and
+parallel execution produce the same accuracy columns and all methods see
+identical measurement draws.
 """
 
 from __future__ import annotations
@@ -245,7 +246,8 @@ class BenchSpec:
     ``pd_values``/``elambda_values`` default to the base's p_d/e_lambda. No
     axis is empty or repeats a value: a (method, p_d, e_lambda) cell is a row.
     Each axis value is checked as the base's p_d or e_lambda, so a value out
-    of range is refused here, as ``pd_values[i]: <message>``.
+    of range is refused here, as ``pd_values[i]: <message>``. The base
+    scenario's seed drives the grid; see :func:`run_grid`.
     """
 
     base: ScenarioConfig
@@ -255,7 +257,6 @@ class BenchSpec:
     methods: Tuple[str, ...] = METHODS
     model_path: Optional[str] = None
     ospa: OspaParams = OspaParams()
-    seed: int = 0
 
     def __post_init__(self):
         pd_values = (self.base.p_d,) if self.pd_values is None else self.pd_values
@@ -264,9 +265,8 @@ class BenchSpec:
         object.__setattr__(self, "elambda_values", tuple(float(v) for v in elambda_values))
         methods = tuple(m.lower() for m in self.methods)
         object.__setattr__(self, "methods", methods)
-        for name, low in (("n_runs", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.n_runs < 1:
+            raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
         for m in methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}, expected subset of {METHODS}")
@@ -343,7 +343,7 @@ def _report_meta(spec: BenchSpec) -> Dict:
     params = FilterParams(dt=spec.base.dt)
     return {
         "toolkit_version": _toolkit_version,
-        "seed": spec.seed,
+        "seed": spec.base.seed,
         "n_runs": spec.n_runs,
         "ospa": asdict(spec.ospa),
         "operating_point": {
@@ -367,14 +367,14 @@ def _report_meta(spec: BenchSpec) -> Dict:
 def run_grid(spec: BenchSpec, jobs: int = 1, model: Optional[LstmModel] = None) -> BenchReport:
     """Run every (method, p_d, e_lambda) cell for n_runs episodes.
 
-    Episode seeds depend only on the grid seed, the (p_d, e_lambda) cell and
-    the run index, so all methods see identical measurement draws. Every
-    episode runs through ``_episode_job``, mapped in this process for
-    ``jobs`` 1 or over ``jobs`` worker processes, so both give the same
-    accuracy columns (OSPA and STTI mean and std) exactly; ``time_mean_s``
-    is a wall time and varies with the load. ``jobs`` below 1 raises
-    :class:`ConfigError`. An episode that raises a :class:`ToolkitError`
-    marks its whole cell failed (NaN row) and is recorded in
+    Episode seeds are ``(spec.base.seed, p_d index, e_lambda index, run)``:
+    the base scenario's seed drives the grid, and all methods see identical
+    measurement draws. Every episode runs through ``_episode_job``, mapped
+    in this process for ``jobs`` 1 or over ``jobs`` worker processes, so
+    both give the same accuracy columns (OSPA and STTI mean and std)
+    exactly; ``time_mean_s`` is a wall time and varies with the load.
+    ``jobs`` below 1 raises :class:`ConfigError`. An episode that raises a
+    :class:`ToolkitError` marks its whole cell failed (NaN row) and is recorded in
     ``meta["errors"]`` with its method, cell, run, seed tuple and error
     text, which names the scan it failed on; any other exception propagates.
     The report's ``raw`` rows are the runs of the cells with no failed episode.
@@ -384,7 +384,7 @@ def run_grid(spec: BenchSpec, jobs: int = 1, model: Optional[LstmModel] = None) 
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     model = model or (load_model(spec.model_path) if "deepda" in spec.methods else None)
     cells = [
-        (method, (spec.seed, pi, ei), replace(spec.base, p_d=p_d, e_lambda=e_lambda))
+        (method, (spec.base.seed, pi, ei), replace(spec.base, p_d=p_d, e_lambda=e_lambda))
         for method in spec.methods
         for pi, p_d in enumerate(spec.pd_values)
         for ei, e_lambda in enumerate(spec.elambda_values)

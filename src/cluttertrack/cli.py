@@ -72,7 +72,7 @@ def _load_json(path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path} is not valid JSON: {e}") from None
@@ -101,14 +101,11 @@ def _announce(name: str, settings: dict) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     config = ScenarioConfig.from_dict(_load_json(args.config))
-    seed = args.seed if args.seed is not None else config.seed
-    _announce("simulate", {**config.to_dict(), "effective_seed": seed, "out": args.out})
+    _announce("simulate", {**config.to_dict(), "out": args.out})
     _make_out_dir(args.out)
     truth = generate_truth(config)
-    scans = generate_scans(truth, seed)
+    scans = generate_scans(truth, config.seed)
     truth_path = os.path.join(args.out, "truth.csv")
     scans_path = os.path.join(args.out, "scans.csv")
     write_truth_csv(truth, truth_path)
@@ -206,17 +203,11 @@ def _covering_region(truth_path, initial_positions: np.ndarray, scans_path, scan
 
 def _cmd_track(args) -> int:
     csv_input = args.input.endswith(".csv")
-    # A flag for the other kind of input would be ignored: refuse it.
-    if csv_input:
-        kind, other = "scenario config", {"--seed": args.seed}
-    else:
-        kind = "scans.csv"
-        other = {"--truth": args.truth, "--dt": args.dt, "--pd": args.pd, "--elambda": args.elambda}
-    for flag, value in other.items():
-        if value is not None:
-            raise ConfigError(f"{flag} applies to {kind} input only, not to {args.input}")
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    # A scenario config would ignore the flags for scans.csv input: refuse them.
+    csv_flags = {"--truth": args.truth, "--dt": args.dt, "--pd": args.pd, "--elambda": args.elambda}
+    for flag, value in csv_flags.items():
+        if value is not None and not csv_input:
+            raise ConfigError(f"{flag} applies to scans.csv input only, not to {args.input}")
     if args.method == "deepda" and not args.model:
         raise ConfigError("method deepda requires --model")
     model = load_model(args.model) if args.model else None
@@ -230,7 +221,8 @@ def _cmd_track(args) -> int:
         truth_states = read_truth_states(args.truth)
         if len(scans) != truth_states.shape[0]:
             raise ConfigError(
-                f"{len(scans)} scans but {truth_states.shape[0]} truth epochs"
+                f"{args.input} holds {len(scans)} scans but {args.truth} holds "
+                f"{truth_states.shape[0]} truth epochs"
             )
         num_targets = truth_states.shape[1]
         for scan in scans:
@@ -266,8 +258,6 @@ def _cmd_track(args) -> int:
             )
     else:
         config = ScenarioConfig.from_dict(_load_json(args.input))
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
         truth = generate_truth(config)
         truth_states = truth.states
         scans = generate_scans(truth, config.seed)
@@ -324,7 +314,7 @@ def _cmd_bench(args) -> int:
                 "n_runs": spec.n_runs,
             },
             "ospa": asdict(spec.ospa),
-            "seed": spec.seed,
+            "seed": spec.base.seed,
             "jobs": args.jobs,
             "out": args.out,
         },
@@ -374,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate truth.csv and scans.csv from a scenario config")
     p.add_argument("config", help="scenario config JSON")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
@@ -395,9 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="model.json for deepda")
     p.add_argument("--truth", default=None, help="truth.csv (required with scans.csv input)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument(
-        "--seed", type=int, default=None, help="override the config seed (scenario config input)"
-    )
     p.add_argument("--dt", type=float, help=f"csv input scan interval (default {FilterParams.dt})")
     p.add_argument(
         "--pd", type=float, default=None,

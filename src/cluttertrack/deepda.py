@@ -666,7 +666,7 @@ def load_model(path) -> LstmModel:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelFormatError(f"cannot read model file {path}: {e}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("model file is not a JSON object")

@@ -231,7 +231,7 @@ def _read_csv(path, header: Sequence[str], name: str) -> List[Tuple[int, List[st
             if first != header:
                 raise ConfigError(f"unexpected {name} header: {first}")
             return [(reader.line_num, row) for row in reader]
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read {path}: {e}") from None
 
 
@@ -331,7 +331,7 @@ def read_truth_states(path) -> np.ndarray:
             raise ConfigError(f"{path}, line {line}: repeated scan {key[0]}, target {key[1]}")
         entries[key] = state
     if not entries:
-        raise ConfigError("truth.csv contains no states")
+        raise ConfigError(f"{path}: contains no states")
     num_scans = max(k for k, _ in entries) + 1
     num_targets = max(j for _, j in entries) + 1
     for key in np.ndindex(num_scans, num_targets):

@@ -56,13 +56,12 @@ def model_path(tmp_path):
 
 def _spec(model_path, methods):
     return BenchSpec(
-        base=five_crossing_targets(),
+        base=five_crossing_targets(seed=3),
         pd_values=(0.9,),
         elambda_values=(20.0,),
         n_runs=2,
         methods=methods,
         model_path=model_path,
-        seed=3,
     )
 
 
@@ -96,8 +95,8 @@ def test_bench_spec_refuses_repeated_grid_values(field, value):
     "field,value,msg",
     [
         ("n_runs", 0, "n_runs must be >= 1, got 0"),
-        ("seed", -1, "seed must be >= 0, got -1"),
         # An axis value is checked as the base's p_d or e_lambda, where the spec is read.
+        ("pd_values", [0.0], "pd_values[0]: p_d must be in (0, 1], got 0.0"),
         ("pd_values", [0.9, 1.5], "pd_values[1]: p_d must be in (0, 1], got 1.5"),
         ("elambda_values", [-1], "elambda_values[0]: e_lambda must be >= 0, got -1.0"),
         ("pd_values", [float("nan")], "pd_values[0]: p_d must be in (0, 1], got nan"),
@@ -108,6 +107,23 @@ def test_bench_spec_range_error_names_the_field(field, value, msg):
     with pytest.raises(ConfigError) as e:
         BenchSpec.from_dict({"base": five_crossing_targets().to_dict(), field: value})
     assert str(e.value) == f"bench: {msg}"
+
+
+def test_the_base_scenarios_seed_drives_the_grid():
+    raw = {}
+    for seed in (0, 5):
+        spec = BenchSpec(
+            base=five_crossing_targets(seed=seed), elambda_values=(0.0, 20.0), n_runs=2, methods=("ha",)
+        )
+        report = run_grid(spec)
+        assert report.meta["seed"] == seed and len(report.raw) == 4
+        for row in report.raw:
+            ei = spec.elambda_values.index(row.e_lambda)
+            config = replace(spec.base, e_lambda=row.e_lambda)
+            result = run_episode(config, "ha", seed=(seed, 0, ei, row.run), ospa_params=spec.ospa)
+            assert (row.ospa, row.stti) == (result.ospa_mean, result.stti)
+        raw[seed] = [(row.ospa, row.stti) for row in report.raw]
+    assert raw[0] != raw[5]
 
 
 def test_parallel_grid_reproduces_serial_accuracy_columns(model_path):

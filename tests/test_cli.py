@@ -215,7 +215,7 @@ TRAIN = {"base": REFERENCE, "variants": 2, "net": {"hidden": 4}, "train": {"epoc
         ("train", {**TRAIN, "variants": 0}, "train.variants"),
         # A negative seed used to reach numpy's SeedSequence and exit 1 with its traceback.
         ("simulate", {**REFERENCE, "seed": -1}, "scenario"),
-        ("bench", {**BENCH, "seed": -1}, "bench"),
+        ("bench", {**BENCH, "base": {**REFERENCE, "seed": -1}}, "bench.base"),
         ("train", {**TRAIN, "base": {**REFERENCE, "seed": -1}}, "train.base"),
         ("train", {**TRAIN, "net": {"hidden": 4, "seed": -1}}, "train.net"),
         ("train", {**TRAIN, "train": {"epochs": 1, "seed": -1}}, "train.train"),
@@ -223,6 +223,8 @@ TRAIN = {"base": REFERENCE, "variants": 2, "net": {"hidden": 4}, "train": {"epoc
         ("bench", {**BENCH, "pd_values": [0.9, 1.5]}, "bench: pd_values[1]"),
         ("bench", {**BENCH, "elambda_values": [-1]}, "bench: elambda_values[0]"),
         ("bench", {**BENCH, "pd_values": [float("nan")]}, "bench: pd_values[0]"),
+        # The base scenario's seed is the grid's; a spec has none of its own.
+        ("bench", {**BENCH, "seed": 3}, "bench"),
     ],
 )
 def test_malformed_config_exits_with_config_code_naming_the_field(
@@ -325,10 +327,9 @@ def test_simulate_track_then_bench_with_raw_log(tmp_path):
     code, _ = _simulate_then_track(tmp_path, five_crossing_targets())
     assert code == 0
     doc = {
-        "base": five_crossing_targets().to_dict(),
+        "base": five_crossing_targets(seed=3).to_dict(),
         "n_runs": 2,
         "methods": ["ha", "jpda"],
-        "seed": 3,
     }
     spec = tmp_path / "bench.json"
     spec.write_text(json.dumps(doc))
@@ -432,17 +433,6 @@ def test_track_single_scan_scenario_exits_2_and_writes_no_metrics(tmp_path, caps
     assert not (out / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "track"])
-def test_negative_seed_flag_exits_2_before_creating_out(tmp_path, capsys, command):
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(five_crossing_targets().to_dict()))
-    argv = [command, str(scenario)] + (["--method", "ha"] if command == "track" else [])
-    out = tmp_path / "out"
-    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "flag,value,message",
     [
@@ -539,6 +529,53 @@ def test_a_missing_input_file_exits_2_before_creating_out(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["scans.csv", "truth.csv", "scenario config", "bench spec", "model file"])
+def test_an_input_file_that_is_not_utf8_exits_2_before_creating_out(tmp_path, capsys, bad):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(five_crossing_targets().to_dict()))
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(scenario), "--out", str(sim)]) == 0
+    capsys.readouterr()
+    bench_spec = tmp_path / "bench.json"
+    bench_spec.write_text(json.dumps(BENCH))
+    model = tmp_path / "model.json"
+    cfg = NetConfig(m_max=64, hidden=4)
+    save_model(init_model(cfg, identity_norm(cfg.features)), model)
+    track_csv = ["track", str(sim / "scans.csv"), "--truth", str(sim / "truth.csv"), "--method", "ha"]
+    path, argv = {
+        "scans.csv": (sim / "scans.csv", track_csv),
+        "truth.csv": (sim / "truth.csv", track_csv),
+        "scenario config": (scenario, ["simulate", str(scenario)]),
+        "bench spec": (bench_spec, ["bench", str(bench_spec)]),
+        "model file": (model, ["track", str(scenario), "--method", "deepda", "--model", str(model)]),
+    }[bad]
+    path.write_bytes(b"\xff" + path.read_bytes())
+    message = f"error: cannot read {'model file ' if bad == 'model file' else ''}{path}: "
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert "can't decode byte 0xff" in err
+    assert not out.exists()
+    if bad == "model file":
+        assert main(["inspect-model", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+
+
+def test_track_names_both_files_when_the_scans_outnumber_the_truth_epochs(tmp_path, capsys):
+    code, _ = _simulate_then_track(tmp_path, five_crossing_targets())
+    assert code == 0
+    capsys.readouterr()
+    sim = tmp_path / "sim"
+    scans, truth = sim / "scans.csv", sim / "truth.csv"
+    truth.write_text("".join(line for line in truth.read_text().splitlines(True) if not line.startswith("19,")))
+    out = tmp_path / "out"
+    assert main(["track", str(scans), "--truth", str(truth), "--method", "ha", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {scans} holds 20 scans but {truth} holds 19 truth epochs\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, csv_input",
     [
@@ -546,7 +583,6 @@ def test_a_missing_input_file_exits_2_before_creating_out(tmp_path, capsys, monk
         ("--dt", "0.5", False),
         ("--pd", "0.9", False),
         ("--elambda", "20", False),
-        ("--seed", "3", True),
     ],
 )
 def test_track_refuses_a_flag_its_input_would_ignore_before_any_work(

@@ -427,6 +427,14 @@ def test_read_truth_rejects_a_missing_state(tmp_path, reference_config, target):
         read_truth_states(path)
 
 
+def test_read_truth_names_a_header_only_file(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text(",".join(TRUTH_CSV_HEADER) + "\n")
+    with pytest.raises(ConfigError) as e:
+        read_truth_states(path)
+    assert str(e.value) == f"{path}: contains no states"
+
+
 def test_read_truth_rejects_a_repeated_state(tmp_path, reference_config):
     path, lines, _, _ = _simulated_csv_lines(tmp_path, reference_config)
     # A second (2, 1) row used to overwrite the first one silently.
