@@ -71,40 +71,58 @@ def hungarian(cost: CostMatrix, miss_cost: float) -> Assignment:
 
 def gate(d2: np.ndarray, gp: GateParams) -> Set[int]:
     """Indices of measurements inside one track's ellipsoidal gate, from its
-    row of squared Mahalanobis distances (:func:`~cluttertrack.kalman.innovations`)."""
-    return set(np.flatnonzero(d2 <= gp.gamma).tolist())
+    row of squared Mahalanobis distances (:func:`~cluttertrack.kalman.innovations`).
+    A NaN or ``+inf`` distance is outside; one equal to ``gamma`` is inside."""
+    return set((d2 <= gp.gamma).nonzero()[0].tolist())
 
 
 def _clusters(
     gates: Sequence[Set[int]],
-) -> List[Tuple[List[int], List[int], Dict[int, List[int]]]]:
-    """Connected components of the track-measurement gating graph, each with
-    the tracks (ascending) that gate each of its measurements."""
-    meas_to_tracks: Dict[int, List[int]] = {}
+) -> Tuple[Dict[int, List[int]], List[List[int]], List[Tuple[List[int], List[int]]]]:
+    """The gating graph of ``gates``, split into connected components.
+
+    Returns (owners, private, clusters): ``owners[i]`` lists the tracks that
+    gate measurement i, ascending; ``private[j]`` the measurements only
+    track j gates, in the iteration order of ``gates[j]``; and one (tracks,
+    shared measurements) pair per component, both ascending, in order of
+    the lowest track. Only a measurement two or more tracks gate joins tracks.
+    """
+    owners: Dict[int, List[int]] = {}
     for j, g in enumerate(gates):
         for i in g:
-            meas_to_tracks.setdefault(i, []).append(j)
-    seen_tracks: Set[int] = set()
-    out: List[Tuple[List[int], List[int], Dict[int, List[int]]]] = []
+            if i in owners:
+                owners[i].append(j)
+            else:
+                owners[i] = [j]
+    # A private measurement enters owners while its one track's gate is
+    # iterated, so owners keeps that gate's order among them.
+    private: List[List[int]] = [[] for _ in gates]
+    for i, js in owners.items():
+        if len(js) == 1:
+            private[js[0]].append(i)
+    clusters: List[Tuple[List[int], List[int]]] = []
+    seen: Set[int] = set()
     for j0 in range(len(gates)):
-        if j0 in seen_tracks:
+        if j0 in seen:
             continue
-        tracks_c, meas_c = {j0}, set()
-        frontier = [j0]
+        tracks_c, meas_c, frontier = {j0}, set(), [j0]
         while frontier:
-            j = frontier.pop()
-            for i in gates[j]:
-                if i in meas_c:
-                    continue
-                meas_c.add(i)
-                for j2 in meas_to_tracks[i]:
-                    if j2 not in tracks_c:
-                        tracks_c.add(j2)
-                        frontier.append(j2)
-        seen_tracks |= tracks_c
-        out.append((sorted(tracks_c), sorted(meas_c), {i: meas_to_tracks[i] for i in meas_c}))
-    return out
+            for i in gates[frontier.pop()]:
+                if i not in meas_c:
+                    meas_c.add(i)
+                    for j in owners[i]:
+                        if j not in tracks_c:
+                            tracks_c.add(j)
+                            frontier.append(j)
+        seen |= tracks_c
+        clusters.append((sorted(tracks_c), sorted([i for i in meas_c if len(owners[i]) > 1])))
+    return owners, private, clusters
 
+
+#: The state of a walk before its first row and after its last: the empty
+#: subset, weight 1, then the trailing zero every state vector ends in.
+_EMPTY_STATE = np.array([1.0, 0.0])
+_EMPTY_STATE.setflags(write=False)
 
 #: Open columns up to which a walk's index arrays are cached.
 _CACHED_OPEN = 6
@@ -112,8 +130,8 @@ _CACHED_OPEN = 6
 
 def _reused_when_small(build):
     """``build`` with its index arrays kept for reuse up to ``_CACHED_OPEN``
-    open columns, at most 64 states and 7 kB an entry, so the cache stays
-    under 8 MB; larger ones, of at most 2^15 states under
+    open columns, in 1,024 entries of at most 64 states and 7 kB each, so
+    the cache stays under 8 MB; larger ones, of at most 2^15 states under
     :data:`MAX_JOINT_EVENTS`, are built per call. The arrays are read-only,
     since every caller shares them."""
     cached = lru_cache(maxsize=1024)(build)
@@ -156,14 +174,30 @@ def _take_indices(
 
 
 @_reused_when_small
+def _row_indices(
+    open_count: int, opened: Tuple[int, ...], before: int, cols: Tuple[int, ...]
+) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray]:
+    """A walked row's columns ``cols`` in state-bit order, where ``opened``
+    holds the column on each bit and bits ``before`` and up open on the row,
+    with that order's :func:`_take_indices`. Its entries keep those arrays
+    alive, so this cache and that one stay under 16 MB together."""
+    positions = [opened.index(c) for c in cols]
+    # Sorted by state bit, so one set of index arrays serves every order.
+    order = sorted(range(len(cols)), key=positions.__getitem__)
+    forward, backward = _take_indices(open_count, before, tuple(positions[k] for k in order))
+    return tuple(cols[k] for k in order), forward, backward
+
+
+@_reused_when_small
 def _close_indices(open_count: int, position: int) -> Tuple[np.ndarray, np.ndarray]:
     """Gather indices that drop state bit ``position`` from the states of
     ``open_count`` bits, each vector carrying a trailing zero.
 
     ``keep[r]`` holds the two states that state r after the drop stands for
     (the bit clear, then set); ``reopen[r]`` addresses state r before it, with
-    the bit removed, in the pair [vector for the bit set, vector for it
-    clear], trailing zeros included.
+    the bit removed, in the pair [vector for the bit clear, vector for it
+    set], trailing zeros included; the trailing entry reads the second zero,
+    which no factor has scaled.
     """
     inside, outside = 1 << open_count, 1 << (open_count - 1)
     low = (1 << position) - 1
@@ -171,7 +205,7 @@ def _close_indices(open_count: int, position: int) -> Tuple[np.ndarray, np.ndarr
     clear = ((r & ~low) << 1) | (r & low)
     keep = np.vstack([np.column_stack([clear, clear | (1 << position)]), [inside, inside]])
     removed = ((s >> 1) & ~low) | (s & low)
-    reopen = np.append(np.where(s & (1 << position), removed, outside + 1 + removed), outside)
+    reopen = np.append(np.where(s & (1 << position), outside + 1 + removed, removed), 2 * outside + 1)
     keep.setflags(write=False)
     reopen.setflags(write=False)
     return keep, reopen
@@ -205,71 +239,78 @@ def _walk(
     links: Sequence[Sequence[int]],
     weights: Sequence[Sequence[float]],
     skip: Sequence[float],
-    factor: Dict[int, float],
+    factor: Sequence[float],
     plan: Tuple[List[List[int]], List[List[int]], int],
-) -> Tuple[List[Dict[int, float]], List[float], Dict[int, float]]:
+) -> Tuple[List[Tuple[Tuple[int, ...], List[float]]], List[float], Dict[int, float]]:
     """Exact forward-backward pass over the one-to-one pairings of rows with
     columns, on the walk ``plan`` (:func:`_schedule`) of ``links``.
 
-    Row t pairs with its k-th column ``links[t][k]`` at weight
-    ``weights[t][k]``, or with none at ``skip[t]``; a column no row pairs
-    with weighs ``factor[c]``; a pairing weighs the product. Returns (pairs,
-    row_free, column_free): ``pairs[t][c]`` sums the weights of the pairings
-    that pair row t with column c, and ``row_free[t]`` / ``column_free[c]``
-    those that leave row t / column c unpaired, without its own ``skip`` /
-    ``factor``.
+    Row t pairs with a column c of ``links[t]`` at weight ``weights[t][c]``,
+    or with none at ``skip[t]``; a column no row pairs with weighs
+    ``factor[c]``; a pairing weighs the product. Returns (pairs, row_free,
+    column_free): ``pairs[t]`` is (columns, sums), where each sum adds the
+    weights of the pairings that pair row t with that column, and
+    ``row_free[t]`` / ``column_free[c]`` add those that leave row t / column
+    c unpaired, without its own ``skip`` / ``factor``.
 
     The state after row t is the subset of the open columns already paired,
     and the sums over all those subsets are one vector indexed by the
     subset's bitmask; each row updates it with one gather and one
     matrix-vector product. A column opens at its first row and closes after
-    its last one, folding its factor in as it closes.
+    its last one, folding its factor in as it closes. The products are
+    ``ndarray.dot`` calls: on operands this small they cost less than ``@``
+    and give the same bits.
     """
     opening, closing, _ = plan
+    # folds[k] = [factor, 1.0] of the k-th column to close: a close weighs
+    # the states with its bit clear by the factor and those with it set by 1.
+    folds = np.array([[factor[c], 1.0] for cols in closing for c in cols])
+    unfolds = folds[:, :, None]
     # Forward: alpha[r] sums the weights of the pairings of the rows so far
     # in which bitmask r is the set of open columns paired; opened[p] is the
     # column on state bit p. Every state vector ends in a zero, which the
     # gathers read where a move is impossible.
-    alpha = np.array([1.0, 0.0])
+    alpha = _EMPTY_STATE
     opened: List[int] = []
     steps = []
+    k = 0
     for t, cols in enumerate(links):
         before = len(opened)
         opened += opening[t]
-        # Sorted by state bit, so one set of index arrays serves every order.
-        ranked = sorted(zip(map(opened.index, cols), cols, weights[t]))
-        positions, takers, row_weights = zip(*ranked)
-        forward, backward = _take_indices(len(opened), before, positions)
+        takers, forward, backward = _row_indices(len(opened), tuple(opened), before, tuple(cols))
+        row_weights = [weights[t][c] for c in takers]
         w = np.array([skip[t], *row_weights])
-        steps.append(("row", t, takers, alpha, backward, w))
-        alpha = alpha[forward] @ w
+        closes = []
+        steps.append((takers, row_weights, alpha, backward, w, closes))
+        alpha = alpha[forward].dot(w)
         for c in closing[t]:
-            keep, reopen = _close_indices(len(opened), opened.index(c))
+            p = opened.index(c)
+            keep, reopen = _close_indices(len(opened), p)
             split = alpha[keep]
-            steps.append(("close", c, split[:, 0], reopen))
-            alpha = split @ np.array([factor[c], 1.0])
-            opened.remove(c)
+            closes.append((c, split, reopen, unfolds[k]))
+            alpha = split.dot(folds[k])
+            del opened[p]
+            k += 1
 
     # Backward: beta[r] sums the weights of every completion from state r.
     # A pair's mass joins the forward sums before its row to the backward
     # ones after it; a column's unpaired mass joins the sums on either side
     # of its close.
-    pairs: List[Dict[int, float]] = [{} for _ in links]
-    row_free = [0.0] * len(links)
+    pairs = []
+    row_free = []
     column_free: Dict[int, float] = {}
-    beta = np.array([1.0, 0.0])
-    for step in reversed(steps):
-        if step[0] == "row":
-            _, t, takers, alpha_before, backward, w = step
-            gathered = beta[backward]
-            sums = alpha_before @ gathered
-            row_free[t] = float(sums[0])
-            pairs[t] = dict(zip(takers, (sums * w)[1:].tolist()))
-            beta = gathered @ w
-        else:
-            _, c, alpha_clear, reopen = step
-            column_free[c] = float(alpha_clear @ beta)
-            beta = np.concatenate([beta, beta * factor[c]])[reopen]
+    beta = _EMPTY_STATE
+    for takers, row_weights, alpha_before, backward, w, closes in reversed(steps):
+        for c, split, reopen, unfold in reversed(closes):
+            column_free[c] = float(split[:, 0].dot(beta))
+            beta = (unfold * beta).ravel()[reopen]
+        gathered = beta[backward]
+        sums = alpha_before.dot(gathered).tolist()
+        row_free.append(sums[0])
+        pairs.append((takers, [a * b for a, b in zip(sums[1:], row_weights)]))
+        beta = gathered.dot(w)
+    pairs.reverse()
+    row_free.reverse()
     return pairs, row_free, column_free
 
 
@@ -314,67 +355,72 @@ def jpda_from_gates(
     if not clutter_density > 0:
         raise ContractViolation(f"clutter_density must be > 0, got {clutter_density}")
 
-    ratio = (p_d * likelihood / clutter_density).tolist()
-    # The nonzero cells of the result; every track is in a cluster, so every row gets some.
-    cell_tracks: List[int] = []
-    cell_columns: List[int] = []
+    ratio = p_d * likelihood / clutter_density
+    # by_track[j][i] = by_meas[i][j]: track j's weight on measurement i.
+    by_track, by_meas = ratio.tolist(), ratio.T.tolist()
+    miss = 1.0 - p_d
+    owners, private, clusters = _clusters(gates)
+    # A track's end factor: it misses, or takes a measurement no other track gates.
+    end = [sum([r[i] for i in p], miss) for r, p in zip(by_track, private)]
+    # columns[j] / mass[j]: j's shared measurements and their mass;
+    # unassigned[j]: the weight of the events leaving j's shared
+    # measurements to others, without j's end factor; a track alone in its
+    # cluster shares none. Each track of a larger cluster shares one.
+    columns: List[List[int]] = [[] for _ in gates]
+    mass: List[List[float]] = [[] for _ in gates]
+    unassigned = [1.0] * n
+    # The nonzero cells of the result, at their flat index j * (m + 1) + i;
+    # every track is in a cluster, so every row gets some.
+    cells: List[int] = []
     cell_values: List[float] = []
 
-    for tracks_c, meas_c, owners in _clusters(gates):
-        # A track's end factor: it misses, or takes a measurement no other track gates.
-        private = {j: [i for i in gates[j] if len(owners[i]) == 1] for j in tracks_c}
-        end = {j: sum([ratio[j][i] for i in private[j]], 1.0 - p_d) for j in tracks_c}
-        mass: Dict[int, Dict[int, float]] = {j: {} for j in tracks_c}  # mass[j][column]
-        # unassigned[j]: the weight of the events leaving j's shared
-        # measurements to others, without j's end factor; a track alone in
-        # its cluster shares none. Each track of a larger cluster shares one.
-        unassigned = dict.fromkeys(tracks_c, 1.0)
-        shared = [i for i in meas_c if len(owners[i]) > 1]
+    for tracks_c, shared in clusters:
         if shared:
             # Up to _CACHED_OPEN tracks, walking the measurements keeps at
             # most 64 states, on cached indices. A larger cluster may hold
             # many tracks on few measurements, so it takes the walk with
             # fewer state updates.
-            by_meas = [owners[i] for i in shared]
-            walks = [(by_meas, _schedule(by_meas))]
+            meas_links = [owners[i] for i in shared]
+            walks = [(meas_links, _schedule(meas_links))]
             if len(tracks_c) > _CACHED_OPEN:
-                by_track = [[i for i in sorted(gates[j]) if len(owners[i]) > 1] for j in tracks_c]
-                walks.append((by_track, _schedule(by_track)))
+                track_links = [[i for i in sorted(gates[j]) if len(owners[i]) > 1] for j in tracks_c]
+                walks.append((track_links, _schedule(track_links)))
             links, plan = min(walks, key=lambda walk: walk[1][2])
             if plan[2] > MAX_JOINT_EVENTS:
+                measurements = len(set().union(*[gates[j] for j in tracks_c]))
                 raise ComplexityError(
                     f"more than {MAX_JOINT_EVENTS} state updates in a cluster of {len(tracks_c)} "
-                    f"tracks and {len(meas_c)} measurements; split the cluster first"
+                    f"tracks and {measurements} measurements; split the cluster first"
                 )
-            if links is by_meas:
-                weights = [[ratio[j][i] for j in cols] for i, cols in zip(shared, links)]
-                pairs, _, unassigned = _walk(links, weights, [1.0] * len(shared), end, plan)
-                for i, row in zip(shared, pairs):
-                    for j, v in row.items():
-                        mass[j][i] = v
+            if links is meas_links:
+                weights = [by_meas[i] for i in shared]
+                pairs, _, free = _walk(links, weights, [1.0] * len(shared), end, plan)
+                for i, (takers, sums) in zip(shared, pairs):
+                    for j, v in zip(takers, sums):
+                        columns[j].append(i)
+                        mass[j].append(v)
+                for j, f in free.items():
+                    unassigned[j] = f
             else:
-                weights = [[ratio[j][i] for i in cols] for j, cols in zip(tracks_c, links)]
+                weights = [by_track[j] for j in tracks_c]
                 skip = [end[j] for j in tracks_c]
-                clutter = dict.fromkeys(shared, 1.0)
-                pairs, free, _ = _walk(links, weights, skip, clutter, plan)
-                for j, row, f in zip(tracks_c, pairs, free):
-                    mass[j] = row
+                pairs, free, _ = _walk(links, weights, skip, [1.0] * m, plan)
+                for j, (takers, sums), f in zip(tracks_c, pairs, free):
+                    columns[j] = list(takers)
+                    mass[j] = sums
                     unassigned[j] = f
         for j in tracks_c:
-            row = mass[j]
-            for i in private[j]:
-                row[i] = ratio[j][i] * unassigned[j]
-            row[m] = (1.0 - p_d) * unassigned[j]
-            row_total = sum(row.values())
+            u, r, p = unassigned[j], by_track[j], private[j]
+            values = mass[j] + [r[i] * u for i in p] + [miss * u]
+            row_total = sum(values)
             if not 0.0 < row_total < math.inf:
                 raise NumericalError("joint event weights degenerate (all zero or non-finite)")
-            for i, v in row.items():
-                cell_tracks.append(j)
-                cell_columns.append(i)
-                cell_values.append(v / row_total)
-    rows = np.zeros((n, m + 1))
-    rows[cell_tracks, cell_columns] = cell_values
-    return AssocProbabilities(rows)
+            base = j * (m + 1)
+            cells += [base + i for i in columns[j] + p] + [base + m]
+            cell_values += [v / row_total for v in values]
+    rows = np.zeros(n * (m + 1))
+    rows.put(cells, cell_values)
+    return AssocProbabilities(rows.reshape(n, m + 1))
 
 
 def jpda(
@@ -395,12 +441,17 @@ def jpda(
     cost of :func:`jpda_from_gates` nor spreads its mass over them. The cut
     changes answers wherever it applies: on the reference scenario at lambda
     40 (40 seeds) mean OSPA was 0.792 with it and 0.824 without it, and
-    association took 1.10 to 1.13 times as long without it.
+    association took 1.08 to 1.10 times as long without it (quartiles of 10
+    interleaved passes on a 2-core Xeon VM). A ``max_candidates`` below 1
+    raises :class:`ContractViolation`.
     """
+    if not max_candidates >= 1:
+        raise ContractViolation(f"max_candidates must be >= 1, got {max_candidates}")
     _, _, det, d2 = innovations(tracks, scan.measurements, params)
     likelihood = np.exp(-0.5 * d2) / (2.0 * math.pi * np.sqrt(det))[:, None]
     gates = [gate(row, gp) for row in d2]
     for j, g in enumerate(gates):
         if len(g) > max_candidates:
-            gates[j] = set(sorted(g, key=lambda i: -likelihood[j, i])[:max_candidates])
+            nearest = likelihood[j].tolist()
+            gates[j] = set(sorted(g, key=nearest.__getitem__, reverse=True)[:max_candidates])
     return jpda_from_gates(likelihood, gates, p_d, clutter_density)

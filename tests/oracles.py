@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-from cluttertrack.assoc import _clusters
 from cluttertrack.domain import (
     AssocProbabilities,
     ComplexityError,
@@ -210,6 +209,33 @@ def pda_single_track(likelihood_row, gate, p_d, clutter_density):
     return weights / weights.sum()
 
 
+def gating_clusters(gates):
+    """Connected components of the track-measurement gating graph, by a
+    breadth-first search: (tracks, measurements) per component, both sorted,
+    in order of the lowest track."""
+    meas_to_tracks = {}
+    for j, g in enumerate(gates):
+        for i in g:
+            meas_to_tracks.setdefault(i, []).append(j)
+    seen = set()
+    out = []
+    for j0 in range(len(gates)):
+        if j0 in seen:
+            continue
+        tracks_c, meas_c, frontier = {j0}, set(), [j0]
+        while frontier:
+            for i in gates[frontier.pop()]:
+                if i not in meas_c:
+                    meas_c.add(i)
+                    for j2 in meas_to_tracks[i]:
+                        if j2 not in tracks_c:
+                            tracks_c.add(j2)
+                            frontier.append(j2)
+        seen |= tracks_c
+        out.append((sorted(tracks_c), sorted(meas_c)))
+    return out
+
+
 def jpda_measurement_subset_dp(likelihood, gates, p_d, clutter_density, max_events=1_000_000):
     """Exact JPDA rows by a forward-backward pass over measurement subsets.
 
@@ -232,7 +258,7 @@ def jpda_measurement_subset_dp(likelihood, gates, p_d, clutter_density, max_even
     rows = np.zeros((n, m + 1))  # every track is in a cluster, so every row is set
     ratio = p_d * likelihood / clutter_density
 
-    for tracks_c, meas_c, _ in _clusters(gates):
+    for tracks_c, meas_c in gating_clusters(gates):
         # moves[k]: (column, used-set bit, weight against clutter); a miss sets no bit.
         moves = [
             [(m, 0, 1.0 - p_d)] + [(i, 1 << i, float(ratio[j, i])) for i in sorted(gates[j])]

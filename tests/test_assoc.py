@@ -20,6 +20,7 @@ from cluttertrack.domain import (
     CostMatrix,
     NumericalError,
     Scan,
+    five_crossing_targets,
 )
 from cluttertrack.kalman import FilterParams, innovations
 
@@ -245,6 +246,17 @@ def test_gate_huge_gamma_accepts_everything():
     assert gate_of(t, zs, FilterParams(), GateParams(gamma=1e12)) == {0, 1, 2}
 
 
+def test_gate_edges():
+    # NaN and +inf distances (far-off or overflowed measurements) stay out;
+    # one exactly at gamma is in, the next float above it out.
+    gp = GateParams(gamma=4.0)
+    got = gate(np.array([np.nan, np.inf, 4.0, np.nextafter(4.0, np.inf), 0.0]), gp)
+    assert got == {2, 4}
+    assert all(type(i) is int for i in got)
+    empty = gate(np.empty(0), gp)
+    assert isinstance(empty, set) and not empty
+
+
 def test_default_miss_cost_scale(monkeypatch):
     # sqrt(gamma) times the mean innovation standard deviation over tracks and axes.
     t = make_track(cov=np.zeros((4, 4)))
@@ -346,6 +358,45 @@ def test_jpda_gates_every_track_through_the_module_gate(monkeypatch):
         calls.clear()
         jpda(tracks, Scan(k=0, measurements=np.ones((m, 2))), FilterParams(), GateParams(), 0.9, 0.1)
         assert calls == [(m,)] * 3
+
+
+@pytest.mark.parametrize("max_candidates", [0, -1, -2])
+def test_jpda_refuses_max_candidates_below_one(max_candidates):
+    # A cut below one candidate would keep all but the last few (a negative
+    # slice) or none at all; it is refused, naming the value.
+    t = make_track(cov=0.05 * np.eye(4))
+    scan = Scan(k=0, measurements=np.array([[0.1, 0.0], [0.2, 0.1], [-0.1, 0.2]]))
+    args = (make_set([t]), scan, FilterParams(), GateParams(), 0.9, 0.1)
+    assert len(gate(innovations(make_set([t]), scan.measurements, FilterParams())[3][0], GateParams())) == 3
+    with pytest.raises(ContractViolation, match=rf"^max_candidates must be >= 1, got {max_candidates}$"):
+        jpda(*args, max_candidates=max_candidates)
+    one = jpda(*args, max_candidates=1).rows
+    assert np.count_nonzero(one[0, :3]) == 1
+
+
+def test_jpda_rows_of_recorded_reference_episodes_match_reference(monkeypatch):
+    # Every association of JPDA tracking on reference episodes at lambda 0,
+    # 20 and 40, against the measurement-subset reference. Nearly every call
+    # gates all five tracks into one cluster, which random gates rarely draw.
+    recorded = []
+    original = assoc.jpda_from_gates
+
+    def recording(likelihood, gates, p_d, clutter_density):
+        probs = original(likelihood, gates, p_d, clutter_density)
+        recorded.append((likelihood, [set(g) for g in gates], p_d, clutter_density, probs.rows))
+        return probs
+
+    monkeypatch.setattr(assoc, "jpda_from_gates", recording)
+    for e_lambda in (0.0, 20.0, 40.0):
+        for seed in (0, 1, 2):
+            bench.run_episode(five_crossing_targets(p_d=0.9, e_lambda=e_lambda, seed=seed), "jpda")
+    assert len(recorded) == 9 * 19
+    five_tracks = 0
+    for likelihood, gates, p_d, clutter_density, rows in recorded:
+        expected = jpda_measurement_subset_dp(likelihood, gates, p_d, clutter_density).rows
+        assert np.max(np.abs(rows - expected)) < 1e-12, gates
+        five_tracks += any(len(tracks) == 5 for tracks, _ in oracles.gating_clusters(gates))
+    assert five_tracks > 0.8 * len(recorded)
 
 
 def test_jpda_rows_sum_to_one_random():
