@@ -24,7 +24,10 @@ layer and the row normalisation each run once over every step of every
 sequence. For a batch of several sequences each row has the bits of a
 per-step product. A single sequence (tracking, batch 1) differs from
 per-step products by about 1e-16, because numpy sums a one-row product in
-another order.
+another order. Training (:func:`_forward_core`) and tracking
+(:func:`forward_scan`) each run the step loop, through the one step function
+:func:`_cell` and the one output function :func:`_rows`; only training keeps
+what the backward pass reads.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,6 +97,14 @@ class NormStats:
             raise ContractViolation("norm stats need max >= min elementwise")
         object.__setattr__(self, "min", mn)
         object.__setattr__(self, "max", mx)
+
+    @cached_property
+    def _scaling(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(divisor, flat columns) of :func:`_normalise`, built on first use;
+        never written to. The divisor is max - min, 1 where they are equal,
+        and the flat columns are the indices of those features."""
+        span = self.max - self.min
+        return np.where(span > 0, span, 1.0), np.flatnonzero(span == 0)
 
 
 #: Learning-rate multiplier of everything but the output read. The detector
@@ -218,7 +230,7 @@ def init_model_detectors(
     model = init_model(cfg, norm)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 1))))
     f_count, h = cfg.features, cfg.hidden
-    span = np.where(norm.max > norm.min, norm.max - norm.min, 1.0)
+    span = norm._scaling[0]
     centers = (0.0 - norm.min) / span  # normalized coordinate of zero offset
     sigma = np.maximum(np.tile(np.asarray(offset_scale, dtype=float), cfg.m_max), 1e-6) / span
 
@@ -300,11 +312,12 @@ def _normalise(x: np.ndarray, norm: NormStats) -> np.ndarray:
     """Slots (..., 2 * m_max) made features in place, and returned: each
     offset min-max normalized as (x - min) / (max - min), 0 where
     max == min, and each empty slot set to the sentinel value 1."""
+    divisor, flat = norm._scaling
     empty = np.isnan(x)
-    span = norm.max - norm.min
     x -= norm.min
-    x /= np.where(span > 0, span, 1.0)
-    x[..., span == 0] = 0.0
+    x /= divisor
+    if flat.size:
+        x[..., flat] = 0.0
     x[empty] = 1.0
     return x
 
@@ -336,12 +349,19 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
     Bit for bit the two-branch form 1/(1 + exp(-x)) for x >= 0 and
     exp(x)/(1 + exp(x)) for x < 0: exp(-|x|) is exp(-x) on the first branch
-    and exp(x) on the second, and the numerator 1 or e is picked before the
-    one division, so each element sees the same IEEE operations. -|x| <= 0,
-    so exp never overflows; NaN, +-0.0 and +-inf map as in the branches.
+    and exp(x) on the second, and the numerator exp(min(x, 0)) is exactly 1
+    on the first and exp(x) on the second, so each element sees the same
+    IEEE operations. Neither exponent is positive, so exp never overflows;
+    +-0.0 and +-inf map as in the branches and NaN gives NaN (its sign bit
+    may differ). Both temporaries are updated in place.
     """
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.copysign(x, -1.0)
+    np.exp(e, out=e)
+    y = np.minimum(x, 0.0)
+    np.exp(y, out=y)
+    e += 1.0
+    y /= e
+    return y
 
 
 class _ForwardCache:
@@ -358,44 +378,85 @@ class _ForwardCache:
         self.beta = beta
 
 
+def _cell(
+    z: np.ndarray, c_prev: Optional[np.ndarray], c: np.ndarray, h: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """One LSTM step on a block of rows, for training and tracking alike.
+
+    ``z`` holds the gate pre-activations (rows, 4 * hidden), ``c_prev`` the
+    previous cells, or None for the zero state of step 0, where the forget
+    term gf * c_prev is left out. Writes the new cells into ``c`` and the
+    new states into ``h``; returns (gi, gf, gg, go, tanh(c)).
+    """
+    hdim = c.shape[-1]
+    # One elementwise pass for i, f, o: same bits as per-gate calls; g unused.
+    sig = _sigmoid(z)
+    gi = sig[:, :hdim]
+    gf = sig[:, hdim : 2 * hdim]
+    gg = np.tanh(z[:, 2 * hdim : 3 * hdim])
+    go = sig[:, 3 * hdim :]
+    if c_prev is None:
+        np.multiply(gi, gg, out=c)
+    else:
+        np.multiply(gf, c_prev, out=c)
+        c += gi * gg
+    tc = np.tanh(c)
+    np.multiply(go, tc, out=h)
+    return gi, gf, gg, go, tc
+
+
+def _rows(
+    model: LstmModel, hs: np.ndarray, mask: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Output rows (B, T, m_max+1) of the states ``hs`` (B, T, hidden) under
+    the output masks (B, m_max+1): returns the masked sigmoids u, their row
+    sums s and the rows u / s. Raises :class:`NumericalError` naming the
+    first sequence with a non-finite entry.
+    """
+    b, t, hdim = hs.shape
+    logits = hs.reshape(b * t, hdim).dot(model.w_out.T)
+    logits += model.b_out
+    u = _sigmoid(logits).reshape(b, t, -1)
+    u *= mask[:, None, :]
+    s = u.sum(axis=2, keepdims=True)
+    beta = u / s
+    if not np.isfinite(beta).all():
+        bad = int(np.argwhere(~np.isfinite(beta))[0][0])
+        raise NumericalError(f"non-finite activations in forward pass (sequence {bad})")
+    return u, s, beta
+
+
 def _forward_core(model: LstmModel, x: np.ndarray, mask: np.ndarray) -> _ForwardCache:
-    # Only h @ lstm_wh.T depends on the previous step. The input projection,
-    # its product with lstm_wx, the output layer and the normalisation run
-    # once over all B*T rows; the loop keeps the recurrence alone.
+    """The forward pass over a batch of sequences (B, T, features) with
+    output masks (B, m_max+1), keeping what the backward pass reads.
+
+    Only h @ lstm_wh.T depends on the previous step. The input projection,
+    its product with lstm_wx, the output layer and the normalisation run
+    once over all B*T rows; the loop keeps the recurrence alone. Step 0
+    starts from the zero state, so it adds no h @ lstm_wh.T and :func:`_cell`
+    no forget term. The per-step gates, the projected inputs xp and the
+    masked sigmoids u with their sums s are kept for training alone;
+    :func:`forward_scan` runs the same steps without them. ``ndarray.dot``
+    calls the BLAS routines ``@`` calls, with less overhead.
+    """
     b, t, f = x.shape
     hdim = model.cfg.hidden
-    xp = x.reshape(b * t, f) @ model.w_in.T
+    xp = x.reshape(b * t, f).dot(model.w_in.T)
     xp += model.b_in
-    zx = (xp @ model.lstm_wx.T).reshape(b, t, 4 * hdim)
+    zx = xp.dot(model.lstm_wx.T).reshape(b, t, 4 * hdim)
     xp = xp.reshape(b, t, hdim)
 
-    h = np.zeros((b, hdim))
-    c = np.zeros((b, hdim))
+    wh_t, bias = model.lstm_wh.T, model.lstm_b
     hs = np.empty((b, t, hdim))
     cs = np.empty((b, t, hdim))
     steps = []
     for step in range(t):
-        z = zx[:, step] + h @ model.lstm_wh.T + model.lstm_b
-        # One elementwise pass for i, f, o: same bits as per-gate calls; g unused.
-        sig = _sigmoid(z)
-        gi = sig[:, :hdim]
-        gf = sig[:, hdim : 2 * hdim]
-        gg = np.tanh(z[:, 2 * hdim : 3 * hdim])
-        go = sig[:, 3 * hdim :]
-        c = gf * c + gi * gg
-        tc = np.tanh(c)
-        h = go * tc
-        hs[:, step] = h
-        cs[:, step] = c
-        steps.append((gi, gf, gg, go, tc))
-
-    logits = (hs.reshape(b * t, hdim) @ model.w_out.T + model.b_out).reshape(b, t, -1)
-    u = _sigmoid(logits) * mask.astype(float)[:, None, :]
-    s = u.sum(axis=2, keepdims=True)
-    beta = u / s
-    if not np.all(np.isfinite(beta)):
-        bad = int(np.argwhere(~np.isfinite(beta))[0][0])
-        raise NumericalError(f"non-finite activations in forward pass (sequence {bad})")
+        z = zx[:, step]
+        if step:
+            z += hs[:, step - 1].dot(wh_t)
+        z += bias
+        steps.append(_cell(z, cs[:, step - 1] if step else None, cs[:, step], hs[:, step]))
+    u, s, beta = _rows(model, hs, mask)
     return _ForwardCache(x, xp, steps, hs, cs, u, s, beta)
 
 
@@ -470,16 +531,33 @@ def forward_scan(
     track, so the rows differ from per-step products by rounding only
     (about 1e-16): numpy takes a matrix-vector product for one row and a
     matrix product for several, and the two sum in different orders.
+
+    These are the rows, states and cells of :func:`_forward_core` on a
+    batch of one sequence, bit for bit: the same steps, with step 0 from
+    the zero state (no h @ lstm_wh.T, no forget term), but none of the
+    arrays only training keeps (per-step gates, xp, u and s).
     """
     if not len(tracks):
         raise ContractViolation("forward_scan needs at least one track")
-    cfg = model.cfg
-    feats = build_features(tracks.positions, scan.measurements, cfg, model.norm)
-    mask = output_mask(cfg, scan.num_measurements)
-    cache = _forward_core(model, feats[None, :, :], mask[None, :])
-    m = scan.num_measurements
-    rows = np.concatenate([cache.beta[0, :, :m], cache.beta[0, :, -1:]], axis=1)
-    return AssocProbabilities(rows), (cache.hs[0], cache.cs[0])
+    cfg, m = model.cfg, scan.num_measurements
+    x = build_features(tracks.positions, scan.measurements, cfg, model.norm)
+    t, hdim = x.shape[0], cfg.hidden
+    zx = x.dot(model.w_in.T)
+    zx += model.b_in
+    zx = zx.dot(model.lstm_wx.T)
+
+    wh_t, bias = model.lstm_wh.T, model.lstm_b
+    hs = np.empty((t, hdim))
+    cs = np.empty((t, hdim))
+    for step in range(t):
+        z = zx[step : step + 1]
+        if step:
+            z += hs[step - 1 : step].dot(wh_t)
+        z += bias
+        _cell(z, cs[step - 1 : step] if step else None, cs[step : step + 1], hs[step : step + 1])
+    beta = _rows(model, hs[None], output_mask(cfg, m)[None])[2][0]
+    rows = np.concatenate([beta[:, :m], beta[:, -1:]], axis=1)
+    return AssocProbabilities(rows), (hs, cs)
 
 
 @dataclass(frozen=True)

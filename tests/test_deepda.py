@@ -403,6 +403,53 @@ def test_forward_at_benchmark_size_matches_per_step_reference():
         np.testing.assert_allclose(cs, ref.cs[0], rtol=1e-13, atol=0)
 
 
+@pytest.fixture(scope="module")
+def trained_benchmark_size_model():
+    """The benchmark's network size (m_max 42, hidden 64) after a few
+    training steps, which leave every weight dense, with the uniform
+    recurrent weights of ``init_model`` so the steps interact."""
+    ds = make_training_set(seeded_variants(five_crossing_targets(seed=4242), 2))
+    model, _ = train(ds, NetConfig(m_max=42, hidden=64), TrainConfig(epochs=2))
+    assert np.all(model.lstm_wx != 0.0)
+    return replace(model, lstm_wh=init_model(model.cfg, model.norm).lstm_wh)
+
+
+def with_flat_features(norm):
+    """``norm`` with its first feature (slot 0's x offset) and its last
+    (slot m_max - 1's y offset) given zero span."""
+    low, high = norm.min.copy(), norm.max.copy()
+    high[[0, -1]] = low[[0, -1]]
+    return NormStats(low, high)
+
+
+@pytest.mark.parametrize("norm_case", ["fitted", "flat"])
+@pytest.mark.parametrize("m", [0, 1, 42], ids=["m0", "m1", "m_max"])
+@pytest.mark.parametrize("n", [1, 4, 5, 8], ids=lambda n: f"{n}-tracks")
+def test_forward_scan_rows_equal_the_forward_core_bits(trained_benchmark_size_model, n, m, norm_case):
+    # forward_scan runs its own step loop, which keeps no training cache.
+    # Its rows, states and cells must have the bits the training core gives
+    # on the same features. A product's bits depend on its row count (one
+    # row takes a matrix-vector product), so each track count is a case.
+    model = trained_benchmark_size_model
+    if norm_case == "flat":
+        model = replace(model, norm=with_flat_features(model.norm))
+    rng = np.random.default_rng(100 * n + m)
+    centre = np.array([15.0, 15.0])
+    positions = centre + rng.normal(scale=3.0, size=(n, 2))
+    tracks = make_set([make_track(j, (x, 1.0, y, 0.0)) for j, (x, y) in enumerate(positions)])
+    scan = Scan(k=0, measurements=centre + rng.normal(scale=4.0, size=(m, 2)))
+
+    probs, (hs, cs) = forward_scan(model, tracks, scan)
+    feats = build_features(tracks.positions, scan.measurements, model.cfg, model.norm)
+    if norm_case == "flat" and m:
+        assert np.all(feats[:, 0] == 0.0) and np.all(feats[:, -1] == (0.0 if m == 42 else 1.0))
+    cache = _forward_core(model, feats[None], output_mask(model.cfg, m)[None])
+    rows = np.concatenate([cache.beta[0, :, :m], cache.beta[0, :, -1:]], axis=1)
+    for got, want in ((probs.rows, rows), (hs, cache.hs[0]), (cs, cache.cs[0])):
+        assert got.shape == want.shape == (n, want.shape[1])
+        assert got.tobytes() == want.tobytes()
+
+
 def test_batch_gradients_at_benchmark_size_equal_reference_bits():
     # Training batches hold 32 sequences, where the hoisted products give
     # the per-step bits exactly; the benchmark's final loss relies on it.
