@@ -24,10 +24,8 @@ layer and the row normalisation each run once over every step of every
 sequence. For a batch of several sequences each row has the bits of a
 per-step product. A single sequence (tracking, batch 1) differs from
 per-step products by about 1e-16, because numpy sums a one-row product in
-another order. Training (:func:`_forward_core`) and tracking
-(:func:`forward_scan`) each run the step loop, through the one step function
-:func:`_cell` and the one output function :func:`_rows`; only training keeps
-what the backward pass reads.
+another order. There is one step loop, :func:`_forward_core`: training
+runs it on batches, and tracking (:func:`forward_scan`) on a batch of one.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +58,9 @@ MODEL_FORMAT_VERSION = 2
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture: slot count, hidden width and initialization seed.
+    """Architecture: slot count, hidden width and the seed of a training
+    run, which draws the initial weights and the batch order (see
+    :func:`train`).
 
     Measurements are 2-D (x, y), so each slot holds two input features.
     """
@@ -121,19 +121,18 @@ _EPS = 1e-8
 @dataclass(frozen=True)
 class TrainConfig:
     """RMSprop learning rate ``lr`` and loop settings: ``batch`` counts scan
-    sequences per step and ``seed`` drives the shuffle. The rest of the
-    recipe is fixed (see :func:`train`).
+    sequences per step. The rest of the recipe is fixed, and the seed is
+    :attr:`NetConfig.seed` (see :func:`train`).
     """
 
     lr: float = 1e-2
     batch: int = 32
     epochs: int = 60
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.lr < np.inf:
             raise ContractViolation(f"lr must be finite and > 0, got {self.lr}")
-        for name, low in (("batch", 1), ("epochs", 1), ("seed", 0)):
+        for name, low in (("batch", 1), ("epochs", 1)):
             if getattr(self, name) < low:
                 raise ContractViolation(f"{name} must be >= {low}, got {getattr(self, name)}")
 
@@ -378,66 +377,18 @@ class _ForwardCache:
         self.beta = beta
 
 
-def _cell(
-    z: np.ndarray, c_prev: Optional[np.ndarray], c: np.ndarray, h: np.ndarray
-) -> Tuple[np.ndarray, ...]:
-    """One LSTM step on a block of rows, for training and tracking alike.
-
-    ``z`` holds the gate pre-activations (rows, 4 * hidden), ``c_prev`` the
-    previous cells, or None for the zero state of step 0, where the forget
-    term gf * c_prev is left out. Writes the new cells into ``c`` and the
-    new states into ``h``; returns (gi, gf, gg, go, tanh(c)).
-    """
-    hdim = c.shape[-1]
-    # One elementwise pass for i, f, o: same bits as per-gate calls; g unused.
-    sig = _sigmoid(z)
-    gi = sig[:, :hdim]
-    gf = sig[:, hdim : 2 * hdim]
-    gg = np.tanh(z[:, 2 * hdim : 3 * hdim])
-    go = sig[:, 3 * hdim :]
-    if c_prev is None:
-        np.multiply(gi, gg, out=c)
-    else:
-        np.multiply(gf, c_prev, out=c)
-        c += gi * gg
-    tc = np.tanh(c)
-    np.multiply(go, tc, out=h)
-    return gi, gf, gg, go, tc
-
-
-def _rows(
-    model: LstmModel, hs: np.ndarray, mask: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Output rows (B, T, m_max+1) of the states ``hs`` (B, T, hidden) under
-    the output masks (B, m_max+1): returns the masked sigmoids u, their row
-    sums s and the rows u / s. Raises :class:`NumericalError` naming the
-    first sequence with a non-finite entry.
-    """
-    b, t, hdim = hs.shape
-    logits = hs.reshape(b * t, hdim).dot(model.w_out.T)
-    logits += model.b_out
-    u = _sigmoid(logits).reshape(b, t, -1)
-    u *= mask[:, None, :]
-    s = u.sum(axis=2, keepdims=True)
-    beta = u / s
-    if not np.isfinite(beta).all():
-        bad = int(np.argwhere(~np.isfinite(beta))[0][0])
-        raise NumericalError(f"non-finite activations in forward pass (sequence {bad})")
-    return u, s, beta
-
-
 def _forward_core(model: LstmModel, x: np.ndarray, mask: np.ndarray) -> _ForwardCache:
     """The forward pass over a batch of sequences (B, T, features) with
-    output masks (B, m_max+1), keeping what the backward pass reads.
+    output masks (B, m_max+1), for training and tracking alike; keeps what
+    the backward pass reads.
 
     Only h @ lstm_wh.T depends on the previous step. The input projection,
     its product with lstm_wx, the output layer and the normalisation run
     once over all B*T rows; the loop keeps the recurrence alone. Step 0
-    starts from the zero state, so it adds no h @ lstm_wh.T and :func:`_cell`
-    no forget term. The per-step gates, the projected inputs xp and the
-    masked sigmoids u with their sums s are kept for training alone;
-    :func:`forward_scan` runs the same steps without them. ``ndarray.dot``
-    calls the BLAS routines ``@`` calls, with less overhead.
+    starts from the zero state, so it adds no h @ lstm_wh.T and no forget
+    term gf * c_prev. ``ndarray.dot`` calls the BLAS routines ``@`` calls,
+    with less overhead. Raises :class:`NumericalError` naming the first
+    sequence with a non-finite output entry.
     """
     b, t, f = x.shape
     hdim = model.cfg.hidden
@@ -455,8 +406,31 @@ def _forward_core(model: LstmModel, x: np.ndarray, mask: np.ndarray) -> _Forward
         if step:
             z += hs[:, step - 1].dot(wh_t)
         z += bias
-        steps.append(_cell(z, cs[:, step - 1] if step else None, cs[:, step], hs[:, step]))
-    u, s, beta = _rows(model, hs, mask)
+        # One elementwise pass for i, f, o: same bits as per-gate calls; g unused.
+        sig = _sigmoid(z)
+        gi = sig[:, :hdim]
+        gf = sig[:, hdim : 2 * hdim]
+        gg = np.tanh(z[:, 2 * hdim : 3 * hdim])
+        go = sig[:, 3 * hdim :]
+        c = cs[:, step]
+        if step:
+            np.multiply(gf, cs[:, step - 1], out=c)
+            c += gi * gg
+        else:
+            np.multiply(gi, gg, out=c)
+        tc = np.tanh(c)
+        np.multiply(go, tc, out=hs[:, step])
+        steps.append((gi, gf, gg, go, tc))
+
+    logits = hs.reshape(b * t, hdim).dot(model.w_out.T)
+    logits += model.b_out
+    u = _sigmoid(logits).reshape(b, t, -1)
+    u *= mask[:, None, :]
+    s = u.sum(axis=2, keepdims=True)
+    beta = u / s
+    if not np.isfinite(beta).all():
+        bad = int(np.argwhere(~np.isfinite(beta))[0][0])
+        raise NumericalError(f"non-finite activations in forward pass (sequence {bad})")
     return _ForwardCache(x, xp, steps, hs, cs, u, s, beta)
 
 
@@ -523,41 +497,19 @@ def forward_scan(
 ) -> Tuple[AssocProbabilities, Tuple[np.ndarray, np.ndarray]]:
     """Association probability rows for all tracks against one scan.
 
-    Tracks are processed in row order with hidden state carried between
-    them and reset afterwards. Returns rows trimmed to M+1 columns together
-    with the per-step (h, c) trace, each (tracks, hidden).
-
-    The input and output products run once over all tracks, not once per
-    track, so the rows differ from per-step products by rounding only
-    (about 1e-16): numpy takes a matrix-vector product for one row and a
-    matrix product for several, and the two sum in different orders.
-
-    These are the rows, states and cells of :func:`_forward_core` on a
-    batch of one sequence, bit for bit: the same steps, with step 0 from
-    the zero state (no h @ lstm_wh.T, no forget term), but none of the
-    arrays only training keeps (per-step gates, xp, u and s).
+    The tracks are one sequence, run in row order through
+    :func:`_forward_core` with hidden state carried between them and reset
+    afterwards. Returns rows trimmed to M+1 columns together with the
+    per-step (h, c) trace, each (tracks, hidden).
     """
     if not len(tracks):
         raise ContractViolation("forward_scan needs at least one track")
     cfg, m = model.cfg, scan.num_measurements
     x = build_features(tracks.positions, scan.measurements, cfg, model.norm)
-    t, hdim = x.shape[0], cfg.hidden
-    zx = x.dot(model.w_in.T)
-    zx += model.b_in
-    zx = zx.dot(model.lstm_wx.T)
-
-    wh_t, bias = model.lstm_wh.T, model.lstm_b
-    hs = np.empty((t, hdim))
-    cs = np.empty((t, hdim))
-    for step in range(t):
-        z = zx[step : step + 1]
-        if step:
-            z += hs[step - 1 : step].dot(wh_t)
-        z += bias
-        _cell(z, cs[step - 1 : step] if step else None, cs[step : step + 1], hs[step : step + 1])
-    beta = _rows(model, hs[None], output_mask(cfg, m)[None])[2][0]
+    cache = _forward_core(model, x[None], output_mask(cfg, m)[None])
+    beta = cache.beta[0]
     rows = np.concatenate([beta[:, :m], beta[:, -1:]], axis=1)
-    return AssocProbabilities(rows), (hs, cs)
+    return AssocProbabilities(rows), (cache.hs[0], cache.cs[0])
 
 
 @dataclass(frozen=True)
@@ -679,7 +631,8 @@ def train(
     Parameters, gradients and RMSprop state are each one flat vector; the
     model's arrays are views of the parameter vector, which the steps update
     in place. The loss curve holds the mean per-sequence loss of each epoch.
-    Deterministic given the config seeds.
+    One seed, ``net_cfg.seed``, which the model records, draws both the
+    start and the shuffle, so a run is deterministic given the configs.
     """
     if len(dataset) == 0:
         raise ContractViolation("training set is empty")
@@ -698,7 +651,7 @@ def train(
     rates = _learning_rates(net_cfg, train_cfg.lr)
 
     n = len(dataset)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(train_cfg.seed)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(net_cfg.seed)))
     curve: List[float] = []
     for epoch in range(train_cfg.epochs):
         order = rng.permutation(n)

@@ -55,6 +55,8 @@ class FilterParams:
             raise ContractViolation(f"dt must be finite and > 0, got {self.dt}")
         if not 0 <= self.q < math.inf:
             raise ContractViolation(f"q must be finite and >= 0, got {self.q}")
+        if np.shape(self.r_diag) != (2,):
+            raise ContractViolation(f"r_diag must hold 2 entries (x, y), got {self.r_diag}")
         if not all(0 < r < math.inf for r in self.r_diag):
             raise ContractViolation(f"r_diag entries must be finite and > 0, got {self.r_diag}")
 

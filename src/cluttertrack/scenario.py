@@ -151,13 +151,18 @@ class ScanSequence:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Supervised association samples grouped by scan."""
+    """Supervised association samples grouped by scan. ``m_max`` is read
+    off the groups, not stored, so it cannot disagree with them."""
 
     groups: Tuple[ScanSequence, ...]
-    m_max: int
 
     def __len__(self) -> int:
         return len(self.groups)
+
+    @property
+    def m_max(self) -> int:
+        """The largest scan's measurement count, at least 1."""
+        return max([1] + [len(g.measurements) for g in self.groups])
 
 
 def make_training_set(configs: Sequence[ScenarioConfig]) -> TrainingSet:
@@ -166,27 +171,25 @@ def make_training_set(configs: Sequence[ScenarioConfig]) -> TrainingSet:
     For each scan k >= 1 and each target: the target's truth at k-1
     propagated one step, the scan's measurements, and the one-hot truth row
     (its measurement's index, or the miss column when undetected). Each
-    config is simulated with its own seed. The set's ``m_max`` is its
-    largest scan's measurement count, at least 1.
+    config is simulated with its own seed. The set's ``m_max`` is computed
+    from its groups.
     """
     if not configs:
         raise ConfigError("make_training_set needs at least one scenario config")
 
     groups: List[ScanSequence] = []
-    m_max = 0
     for cfg in configs:
         truth = generate_truth(cfg)
         scans = generate_scans(truth, cfg.seed)
         pred_meas = (truth.states[:-1] @ transition_matrix(cfg.dt).T)[:, :, [0, 2]]
         for scan, pred in zip(scans[1:], pred_meas):
-            m_max = max(m_max, scan.num_measurements)
             labels = [-1] * cfg.num_targets
             for i, origin in enumerate(scan.origins):
                 if origin != CLUTTER:
                     labels[origin] = i
             groups.append(ScanSequence(pred, scan.measurements, tuple(labels)))
 
-    return TrainingSet(tuple(groups), m_max=max(m_max, 1))
+    return TrainingSet(tuple(groups))
 
 
 def seeded_variants(base: ScenarioConfig, count: int) -> List[ScenarioConfig]:

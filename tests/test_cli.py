@@ -133,7 +133,7 @@ def test_train_rejects_unknown_field(tmp_path, capsys):
     assert main(["train", config, "--out", str(tmp_path / "model")]) == 2
     err = capsys.readouterr().err
     assert "warmup" in err
-    assert "accepted fields are ['lr', 'batch', 'epochs', 'seed']" in err
+    assert "accepted fields are ['lr', 'batch', 'epochs']" in err
     # Neither the measurement dimension nor gradient clipping is a setting,
     # and training has one recipe: no init choice, body rate or RMSprop
     # decay and guard to set.
@@ -218,6 +218,7 @@ TRAIN = {"base": REFERENCE, "variants": 2, "net": {"hidden": 4}, "train": {"epoc
         ("bench", {**BENCH, "base": {**REFERENCE, "seed": -1}}, "bench.base"),
         ("train", {**TRAIN, "base": {**REFERENCE, "seed": -1}}, "train.base"),
         ("train", {**TRAIN, "net": {"hidden": 4, "seed": -1}}, "train.net"),
+        # The run's one seed is net.seed; the train section has none.
         ("train", {**TRAIN, "train": {"epochs": 1, "seed": -1}}, "train.train"),
         # An axis value out of range used to be refused by run_grid, after --out was made.
         ("bench", {**BENCH, "pd_values": [0.9, 1.5]}, "bench: pd_values[1]"),

@@ -191,6 +191,15 @@ def test_filter_params_must_be_finite(kwargs, field):
         FilterParams(**kwargs)
 
 
+@pytest.mark.parametrize("r_diag", [(0.1,), (0.1, 0.1, 0.1), 0.1, ((0.1, 0.1), (0.1, 0.1))])
+def test_filter_params_r_diag_must_hold_two_entries(r_diag):
+    # One entry was accepted and added to every entry of S, off-diagonals
+    # included; three failed later with numpy's untyped ValueError, and a
+    # scalar or nested entries with a TypeError.
+    with pytest.raises(ContractViolation, match=r"^r_diag must hold 2 entries"):
+        FilterParams(r_diag=r_diag)
+
+
 def test_noiseless_stream_converges():
     params = FilterParams()
     ts = TrackSet(np.array([[0.5, 0.8, -0.5, 1.2]]), np.eye(4)[None])

@@ -18,6 +18,7 @@ from cluttertrack.domain import (
 from cluttertrack.scenario import (
     SCANS_CSV_HEADER,
     TRUTH_CSV_HEADER,
+    TrainingSet,
     _scan_states,
     generate_scans,
     generate_truth,
@@ -275,6 +276,15 @@ def test_training_set_miss_row():
                 assert rows[t, ds.m_max] == 1.0
                 assert rows[t, : ds.m_max].sum() == 0.0
     assert miss_rows > 0
+
+
+def test_training_set_m_max_is_its_largest_scan_at_least_one(clean_config):
+    # Read off the groups, so it cannot disagree with them.
+    quiet = make_training_set([replace(clean_config, p_d=1e-9)])
+    assert all(len(g.measurements) == 0 for g in quiet.groups)
+    assert quiet.m_max == 1
+    mixed = TrainingSet(quiet.groups + make_training_set([clean_config]).groups[:1])
+    assert mixed.m_max == 5
 
 
 def test_training_set_capacity_guard(reference_config):
