@@ -237,7 +237,6 @@ def _cmd_track(args) -> int:
         # region from the default one grown to cover the data.
         params = FilterParams() if args.dt is None else _checked("--dt", FilterParams, dt=args.dt)
         config = ScenarioConfig(
-            num_targets=num_targets,
             initial_states=tuple(tuple(s) for s in truth_states[0]),
             dt=params.dt,
             num_scans=truth_states.shape[0],

@@ -138,9 +138,6 @@ class Region:
     def area(self) -> float:
         return (self.xmax - self.xmin) * (self.ymax - self.ymin)
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
-
 
 #: Default surveillance region: covers the reference trajectories with margin.
 DEFAULT_REGION = Region(4.0, 30.0, 8.0, 22.0)
@@ -150,17 +147,17 @@ DEFAULT_REGION = Region(4.0, 30.0, 8.0, 22.0)
 class ScenarioConfig:
     """Full description of one simulated tracking scenario.
 
-    ``initial_states`` entries are (x, vx, y, vy) in (m, m/s, m, m/s).
-    ``e_lambda`` is the expected number of clutter points per scan over the
-    whole region (clutter positions are uniform over ``region``). Every
-    number must be finite.
+    ``initial_states`` holds one (x, vx, y, vy) entry, in (m, m/s, m, m/s),
+    per target, and at least one; the target count is read off it
+    (:attr:`num_targets`), not set. ``e_lambda`` is the expected number of
+    clutter points per scan over the whole region (clutter positions are
+    uniform over ``region``). Every number must be finite.
     """
 
     #: A scenario file spells out every field, so that it describes its run
     #: in full; :func:`read_config` requires them all.
     every_field_required: ClassVar[bool] = True
 
-    num_targets: int
     initial_states: Tuple[Tuple[float, float, float, float], ...]
     dt: float = 1.0
     num_scans: int = 20
@@ -174,12 +171,8 @@ class ScenarioConfig:
     def __post_init__(self):
         states = tuple(tuple(float(v) for v in s) for s in self.initial_states)
         object.__setattr__(self, "initial_states", states)
-        if self.num_targets < 1:
-            raise ConfigError(f"num_targets must be >= 1, got {self.num_targets}")
-        if len(states) != self.num_targets:
-            raise ConfigError(
-                f"initial_states has {len(states)} entries for num_targets={self.num_targets}"
-            )
+        if not states:
+            raise ConfigError("initial_states must hold at least one target")
         for s in states:
             if len(s) != 4:
                 raise ConfigError(f"initial_states entries must be (x, vx, y, vy), got {s}")
@@ -195,11 +188,16 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not (0.0 < self.p_d <= 1.0):
             raise ConfigError(f"p_d must be in (0, 1], got {self.p_d}")
+        r = self.region
         for j, (x, _, y, _) in enumerate(states):
-            if not self.region.contains(x, y):
+            if not (r.xmin <= x <= r.xmax and r.ymin <= y <= r.ymax):
                 raise ConfigError(
                     f"region does not contain initial position of target {j}: ({x}, {y})"
                 )
+
+    @property
+    def num_targets(self) -> int:
+        return len(self.initial_states)
 
     def to_dict(self) -> Dict:
         return {**asdict(self), "initial_states": [list(s) for s in self.initial_states]}
@@ -215,7 +213,6 @@ def five_crossing_targets(p_d: float = 0.9, e_lambda: float = 20.0, seed: int = 
     All targets share x motion and their y trajectories meet near scan 10.
     """
     return ScenarioConfig(
-        num_targets=5,
         initial_states=(
             (5.0, 1.0, 11.0, 0.4),
             (5.0, 1.0, 13.0, 0.2),
@@ -344,27 +341,29 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class Assignment:
-    """A hard association outcome satisfying the one-to-one constraints.
-
-    Every track is either in ``pairs`` or in ``unassigned_tracks``; every
-    measurement is either some pair's value or in ``unassigned_measurements``.
+    """A one-to-one hard association of ``num_tracks`` tracks and
+    ``num_measurements`` measurements: ``pairs`` maps a track to its
+    measurement, and no measurement is paired twice. The unassigned tracks
+    and measurements are the rest, computed when read.
     """
 
     pairs: Mapping[int, int]
-    unassigned_tracks: FrozenSet[int]
-    unassigned_measurements: FrozenSet[int]
+    num_tracks: int
+    num_measurements: int
 
     def __post_init__(self):
         pairs = dict(self.pairs)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "unassigned_tracks", frozenset(self.unassigned_tracks))
-        object.__setattr__(self, "unassigned_measurements", frozenset(self.unassigned_measurements))
         if len(set(pairs.values())) != len(pairs):
             raise ContractViolation("a measurement is assigned to more than one track")
-        if not self.unassigned_tracks.isdisjoint(pairs):
-            raise ContractViolation("a track is both assigned and unassigned")
-        if not self.unassigned_measurements.isdisjoint(pairs.values()):
-            raise ContractViolation("a measurement is both assigned and unassigned")
+
+    @property
+    def unassigned_tracks(self) -> FrozenSet[int]:
+        return frozenset(range(self.num_tracks)).difference(self.pairs)
+
+    @property
+    def unassigned_measurements(self) -> FrozenSet[int]:
+        return frozenset(range(self.num_measurements)).difference(self.pairs.values())
 
 
 @dataclass(frozen=True)
@@ -410,7 +409,8 @@ def assign_with_misses(cost: np.ndarray, miss, tie: float = 0.0) -> Assignment:
     track's own miss entry, tie bias included. Dropping the others is
     exact: a track holding one does strictly better on its own miss column,
     which no other track can take, so no optimum uses it. The kept columns
-    keep their order and their tie bias.
+    keep their order and their tie bias. The result holds the pairs and the
+    sizes n and m; its unassigned sets are derived from them when read.
     """
     n, m = cost.shape
     aug = np.full((n, m + n), np.inf)
@@ -422,8 +422,7 @@ def assign_with_misses(cost: np.ndarray, miss, tie: float = 0.0) -> Assignment:
     kept = (aug <= aug[:, m:].diagonal()[:, None]).any(axis=0).nonzero()[0]
     cols = kept.tolist()
     pairs = {j: cols[c] for j, c in enumerate(solve_lap(aug.take(kept, axis=1).tolist())) if cols[c] < m}
-    missed = frozenset(range(n)).difference(pairs)
-    return Assignment(pairs, missed, frozenset(range(m)).difference(pairs.values()))
+    return Assignment(pairs, n, m)
 
 
 def hard_assignment_from_probs(probs: AssocProbabilities) -> Assignment:

@@ -1,18 +1,15 @@
-"""Tracking performance metrics: OSPA distance, identity switches, timing."""
+"""Tracking performance metrics: OSPA distance and identity switches."""
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple, TypeVar
+from typing import Dict, Sequence
 
 import numpy as np
 
 from ._lap import solve_lap
 from .domain import CLUTTER, Assignment, ContractViolation, Scan
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -101,9 +98,3 @@ def stti(assignment_history: Sequence[Assignment], scans: Sequence[Scan]) -> int
                 last[g] = j
     return switches
 
-
-def timed(op: Callable[[], T]) -> Tuple[T, float]:
-    """Run ``op`` and return its result with wall-clock seconds elapsed."""
-    start = time.perf_counter()
-    result = op()
-    return result, time.perf_counter() - start

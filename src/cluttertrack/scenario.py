@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,34 +36,30 @@ Seed = Union[int, Tuple[int, ...]]
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """True target states for every scan of a scenario.
+    """True target states for every scan of a scenario, computed from its
+    ``config`` alone.
 
-    ``states[k, j]`` is target j's (x, vx, y, vy) at scan k. Consecutive
-    states obey exact constant-velocity propagation.
+    ``states[k, j]`` is target j's (x, vx, y, vy) at scan k, a
+    (num_scans, num_targets, 4) array built on first read and never written
+    to: constant velocity, each position the running sum x0, vx*dt, vx*dt,
+    ... in scan order.
     """
 
-    states: np.ndarray
     config: ScenarioConfig
 
-    def __post_init__(self):
-        s = np.asarray(self.states, dtype=float)
-        expected = (self.config.num_scans, self.config.num_targets, 4)
-        if s.shape != expected:
-            raise ContractViolation(f"states shape {s.shape}, expected {expected}")
-        stepped = s[:-1].copy()
-        stepped[:, :, ::2] += stepped[:, :, 1::2] * self.config.dt
-        if not np.array_equal(stepped, s[1:]):
-            raise ContractViolation("states do not follow constant-velocity propagation")
-        object.__setattr__(self, "states", s)
+    @cached_property
+    def states(self) -> np.ndarray:
+        cfg = self.config
+        initial = np.array(cfg.initial_states, dtype=float)
+        states = np.repeat(initial[None], cfg.num_scans, axis=0)
+        states[1:, :, ::2] = initial[:, 1::2] * cfg.dt
+        states[:, :, ::2] = np.cumsum(states[:, :, ::2], axis=0)
+        return states
 
 
 def generate_truth(config: ScenarioConfig) -> GroundTruth:
-    """Constant-velocity truth: positions sum x0, v*dt, v*dt, ... in scan order."""
-    initial = np.array(config.initial_states, dtype=float)
-    states = np.repeat(initial[None], config.num_scans, axis=0)
-    states[1:, :, ::2] = initial[:, 1::2] * config.dt
-    states[:, :, ::2] = np.cumsum(states[:, :, ::2], axis=0)
-    return GroundTruth(states, config)
+    """The constant-velocity ground truth of ``config``."""
+    return GroundTruth(config)
 
 
 # The hash constants of numpy's SeedSequence (O'Neill's seed_seq design).

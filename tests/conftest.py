@@ -14,7 +14,6 @@ def reference_config() -> ScenarioConfig:
 def clean_config() -> ScenarioConfig:
     """Well-separated parallel targets, no clutter, no misses, no noise."""
     return ScenarioConfig(
-        num_targets=5,
         initial_states=tuple((5.0, 1.0, 9.0 + 3.0 * j, 0.0) for j in range(5)),
         sigma_x=0.0,
         sigma_y=0.0,

@@ -246,6 +246,12 @@ def test_gate_huge_gamma_accepts_everything():
     assert gate_of(t, zs, FilterParams(), GateParams(gamma=1e12)) == {0, 1, 2}
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+def test_gate_params_refuse_a_threshold_not_above_zero(gamma):
+    with pytest.raises(ContractViolation, match=rf"^gamma must be > 0, got {gamma}$"):
+        GateParams(gamma=gamma)
+
+
 def test_gate_edges():
     # NaN and +inf distances (far-off or overflowed measurements) stay out;
     # one exactly at gamma is in, the next float above it out.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -101,6 +102,8 @@ def test_bench_spec_refuses_repeated_grid_values(field, value):
         ("elambda_values", [-1], "elambda_values[0]: e_lambda must be >= 0, got -1.0"),
         ("pd_values", [float("nan")], "pd_values[0]: p_d must be in (0, 1], got nan"),
         ("elambda_values", [0, float("nan")], "elambda_values[1]: e_lambda must be finite, got nan"),
+        ("methods", ["ha", "kalman"], f"unknown method 'kalman', expected subset of {METHODS}"),
+        ("methods", ["deepda"], "method deepda requires model_path"),
     ],
 )
 def test_bench_spec_range_error_names_the_field(field, value, msg):
@@ -296,6 +299,43 @@ def test_grid_records_a_one_scan_cell_as_failed():
     assert [e["error"] for e in report.meta["errors"]] == [
         "ContractViolation: tracking needs at least 2 scans, got 1"
     ] * 2
+
+
+def test_make_engine_refuses_deepda_without_a_model_and_an_unknown_method():
+    config, params, gp = five_crossing_targets(), FilterParams(), GateParams()
+    with pytest.raises(ConfigError, match="^method deepda requires a model$"):
+        bench.make_engine("deepda", config, params, gp)
+    with pytest.raises(ConfigError, match="^unknown method 'kalman', expected one of "):
+        bench.make_engine("kalman", config, params, gp)
+
+
+def test_unassigned_sets_are_pinned_on_reference_episodes(monkeypatch):
+    # Every HA assignment and every hardening of JPDA's rows on three
+    # reference episodes: the digest was recorded when Assignment stored its
+    # unassigned sets, and they are now derived from the pairs and sizes.
+    calls = []
+
+    def recording(fn):
+        def wrapper(*args):
+            a = fn(*args)
+            calls.append((sorted(a.pairs.items()), sorted(a.unassigned_tracks), sorted(a.unassigned_measurements)))
+            return a
+
+        return wrapper
+
+    monkeypatch.setattr(bench, "hungarian", recording(bench.hungarian))
+    monkeypatch.setattr(bench, "hard_assignment_from_probs", recording(bench.hard_assignment_from_probs))
+    for config in (
+        five_crossing_targets(seed=0),
+        five_crossing_targets(seed=1),
+        five_crossing_targets(p_d=0.7, e_lambda=40.0, seed=2),
+    ):
+        for method in ("ha", "jpda"):
+            run_episode(config, method)
+    counts = len(calls), sum(len(c[1]) for c in calls), sum(len(c[2]) for c in calls)
+    assert counts == (114, 109, 3037)
+    digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+    assert digest == "b79eb1a1d85803cbb2a935ed15ceff79811214aa64ef0e05faa36b6f07664c56"
 
 
 def _track_reference(scans, method):

@@ -155,8 +155,8 @@ def test_train_rejects_unknown_field(tmp_path, capsys):
 def test_train_on_a_scenarios_list_of_mixed_target_counts(tmp_path, capsys):
     # A 2-target and a 3-target scenario give scan sequences of two lengths.
     states = ((5.0, 1.0, 11.0, 0.4), (5.0, 1.0, 15.0, 0.0), (5.0, 1.0, 19.0, -0.4))
-    two = ScenarioConfig(num_targets=2, initial_states=states[:2], num_scans=5, e_lambda=5.0)
-    three = replace(two, num_targets=3, initial_states=states, seed=1)
+    two = ScenarioConfig(initial_states=states[:2], num_scans=5, e_lambda=5.0)
+    three = replace(two, initial_states=states, seed=1)
     path = tmp_path / "train.json"
     doc = {"scenarios": [two.to_dict(), three.to_dict()], "net": {"hidden": 4}, "train": {"epochs": 2}}
     path.write_text(json.dumps(doc))
@@ -183,7 +183,7 @@ TRAIN = {"base": REFERENCE, "variants": 2, "net": {"hidden": 4}, "train": {"epoc
         ("simulate", {**REFERENCE, "region": [4.0, 30.0, 8.0, 22.0]}, "scenario.region"),
         ("simulate", {**REFERENCE, "region": 4.0}, "scenario.region"),
         ("simulate", {**REFERENCE, "initial_states": 5.0}, "scenario.initial_states"),
-        ("simulate", {**REFERENCE, "num_targets": "x"}, "scenario.num_targets"),
+        ("simulate", {**REFERENCE, "num_scans": "x"}, "scenario.num_scans"),
         ("simulate", {**REFERENCE, "p_d": None}, "scenario.p_d"),
         ("bench", 5, "bench"),
         ("bench", {**BENCH, "ospa": [10.0, 2.0]}, "bench.ospa"),
@@ -197,8 +197,8 @@ TRAIN = {"base": REFERENCE, "variants": 2, "net": {"hidden": 4}, "train": {"epoc
         ("train", {**TRAIN, "train": {"lr": "x"}}, "train.train.lr"),
         ("train", {**TRAIN, "net": {"hidden": "x"}}, "train.net.hidden"),
         ("train", {**TRAIN, "scenarios": 5}, "train.scenarios"),
-        ("simulate", {**REFERENCE, "num_targets": 5.7}, "scenario.num_targets"),
-        ("simulate", {**REFERENCE, "num_targets": True}, "scenario.num_targets"),
+        ("simulate", {**REFERENCE, "num_scans": 5.7}, "scenario.num_scans"),
+        ("simulate", {**REFERENCE, "num_scans": True}, "scenario.num_scans"),
         # A scenarios list names every training scenario, so either would be ignored.
         ("train", {"scenarios": [REFERENCE], "base": REFERENCE}, "train.base"),
         ("train", {"scenarios": [REFERENCE], "variants": 7}, "train.variants"),
@@ -226,6 +226,12 @@ TRAIN = {"base": REFERENCE, "variants": 2, "net": {"hidden": 4}, "train": {"epoc
         ("bench", {**BENCH, "pd_values": [float("nan")]}, "bench: pd_values[0]"),
         # The base scenario's seed is the grid's; a spec has none of its own.
         ("bench", {**BENCH, "seed": 3}, "bench"),
+        # A fixed-length list of the wrong length, a string field given a number, and
+        # an integer too large for a float.
+        ("simulate", {**REFERENCE, "initial_states": [[5.0, 1.0, 11.0]]}, "scenario.initial_states[0]"),
+        ("bench", {**BENCH, "methods": [1]}, "bench.methods[0]"),
+        ("simulate", {**REFERENCE, "dt": 10**400}, "scenario.dt"),
+        ("train", {"net": {"hidden": 4}}, "train"),
     ],
 )
 def test_malformed_config_exits_with_config_code_naming_the_field(
@@ -237,6 +243,24 @@ def test_malformed_config_exits_with_config_code_naming_the_field(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()  # refused before any work
+
+
+# The target count is read off initial_states; a scenario that sets it is refused.
+@pytest.mark.parametrize(
+    "command,doc,where",
+    [
+        ("simulate", {**REFERENCE, "num_targets": 5}, "scenario"),
+        ("bench", {**BENCH, "base": {**REFERENCE, "num_targets": 5}}, "bench.base"),
+        ("train", {"scenarios": [REFERENCE, {**REFERENCE, "num_targets": 5}]}, "train.scenarios[1]"),
+    ],
+)
+def test_a_scenario_that_sets_num_targets_is_refused_naming_the_field(tmp_path, capsys, command, doc, where):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: unknown fields ['num_targets']; ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_with_m_max_below_a_training_scan_names_the_field_scenario_and_scan(tmp_path, capsys):
@@ -299,7 +323,6 @@ def test_track_csv_outside_the_default_region(tmp_path, capsys):
     # Targets far outside the default region; the assumed region grows to
     # cover the initial positions and every measurement.
     config = ScenarioConfig(
-        num_targets=2,
         initial_states=((50.0, 1.0, 50.0, 0.0), (50.0, 1.0, 55.0, 0.0)),
         e_lambda=5.0,
         region=Region(0.0, 100.0, 0.0, 100.0),
@@ -411,6 +434,41 @@ def test_track_a_measurement_that_overflows_the_region_names_the_file_scan_and_r
     for code, err in results.values():
         assert code == 2
         assert err == message + "covering the data overflow\n"
+
+
+def test_track_an_initial_position_that_overflows_the_region_names_the_truth_file(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(five_crossing_targets().to_dict()))
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(config), "--out", str(sim)]) == 0
+    truth = sim / "truth.csv"
+    truth.write_text(truth.read_text().replace("\n0,2,5.0,1.0,15.0,", "\n0,2,1e+200,1.0,1e+200,"))
+    capsys.readouterr()
+    argv = ["track", str(sim / "scans.csv"), "--truth", str(truth), "--method", "ha", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    message = f"error: {truth}: scan 0, target 2: initial position at (1e+200, 1e+200) makes the area of the region "
+    assert capsys.readouterr().err == message + "covering the data overflow\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["track", "{scenario}", "--method", "deepda"], "method deepda requires --model"),
+        (["track", "{scans}", "--method", "ha"], "tracking a scans.csv needs --truth truth.csv"),
+        (["simulate", "{not_json}"], "{not_json} is not valid JSON: "),
+    ],
+)
+def test_a_missing_flag_or_a_file_that_is_not_json_exits_2_before_creating_out(tmp_path, capsys, argv, message):
+    paths = {"scenario": tmp_path / "scenario.json", "scans": tmp_path / "scans.csv", "not_json": tmp_path / "x.json"}
+    paths["scenario"].write_text(json.dumps(five_crossing_targets().to_dict()))
+    paths["scans"].write_text("scan,k,x,y,origin\n0,0,1.0,2.0,-1\n")
+    paths["not_json"].write_text('{"dt": 1.0,')
+    out = tmp_path / "out"
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(**paths)) and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_train_help_says_how_to_pin_openblas_threads(capsys):

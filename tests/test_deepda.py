@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from cluttertrack.domain import (
     CapacityError,
     ContractViolation,
     ModelFormatError,
+    NumericalError,
     Scan,
     ScenarioConfig,
     five_crossing_targets,
@@ -629,7 +631,6 @@ def test_rmsprop_refuses_vectors_of_different_shapes():
 
 def one_group_dataset(seed=0):
     cfg = ScenarioConfig(
-        num_targets=2,
         initial_states=((6.0, 1.0, 10.0, 0.0), (6.0, 1.0, 18.0, 0.0)),
         p_d=1.0,
         e_lambda=2.0,
@@ -649,7 +650,6 @@ def test_train_memorizes_single_group():
 
 def four_variant_dataset():
     cfg = ScenarioConfig(
-        num_targets=2,
         initial_states=((6.0, 1.0, 10.0, 0.0), (6.0, 1.0, 18.0, 0.0)),
         p_d=0.9,
         e_lambda=3.0,
@@ -684,7 +684,6 @@ def test_train_default_recipe_loss_curve_is_pinned():
 def mixed_length_dataset_configs():
     """A two- and a three-target scenario."""
     two = ScenarioConfig(
-        num_targets=2,
         initial_states=((6.0, 1.0, 10.0, 0.0), (6.0, 1.0, 18.0, 0.0)),
         p_d=0.9,
         e_lambda=3.0,
@@ -692,7 +691,6 @@ def mixed_length_dataset_configs():
         seed=1,
     )
     three = ScenarioConfig(
-        num_targets=3,
         initial_states=((6.0, 1.0, 10.0, 0.2), (6.0, 1.0, 14.0, 0.0), (6.0, 1.0, 18.0, -0.2)),
         p_d=0.9,
         e_lambda=3.0,
@@ -945,6 +943,66 @@ def test_norm_stats_reject_non_finite_bounds():
             NormStats(np.array([0.0, bad]), np.array([1.0, 1.0]))
         with pytest.raises(ContractViolation, match="finite"):
             NormStats(np.array([0.0, 0.0]), np.array([1.0, bad]))
+
+
+def test_norm_stats_refuse_unequal_shapes_and_a_max_below_its_min():
+    with pytest.raises(ContractViolation, match=r"^min/max shapes differ: \(2,\) vs \(3,\)$"):
+        NormStats(np.zeros(2), np.zeros(3))
+    with pytest.raises(ContractViolation, match="^norm stats need max >= min elementwise$"):
+        NormStats(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
+
+
+def test_lstm_model_refuses_a_misshaped_parameter_and_norm_stats_of_another_width():
+    cfg = small_cfg()
+    model = init_model(cfg, identity_norm(cfg.features))
+    with pytest.raises(ContractViolation, match=r"^w_in has shape \(1, 1\), expected \(4, 6\)$"):
+        replace(model, w_in=np.zeros((1, 1)))
+    with pytest.raises(ContractViolation, match=r"^norm stats cover 2 features, expected 6$"):
+        replace(model, norm=identity_norm(2))
+
+
+def test_forward_names_the_first_sequence_with_non_finite_rows():
+    # Sequence 1 has every output column masked: its rows are 0 / 0.
+    cfg = small_cfg()
+    model = init_model(cfg, identity_norm(cfg.features))
+    mask = np.ones((3, cfg.m_max + 1), dtype=bool)
+    mask[1:] = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own 0 / 0 warning comes first
+        with pytest.raises(NumericalError, match=r"^non-finite activations in forward pass \(sequence 1\)$"):
+            _forward_core(model, np.zeros((3, 2, cfg.features)), mask)
+
+
+def test_batch_loss_refuses_an_empty_batch_and_train_an_empty_set():
+    ds = one_group_dataset()
+    cfg = NetConfig(m_max=ds.m_max, hidden=4, seed=0)
+    stack, norm, _ = encode_groups(ds.groups, cfg)
+    with pytest.raises(ContractViolation, match="^batch must be non-empty$"):
+        _batch_loss_and_grads(init_model(cfg, norm), stack.take(np.array([], dtype=int)))
+    with pytest.raises(ContractViolation, match="^training set is empty$"):
+        train(TrainingSet(()), cfg, TrainConfig(epochs=1))
+
+
+def test_save_model_removes_its_temporary_file_when_the_write_fails(tmp_path, monkeypatch):
+    cfg = small_cfg()
+    model = init_model(cfg, identity_norm(cfg.features))
+
+    def failing_dump(doc, fh):
+        fh.write('{"version": ')
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr("cluttertrack.deepda.json.dump", failing_dump)
+    with pytest.raises(OSError, match="^No space left on device$"):
+        save_model(model, tmp_path / "model.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["[2]", "2", '"model"', "null"])
+def test_load_refuses_a_file_that_is_not_a_json_object(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ModelFormatError, match="^model file is not a JSON object$"):
+        load_model(path)
 
 
 def test_load_missing_file():

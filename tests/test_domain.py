@@ -80,6 +80,7 @@ def test_config_rejects_missing_fields(reference_config):
         ("sigma_x", -0.1, r"^scenario: sigma_x must be >= 0, got -0\.1$"),
         ("sigma_y", -0.1, r"^scenario: sigma_y must be >= 0, got -0\.1$"),
         ("seed", -1, r"^scenario: seed must be >= 0, got -1$"),
+        ("initial_states", [], r"^scenario: initial_states must hold at least one target$"),
     ],
 )
 def test_config_validation_names_field(reference_config, field, value, msg):
@@ -118,6 +119,11 @@ def test_config_region_must_contain_targets(reference_config):
         ScenarioConfig.from_dict(doc)
 
 
+def test_config_refuses_an_initial_state_of_other_than_four_values():
+    with pytest.raises(ConfigError, match=r"^initial_states entries must be \(x, vx, y, vy\), got \(5\.0, 1\.0, 11\.0\)$"):
+        ScenarioConfig(initial_states=((5.0, 1.0, 11.0),))
+
+
 def test_region_positive_area():
     with pytest.raises(ConfigError):
         Region(1.0, 1.0, 0.0, 2.0)
@@ -146,6 +152,12 @@ def test_scan_duplicate_target_label_rejected():
 def test_scan_origin_length_mismatch():
     with pytest.raises(ContractViolation):
         Scan(k=0, measurements=np.zeros((2, 2)), origins=(0,))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 2, 2)])
+def test_scan_refuses_measurements_not_of_two_columns(shape):
+    with pytest.raises(ContractViolation, match=rf"^measurements must be \(M, 2\), got shape {re.escape(str(shape))}$"):
+        Scan(k=0, measurements=np.zeros(shape))
 
 
 def test_scan_empty():
@@ -278,21 +290,19 @@ def test_track_set_rows_and_positions():
 
 
 def test_assignment_invariants():
-    Assignment({0: 2, 1: 0}, frozenset({2}), frozenset({1}))
+    a = Assignment({0: 2, 1: 0}, 3, 3)
+    assert (a.unassigned_tracks, a.unassigned_measurements) == ({2}, {1})
     with pytest.raises(ContractViolation):
-        Assignment({0: 1, 1: 1}, frozenset(), frozenset())
-    with pytest.raises(ContractViolation):
-        Assignment({0: 1}, frozenset({0}), frozenset())
-    with pytest.raises(ContractViolation):
-        Assignment({0: 1}, frozenset(), frozenset({1}))
+        Assignment({0: 1, 1: 1}, 2, 2)
 
 
 def test_assignment_checks_run_in_order_with_their_messages():
-    # Each case also breaks every later rule, so only the first check may fire.
+    # One check is left: the unassigned sets are derived from the pairs, so
+    # no track or measurement can be both assigned and unassigned. A pairing
+    # that breaks it is refused whatever the sizes, before they are read.
     cases = [
-        (({0: 1, 1: 1}, {0}, {1}), "a measurement is assigned to more than one track"),
-        (({0: 1}, {0}, {1}), "a track is both assigned and unassigned"),
-        (({0: 1}, (), {1}), "a measurement is both assigned and unassigned"),
+        (({0: 1, 1: 1}, 2, 2), "a measurement is assigned to more than one track"),
+        (({0: 1, 1: 1}, 0, 0), "a measurement is assigned to more than one track"),
     ]
     for args, message in cases:
         with pytest.raises(ContractViolation, match=f"^{message}$"):
@@ -303,6 +313,12 @@ def test_assignment_checks_run_in_order_with_their_messages():
 def test_cost_matrix_refuses_nan_and_negative_entries(bad):
     with pytest.raises(ContractViolation, match=r"^cost matrix entries must be >= 0 and not NaN$"):
         CostMatrix(np.array([[1.0, bad], [np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 2, 2)])
+def test_cost_matrix_refuses_other_than_two_dimensions(shape):
+    with pytest.raises(ContractViolation, match=rf"^cost matrix must be 2-D, got shape {re.escape(str(shape))}$"):
+        CostMatrix(np.zeros(shape))
 
 
 def test_cost_matrix_accepts_zeros_of_either_sign_and_inf():
@@ -453,6 +469,11 @@ def test_solve_lap_equals_the_reference_loop_on_tie_heavy_costs():
     # Every row placed at once, and a square problem that must augment.
     assert solve_lap([[0.0, 1.0], [1.0, 0.0]]) == reference_lap([[0.0, 1.0], [1.0, 0.0]]) == [0, 1]
     assert solve_lap([[0.0, 1.0], [0.0, 3.0]]) == reference_lap([[0.0, 1.0], [0.0, 3.0]]) == [1, 0]
+
+
+def test_solve_lap_refuses_more_rows_than_columns():
+    with pytest.raises(ValueError, match=r"^need rows <= cols, got 2 rows x 1 cols$"):
+        solve_lap([[0.0], [1.0]])
 
 
 def test_solve_lap_with_infinite_entries_equals_brute_force():

@@ -1,12 +1,17 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cluttertrack.domain import Assignment, CLUTTER, ContractViolation, Scan
-from cluttertrack.metrics import OspaParams, ospa, stti, timed
+from cluttertrack import bench
+from cluttertrack.assoc import GateParams
+from cluttertrack.domain import Assignment, CLUTTER, ContractViolation, Scan, five_crossing_targets
+from cluttertrack.kalman import FilterParams
+from cluttertrack.metrics import OspaParams, ospa, stti
+from cluttertrack.scenario import generate_scans, generate_truth
 
 from oracles import count_transitions, ospa_brute_force
 
@@ -129,8 +134,7 @@ def scan_with_origins(k, origins):
 
 
 def full_assignment(pairs, n_meas):
-    used = set(pairs.values())
-    return Assignment(pairs, frozenset(), frozenset(range(n_meas)) - used)
+    return Assignment(pairs, len(pairs), n_meas)
 
 
 def test_stti_stable_identity():
@@ -166,6 +170,12 @@ def test_stti_requires_labels():
     history = [full_assignment({0: 0}, 1)]
     with pytest.raises(ContractViolation):
         stti(history, scans)
+
+
+def test_stti_refuses_an_assignment_count_unlike_the_scan_count():
+    scans = [scan_with_origins(k, [0]) for k in range(3)]
+    with pytest.raises(ContractViolation, match="^2 assignments for 3 scans$"):
+        stti([full_assignment({0: 0}, 1)] * 2, scans)
 
 
 def test_stti_matches_transition_oracle_random():
@@ -209,35 +219,87 @@ def test_stti_invariant_under_relabeling():
     base = stti(history, scans)
     relabel = {0: 2, 1: 0, 2: 1}
     relabeled = [
-        Assignment(
-            {relabel[j]: i for j, i in a.pairs.items()},
-            frozenset(relabel[j] for j in a.unassigned_tracks),
-            a.unassigned_measurements,
-        )
+        Assignment({relabel[j]: i for j, i in a.pairs.items()}, a.num_tracks, a.num_measurements)
         for a in history
     ]
     assert stti(relabeled, scans) == base
 
 
 # ---------------------------------------------------------------------------
-# timed
+# timing: track_scans times each associate call
 # ---------------------------------------------------------------------------
 
 
-def test_timed_noop_overhead():
-    _, seconds = timed(lambda: None)
-    assert seconds < 1e-4
+def _timed_run(engine):
+    """Track a five-scan reference episode with ``engine``."""
+    truth = generate_truth(replace(five_crossing_targets(), num_scans=5))
+    return bench.track_scans(
+        truth.states[0], generate_scans(truth, 0), truth.states[:, :, [0, 2]], engine, FilterParams(), OspaParams()
+    )
+
+
+def _ha_engine():
+    return bench.make_engine("ha", five_crossing_targets(), FilterParams(), GateParams())
+
+
+def _replaying_engine(monkeypatch):
+    """An HA engine whose associate returns, without work, the assignments a
+    real HA run made; also returns that run."""
+    recorded = []
+    engine = _ha_engine()
+    real_associate = engine.associate
+
+    def recording(tracks, scan):
+        recorded.append(real_associate(tracks, scan))
+        return recorded[-1]
+
+    monkeypatch.setattr(engine, "associate", recording)
+    run = _timed_run(engine)
+    replay = iter(recorded)
+    monkeypatch.setattr(engine, "associate", lambda tracks, scan: next(replay))
+    return engine, run
+
+
+def test_timed_noop_overhead(monkeypatch):
+    engine, _ = _replaying_engine(monkeypatch)
+    assert _timed_run(engine).result.time_mean_s < 1e-4
 
 
 def test_timed_sleep(monkeypatch):
-    _, seconds = timed(lambda: time.sleep(0.010))
-    assert seconds >= 0.010
-    # The elapsed time is exactly the difference of the two clock readings.
-    readings = iter([7.5, 7.625])
-    monkeypatch.setattr("cluttertrack.metrics.time.perf_counter", lambda: next(readings))
-    assert timed(lambda: "done") == ("done", 0.125)
+    engine = _ha_engine()
+    real_associate, real_predict = engine.associate, bench.predict
+
+    def sleeping(tracks, scan):
+        time.sleep(0.010)
+        return real_associate(tracks, scan)
+
+    monkeypatch.setattr(engine, "associate", sleeping)
+    assert _timed_run(engine).result.time_mean_s >= 0.010
+
+    # A fake clock that only the engine and the prediction advance: the
+    # prediction's time must not count, so the mean is that of the associate
+    # intervals alone.
+    clock = [0.0]
+    durations = iter([0.5, 0.25, 2.0, 1.25])
+
+    def associate(tracks, scan):
+        clock[0] += next(durations)
+        return real_associate(tracks, scan)
+
+    def predict(tracks, params):
+        clock[0] += 100.0
+        return real_predict(tracks, params)
+
+    monkeypatch.setattr(engine, "associate", associate)
+    monkeypatch.setattr(bench, "predict", predict)
+    monkeypatch.setattr("cluttertrack.bench.time.perf_counter", lambda: clock[0])
+    assert _timed_run(engine).result.time_mean_s == 1.0
 
 
-def test_timed_returns_result():
-    value, _ = timed(lambda: 42)
-    assert value == 42
+def test_timed_returns_result(monkeypatch):
+    # Timing the call leaves its result as it is: the assignments the engine
+    # returns are the ones the tracks are updated and scored with.
+    engine, run = _replaying_engine(monkeypatch)
+    replayed = _timed_run(engine)
+    np.testing.assert_array_equal(replayed.states, run.states)
+    assert (replayed.result.ospa_mean, replayed.result.stti) == (run.result.ospa_mean, run.result.stti)

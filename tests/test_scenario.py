@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +58,19 @@ def test_truth_is_pure(reference_config):
     a = generate_truth(reference_config)
     b = generate_truth(reference_config)
     assert np.array_equal(a.states, b.states)
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.1])
+@pytest.mark.parametrize("targets", [1, 5])
+def test_truth_steps_exactly_by_constant_velocity(reference_config, dt, targets):
+    # Each position is the previous one plus v * dt, bit for bit; velocities hold.
+    config = replace(reference_config, initial_states=reference_config.initial_states[:targets], dt=dt)
+    states = generate_truth(config).states
+    assert states.shape == (config.num_scans, targets, 4)
+    stepped = states[:-1].copy()
+    stepped[:, :, ::2] += stepped[:, :, 1::2] * dt
+    assert np.array_equal(stepped, states[1:])
+    assert np.array_equal(states[0], np.array(config.initial_states))
 
 
 def test_scans_degenerate_noise_free(clean_config):
@@ -130,7 +144,6 @@ def sha256(*chunks):
 
 
 SIGNED_ZERO_SCENARIO = ScenarioConfig(
-    num_targets=3,
     initial_states=((5.0, -0.0, 11.0, 0.4), (6.0, 1.3, 15.0, -0.0), (7.0, 0.7, 12.0, -0.3)),
     dt=0.7,
     num_scans=12,
@@ -295,6 +308,13 @@ def test_training_set_capacity_guard(reference_config):
         encode_groups(ds.groups, NetConfig(m_max=3))
 
 
+def test_training_set_and_variants_refuse_to_be_empty(reference_config):
+    with pytest.raises(ConfigError, match="^make_training_set needs at least one scenario config$"):
+        make_training_set([])
+    with pytest.raises(ConfigError, match="^variant count must be >= 1, got 0$"):
+        seeded_variants(reference_config, 0)
+
+
 def test_training_set_group_count(reference_config):
     ds = make_training_set(seeded_variants(reference_config, 3))
     assert len(ds) == 3 * (reference_config.num_scans - 1)
@@ -434,6 +454,24 @@ def test_read_truth_rejects_a_missing_state(tmp_path, reference_config, target):
     assert len(dropped) == len(lines) - 1
     path.write_text("\n".join(dropped) + "\n")
     with pytest.raises(ConfigError, match=rf"truth\.csv: no state for scan 3, target {target}$"):
+        read_truth_states(path)
+
+
+@pytest.mark.parametrize("name", ["scans.csv", "truth.csv"])
+def test_read_csv_refuses_an_unexpected_header(tmp_path, name):
+    path = tmp_path / name
+    path.write_text("scan,target,x,y\n0,0,1.0,2.0\n")
+    read = read_scans_csv if name == "scans.csv" else read_truth_states
+    with pytest.raises(ConfigError, match=rf"^unexpected {re.escape(name)} header: \['scan', 'target', 'x', 'y'\]$"):
+        read(path)
+
+
+@pytest.mark.parametrize("row", ["0,0,5.0,1.0,11.0", "0,0,5.0,1.0,11.0,0.4,7"])
+def test_read_truth_refuses_a_row_of_other_than_six_fields(tmp_path, row):
+    path = tmp_path / "truth.csv"
+    path.write_text(",".join(TRUTH_CSV_HEADER) + f"\n{row}\n")
+    fields = row.count(",") + 1
+    with pytest.raises(ConfigError, match=rf"truth\.csv, line 2: malformed row .*: {fields} fields, expected 6$"):
         read_truth_states(path)
 
 
